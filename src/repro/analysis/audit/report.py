@@ -4,8 +4,7 @@ The report travels two ways: attached to a
 :class:`~repro.scenario.result.SimulationResult` as ``audit_report``
 for in-process callers, and flattened via :meth:`AuditReport.summary`
 into the canned ``"audit"`` sweep metric — a plain JSON-safe dict that
-survives process pools, the JSONL checkpoint, and the ssh worker
-protocol unchanged.
+survives process pools and the JSONL checkpoint unchanged.
 """
 
 from __future__ import annotations

@@ -571,12 +571,12 @@ _PICKLED_CTORS = frozenset(
 class PickleSafetyRule(LintRule):
     """Scenario/SweepCell payloads must stay pickle-safe.
 
-    Every execution backend ships scenarios to worker processes (and,
-    via the ssh worker protocol, other hosts) by pickling. Lambdas and
-    nested functions pickle only by accident of never being exercised
-    serially — until the first ``--backend process`` run dies. Probe
-    callables and any field of the pickled dataclasses must be
-    module-level.
+    Every pooled execution backend ships scenarios to worker processes
+    by pickling, and the chunked checkpoint fingerprints them the same
+    way. Lambdas and nested functions pickle only by accident of never
+    being exercised serially — until the first ``--backend process``
+    run dies. Probe callables and any field of the pickled dataclasses
+    must be module-level.
     """
 
     def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:

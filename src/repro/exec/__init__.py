@@ -2,7 +2,7 @@
 
 One small protocol — :class:`~repro.exec.base.ExecutionBackend`:
 ``submit(jobs) -> iterator of SweepCell in completion order``, plus
-``cancel``/``close`` — with four shipped implementations:
+``cancel``/``close`` — with three shipped implementations:
 
 - :class:`~repro.exec.serial.SerialBackend` — in-process, in-order;
   the reference every other backend must match cell-for-cell;
@@ -12,15 +12,13 @@ One small protocol — :class:`~repro.exec.base.ExecutionBackend`:
 - :class:`~repro.exec.chunked.ChunkedBackend` — bounded-memory
   chunked streaming with a JSONL checkpoint file, making 10^4-cell
   grids survivable (kill it, re-run it, completed cells replay from
-  the file);
-- :class:`~repro.exec.sshexec.SSHBackend` — shards cells across
-  ``sfs-experiment worker`` subprocesses (local or over ssh) speaking
-  a line-JSON protocol on stdio.
+  the file).
 
-:func:`make_backend` resolves the ``--backend`` names the CLI and
-``run_cells`` accept. Whatever the backend, ``run_sweep``/``run_cells``
-return cell lists identical to the serial reference — the equivalence
-is pinned by hypothesis model tests.
+:func:`make_backend` is the one place that chooses which of them runs
+a grid, from the ``--backend``/``--workers``/``--checkpoint`` options
+the CLI and ``run_cells`` accept. Whatever the backend,
+``run_sweep``/``run_cells`` return cell lists identical to the serial
+reference — the equivalence is pinned by hypothesis model tests.
 
 **Checkpoint/resume** (:class:`~repro.exec.chunked.ChunkedBackend`).
 Every finished cell is one flushed JSON line — ``index``, coordinates,
@@ -31,19 +29,9 @@ but whose duration/population/seed/metrics differ, and a torn final
 line (kill mid-write) is dropped with a warning. Completed cells replay
 from the file bit-for-bit (JSON round-trips floats exactly); only the
 remainder executes.
-
-**Worker protocol** (:class:`~repro.exec.sshexec.SSHBackend` ↔
-``sfs-experiment worker``). One request/response JSON line per cell
-(``{"op": "run", "index": ..., "scenario": <b64>, "metrics": [...]}``
-→ ``{"op": "result", ...}``), ``ping``/``pong``, ``shutdown``/``bye``,
-and a ``hello`` banner on connect. Scenarios travel as
-base64(zlib(pickle)) — run workers only on hosts you trust with code
-execution (i.e. your own ssh fleet).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.exec.base import (
     BackendBase,
@@ -61,8 +49,6 @@ from repro.exec.chunked import (
 )
 from repro.exec.pool import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
-from repro.exec.sshexec import SSHBackend
-from repro.exec.worker import serve as serve_worker
 
 __all__ = [
     "BACKENDS",
@@ -72,7 +58,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ExecutionBackend",
     "ProcessPoolBackend",
-    "SSHBackend",
     "SerialBackend",
     "cell_from_json",
     "cell_to_json",
@@ -80,53 +65,52 @@ __all__ = [
     "job_fingerprint",
     "load_checkpoint",
     "make_backend",
-    "serve_worker",
 ]
 
 #: the ``--backend`` names (see :func:`make_backend`)
-BACKENDS = ("serial", "process", "chunked", "ssh")
+BACKENDS = ("serial", "process", "chunked")
 
 
 def make_backend(
-    name: str,
+    backend: str | ExecutionBackend | None = None,
     workers: int | None = None,
     checkpoint: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    hosts: Sequence[str] = (),
+    n_jobs: int | None = None,
 ) -> ExecutionBackend:
-    """Build a backend from its CLI name.
+    """Choose the backend that runs a grid of ``n_jobs`` cells.
 
-    ``checkpoint`` with a non-chunked name wraps the request into a
-    :class:`ChunkedBackend` for ``"serial"``/``"process"`` (chunked
-    *is* the checkpointing pool runner; serial checkpointing is
-    ``workers=0``). ``hosts`` only applies to ``"ssh"``.
+    ``backend`` is a name from :data:`BACKENDS`, ``None`` (a local
+    process pool, like ``"process"``), or a ready-made instance, which
+    is returned unchanged. The rules, in order:
+
+    - ``"serial"`` means ``workers=0``;
+    - a ``checkpoint`` (or ``"chunked"``) gives a
+      :class:`ChunkedBackend`, the only backend that writes one;
+    - ``workers=0`` or a single-cell grid runs serially in-process;
+    - anything else runs on a :class:`ProcessPoolBackend`.
+
+    An instance cannot take a ``checkpoint`` — it would not write one,
+    and a run meant to be resumable would silently not be — so that
+    combination raises ValueError; give a :class:`ChunkedBackend` its
+    own ``checkpoint`` instead.
     """
-    if name == "serial":
+    if backend is not None and not isinstance(backend, str):
         if checkpoint is not None:
-            return ChunkedBackend(
-                workers=0, chunk_size=chunk_size, checkpoint=checkpoint
+            raise ValueError(
+                f"checkpoint={checkpoint!r} cannot apply to a ready-made "
+                f"{type(backend).__name__}; pass a backend name, or "
+                "ChunkedBackend(checkpoint=...)"
             )
-        return SerialBackend()
-    if name == "process":
-        if checkpoint is not None:
-            return ChunkedBackend(
-                workers=workers, chunk_size=chunk_size, checkpoint=checkpoint
-            )
-        return ProcessPoolBackend(workers=workers)
-    if name == "chunked":
+        return backend
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}")
+    if backend == "serial":
+        workers = 0
+    if checkpoint is not None or backend == "chunked":
         return ChunkedBackend(
             workers=workers, chunk_size=chunk_size, checkpoint=checkpoint
         )
-    if name == "ssh":
-        if not hosts:
-            raise ValueError("backend 'ssh' needs at least one --host")
-        if checkpoint is not None:
-            # Checkpointing composes: chunked streaming over the
-            # ssh-sharded executor.
-            return ChunkedBackend(
-                chunk_size=chunk_size,
-                checkpoint=checkpoint,
-                inner=SSHBackend(hosts),
-            )
-        return SSHBackend(hosts)
-    raise ValueError(f"unknown backend {name!r}; known: {', '.join(BACKENDS)}")
+    if workers == 0 or (n_jobs is not None and n_jobs <= 1):
+        return SerialBackend()
+    return ProcessPoolBackend(workers=workers)

@@ -4,12 +4,11 @@ A backend answers one question: *given a list of independent cell
 jobs, produce their* :class:`~repro.scenario.sweep.SweepCell` *results
 as they finish*. Everything else — deterministic grid ordering,
 metric summaries, CSV export — is layered on top by
-:mod:`repro.scenario.sweep` and the CLI, so the four shipped backends
+:mod:`repro.scenario.sweep` and the CLI, so the three shipped backends
 (:class:`~repro.exec.serial.SerialBackend`,
 :class:`~repro.exec.pool.ProcessPoolBackend`,
-:class:`~repro.exec.chunked.ChunkedBackend`,
-:class:`~repro.exec.sshexec.SSHBackend`) stay interchangeable: same
-jobs in, same cells out, only the execution substrate differs.
+:class:`~repro.exec.chunked.ChunkedBackend`) stay interchangeable:
+same jobs in, same cells out, only the execution substrate differs.
 
 The contract:
 
@@ -21,10 +20,10 @@ The contract:
 - ``close()`` releases pools/processes/files; idempotent. Backends are
   context managers (``close`` on exit).
 
-Cells cross process and host boundaries, so this module also defines
-the flat JSON codec (:func:`cell_to_json` / :func:`cell_from_json`)
-used by the chunked checkpoint file and the worker wire protocol —
-metric values are restricted to JSON-safe scalars and flat dicts by
+Cells cross process boundaries and outlive runs, so this module also
+defines the flat JSON codec (:func:`cell_to_json` /
+:func:`cell_from_json`) used by the chunked checkpoint file — metric
+values are restricted to JSON-safe scalars and flat dicts by
 construction (see :func:`repro.scenario.result.summarize`).
 """
 
@@ -73,8 +72,8 @@ def execute_job(job: CellJob) -> Any:
 
     Returns a :class:`~repro.scenario.sweep.SweepCell` whose ``wall_s``
     is the *worker-side* wall clock of the ``run_scenario`` call — so
-    events/sec stays meaningful no matter which backend (or host)
-    executed the cell.
+    events/sec stays meaningful no matter which backend executed the
+    cell.
     """
     from repro.scenario.result import summarize
     from repro.scenario.runner import run_scenario
@@ -94,7 +93,7 @@ def execute_job(job: CellJob) -> Any:
 
 
 def cell_to_json(cell: Any) -> dict[str, Any]:
-    """Flatten one SweepCell into a JSON-safe dict (checkpoint/wire form)."""
+    """Flatten one SweepCell into a JSON-safe dict (checkpoint form)."""
     return {
         "index": cell.index,
         "scheduler": cell.scheduler,

@@ -29,8 +29,6 @@ import warnings
 from typing import Any, Iterator, Sequence
 
 from repro.exec.base import BackendBase, CellJob, cell_from_json, cell_to_json
-from repro.exec.pool import ProcessPoolBackend
-from repro.exec.serial import SerialBackend
 
 __all__ = ["ChunkedBackend", "job_fingerprint", "load_checkpoint"]
 
@@ -135,11 +133,7 @@ class ChunkedBackend(BackendBase):
     ``workers`` is forwarded to the per-chunk process pool (0 forces
     serial in-process execution — chunking and checkpointing still
     apply). ``checkpoint=None`` gives plain bounded-memory streaming
-    with no resume file. ``inner`` substitutes any other backend as
-    the per-chunk executor — e.g. an
-    :class:`~repro.exec.sshexec.SSHBackend`, which is how multi-host
-    runs gain a resume checkpoint — and is then owned by the caller
-    (``close`` still closes it).
+    with no resume file.
     """
 
     def __init__(
@@ -147,7 +141,6 @@ class ChunkedBackend(BackendBase):
         workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         checkpoint: str | None = None,
-        inner: Any = None,
     ) -> None:
         super().__init__()
         if chunk_size < 1:
@@ -155,18 +148,9 @@ class ChunkedBackend(BackendBase):
         self.workers = workers
         self.chunk_size = chunk_size
         self.checkpoint = checkpoint
-        self.inner = inner
         self._inner: Any = None
         #: cells served from the checkpoint instead of re-executed
         self.resumed = 0
-
-    def _make_inner(self) -> tuple[Any, bool]:
-        """(backend to run the next chunk, whether this call owns it)."""
-        if self.inner is not None:
-            return self.inner, False
-        if self.workers == 0:
-            return SerialBackend(), True
-        return ProcessPoolBackend(self.workers), True
 
     def submit(self, jobs: Sequence[CellJob]) -> Iterator[Any]:
         jobs = list(jobs)
@@ -196,7 +180,10 @@ class ChunkedBackend(BackendBase):
         # One inner backend reused for every chunk: a process pool's
         # workers survive across chunks instead of being re-forked
         # per chunk (which would dominate short cells on big grids).
-        inner, owned = self._make_inner()
+        # Imported here because the package imports this module.
+        from repro.exec import make_backend
+
+        inner = make_backend(workers=self.workers)
         self._inner = inner
         try:
             for start in range(0, len(todo), self.chunk_size):
@@ -214,8 +201,7 @@ class ChunkedBackend(BackendBase):
                     if self._cancelled:
                         return
         finally:
-            if owned:
-                inner.close()
+            inner.close()
             self._inner = None
             if sink is not None:
                 sink.close()
@@ -229,5 +215,3 @@ class ChunkedBackend(BackendBase):
         if self._inner is not None:
             self._inner.close()
             self._inner = None
-        if self.inner is not None:
-            self.inner.close()

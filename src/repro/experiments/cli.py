@@ -6,29 +6,24 @@ Subcommands:
   regenerate any of the paper's figures/tables as text and optionally
   export the underlying data as CSV (via :mod:`repro.analysis.csvout`)
   or JSON;
-- ``sfs-experiment run <file.yaml>`` / ``sweep <file.yaml>`` — load a
-  schema-validated scenario (or sweep) config file
-  (see :mod:`repro.scenario.io`) and run it through any execution
-  backend; ``examples/scenarios/`` holds a library of them;
-- ``sfs-experiment sweep --scheduler sfs sfq --cpus 1 2 4 ...`` — run a
-  cartesian policy x machine grid of the canonical proportional-share
-  workload across a process pool, with deterministic output ordering;
-- ``sfs-experiment server --n 1000 --scheduler sfs sfq ...`` — run the
-  high-N server scenario family (Poisson arrivals, heavy-tailed
-  demands, mixed weight classes) and report per-class shares plus
-  simulator throughput (events/sec);
-- ``sfs-experiment worker`` — serve the line-JSON execution-backend
-  worker protocol over stdio (what ``SSHBackend`` sshes into);
+- ``sfs-experiment run <file.yaml>`` — load a schema-validated
+  scenario config file (see :mod:`repro.scenario.io`) and run it as
+  one cell;
+- ``sfs-experiment sweep <file.yaml>`` — run a sweep config's
+  cartesian policy x machine grid, one row per cell in deterministic
+  grid order. ``examples/scenarios/`` holds a library of scenario
+  configs, and its ``sweeps/`` directory the sweep configs;
 - ``sfs-experiment list`` — show experiment ids, registered scheduler
   names, canned sweep metrics, and the registered arrival processes
-  and demand distributions config files can name.
+  and demand distributions config files can name;
+- ``sfs-experiment lint`` — the determinism/soundness linter.
 
-The grid-running subcommands (``sweep``, ``server``, and the
-backend-aware experiments under ``run``) accept ``--backend
-{serial,process,chunked,ssh}`` plus ``--checkpoint PATH`` — chunked
-runs stream results with bounded memory and survive kill-and-resume
-via the JSONL checkpoint; ``--host`` shards cells across
-``sfs-experiment worker`` processes on other machines.
+The grid-running subcommands (``sweep``, ``run <file.yaml>`` and the
+backend-aware experiments under ``run``) pass ``--backend
+{serial,process,chunked}``, ``--workers``, ``--checkpoint PATH`` and
+``--chunk-size`` unchanged to :func:`repro.exec.make_backend`, which
+picks the backend. Chunked runs stream results with bounded memory and
+survive kill-and-resume via the JSONL checkpoint.
 
 For backwards compatibility, ``sfs-experiment <id|all>`` (without the
 ``run`` subcommand) still works.
@@ -49,7 +44,7 @@ from repro.analysis.csvout import (
     write_rows,
     write_series,
 )
-from repro.exec import BACKENDS, make_backend, serve_worker
+from repro.exec import BACKENDS, DEFAULT_CHUNK_SIZE
 from repro.experiments import (
     fig1_infeasible,
     fig3_heuristic,
@@ -66,17 +61,13 @@ from repro.experiments import (
 )
 from repro.scenario import (
     FAMILIES,
-    SERVER_WEIGHT_CLASSES,
     Scenario,
     Sweep,
     arrival_names,
     demand_names,
-    group,
     run_cells,
-    server_scenario,
     stream_cells,
     sweep_scenarios,
-    task,
 )
 from repro.scenario.io import CONFIG_SUFFIXES, ConfigError, load_config
 from repro.schedulers.registry import scheduler_names
@@ -288,41 +279,21 @@ def _export_json(outdir: str, name: str, label: str, result: Any) -> str:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cli_backend(args: argparse.Namespace, checkpoint: str | None):
-    """Build the ExecutionBackend an invocation asked for (or None).
-
-    ``--backend`` names are resolved through
-    :func:`repro.exec.make_backend` so ``--chunk-size``/``--host``
-    apply; ``--checkpoint`` without ``--backend`` selects the default
-    checkpointing chunked runner inside ``run_cells`` (which also
-    honors ``--chunk-size`` via the forwarded kwarg).
-    """
-    if args.backend is None:
-        return None
-    return make_backend(
-        args.backend,
-        workers=args.workers,
-        checkpoint=checkpoint,
-        chunk_size=args.chunk_size,
-        hosts=tuple(args.host or ()),
-    )
-
-
 def _exec_opts(
     args: argparse.Namespace, checkpoint: str | None
 ) -> dict[str, Any]:
-    """The workers/backend/checkpoint kwargs a subcommand requested."""
-    opts: dict[str, Any] = {}
+    """The execution flags as ``run_cells`` kwargs, passed on unchanged.
+
+    ``--workers`` is left out when not given, so each experiment keeps
+    its own default (sensitivity runs serially unless asked).
+    """
+    opts: dict[str, Any] = {
+        "backend": args.backend,
+        "checkpoint": checkpoint,
+        "chunk_size": args.chunk_size,
+    }
     if args.workers is not None:
         opts["workers"] = args.workers
-    backend = _cli_backend(args, checkpoint)
-    if backend is not None:
-        opts["backend"] = backend
-    elif checkpoint is not None:
-        opts["checkpoint"] = checkpoint
-        opts["chunk_size"] = args.chunk_size
-    if getattr(args, "audit", False):
-        opts["audit"] = True
     return opts
 
 
@@ -337,7 +308,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         checkpoint = args.checkpoint
         if checkpoint is not None and len(names) > 1:
             checkpoint = f"{checkpoint}.{name}"
-        exec_opts = _exec_opts(args, checkpoint) if name in _EXEC_AWARE else {}
+        exec_opts = {**_exec_opts(args, checkpoint), "audit": args.audit}
         print(f"=== {name} " + "=" * (70 - len(name)))
         text, results = _run_experiment(name, exec_opts)
         print(text)
@@ -352,204 +323,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_base(args: argparse.Namespace) -> Scenario:
-    """The canonical sweep workload: 1 heavy + N-1 unit-weight Inf tasks."""
-    if args.tasks < 1:
-        raise ValueError(f"--tasks must be >= 1, got {args.tasks}")
-    return Scenario(
-        name="cli-sweep",
-        scheduler="sfs",
-        duration=args.duration,
-        tasks=(
-            task("heavy", args.heavy_weight),
-            *group(args.tasks - 1, 1, "bg"),
-        ),
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    metrics = ("shares", "jains", "context_switches")
-    if args.audit:
-        metrics += ("audit",)
-    sweep = Sweep(
-        base=_sweep_base(args),
-        schedulers=tuple(args.scheduler),
-        cpus=tuple(args.cpus),
-        quanta=tuple(args.quantum),
-        metrics=metrics,
-    )
-    scenarios = sweep_scenarios(sweep)
-    if args.audit:
-        scenarios = [s.with_(audit=True) for s in scenarios]
-    header = f"{'scheduler':16s} {'cpus':>4s} {'quantum':>8s} {'jains':>7s} {'heavy':>7s} {'ctx':>8s}"
-    print(f"sweep: {len(scenarios)} cells "
-          f"({len(args.scheduler) or 1} schedulers x {len(args.cpus) or 1} cpus"
-          f" x {len(args.quantum) or 1} quanta)")
-    print(header)
-    headers = ["scheduler", "cpus", "quantum", "jains", "heavy_share",
-               "context_switches"]
-    if args.audit:
-        headers.append("audit_violations")
-    # Streaming export: each cell's row is printed and flushed to
-    # CSV/JSON the moment the backend delivers it (grid order), so a
-    # 10^4-cell grid never materialises in memory and a killed run
-    # keeps every finished row.
-    csv_stream = json_stream = None
-    if args.csv:
-        csv_stream = RowStream(os.path.join(args.csv, "sweep.csv"), headers)
-    if args.json:
-        json_stream = JsonArrayStream(os.path.join(args.json, "sweep.json"))
-    try:
-        cells = stream_cells(
-            scenarios,
-            metrics,
-            workers=args.workers,
-            backend=_cli_backend(args, args.checkpoint),
-            checkpoint=args.checkpoint,
-            chunk_size=args.chunk_size,
-        )
-        audit_violations = 0
-        audit_cells = 0
-        for cell in cells:
-            shares = cell.metrics["shares"]
-            row = (
-                cell.scheduler,
-                cell.cpus,
-                cell.quantum,
-                cell.metrics["jains"],
-                shares["heavy"],
-                cell.metrics["context_switches"],
-            )
-            line = (
-                f"{row[0]:16s} {row[1]:4d} {row[2]:8g} {row[3]:7.4f} "
-                f"{row[4]:7.4f} {row[5]:8d}"
-            )
-            if args.audit:
-                summary = cell.metrics["audit"]
-                audit_cells += 1
-                audit_violations += summary["total_violations"]
-                row += (summary["total_violations"],)
-                if summary["total_violations"]:
-                    line += f"  AUDIT {summary['counts']}"
-            print(line)
-            if csv_stream is not None:
-                csv_stream.append(row)
-            if json_stream is not None:
-                json_stream.append(dict(zip(headers, row)))
-    finally:
-        for stream in (csv_stream, json_stream):
-            if stream is not None:
-                stream.close()
-                print(f"wrote {stream.path}", file=sys.stderr)
-    if args.audit:
-        status = (
-            "OK" if audit_violations == 0
-            else f"{audit_violations} VIOLATION(S)"
-        )
-        print(f"invariant audit across {audit_cells} cells: {status}")
-        if audit_violations:
-            return 1
-    return 0
-
-
-def _cmd_server(args: argparse.Namespace) -> int:
-    class_names = [name for name, _, _ in SERVER_WEIGHT_CLASSES]
-    header = (
-        f"{'scheduler':16s} {'n':>6s} {'events':>8s} {'wall_s':>7s} "
-        f"{'events/s':>9s} {'ctx':>8s}"
-        + "".join(f" {name:>7s}" for name in class_names)
-    )
-    print(
-        f"server family: n={args.n} cpus={args.cpus} load={args.load:g} "
-        f"seed={args.seed} cost={args.cost_model} "
-        f"quantum={args.quantum:g}"
-    )
-    print(header)
-    scenarios = [
-        server_scenario(
-            args.n,
-            cpus=args.cpus,
-            scheduler=scheduler,
-            seed=args.seed,
-            load=args.load,
-            quantum=args.quantum,
-            cost_model=args.cost_model,
-            service_sample_interval=args.sample_interval,
-        )
-        for scheduler in args.scheduler
-    ]
-    metrics = ("events_fired", "context_switches", "class_shares")
-    if args.audit:
-        metrics += ("audit",)
-        scenarios = [s.with_(audit=True) for s in scenarios]
-    # One cell per scheduler, run through the selected execution
-    # backend; class shares travel back as a canned metric, so cells
-    # can execute in worker processes (or on other hosts).
-    cells = run_cells(
-        scenarios,
-        metrics,
-        workers=args.workers,
-        backend=_cli_backend(args, args.checkpoint),
-        checkpoint=args.checkpoint,
-        chunk_size=args.chunk_size,
-    )
-    rows = []
-    audit_violations = 0
-    for scheduler, cell in zip(args.scheduler, cells):
-        events = cell.metrics["events_fired"]
-        wall = cell.wall_s
-        shares = cell.metrics["class_shares"]
-        row = {
-            "scheduler": scheduler,
-            "n": args.n,
-            "events": events,
-            "wall_s": round(wall, 4),
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-            "context_switches": cell.metrics["context_switches"],
-            **{f"share_{name}": shares[name] for name in class_names},
-        }
-        line = (
-            f"{scheduler:16s} {args.n:6d} {events:8d} {wall:7.2f} "
-            f"{row['events_per_sec']:9,d} {row['context_switches']:8d}"
-            + "".join(f" {shares[name]:7.4f}" for name in class_names)
-        )
-        if args.audit:
-            summary = cell.metrics["audit"]
-            audit_violations += summary["total_violations"]
-            row["audit_violations"] = summary["total_violations"]
-            row["audit_examples"] = "; ".join(summary["examples"])
-            if summary["total_violations"]:
-                line += f"  AUDIT {summary['counts']}"
-        rows.append(row)
-        print(line)
-    headers = list(rows[0])
-    if args.csv:
-        path = write_rows(
-            os.path.join(args.csv, "server.csv"),
-            headers,
-            [tuple(row[h] for h in headers) for row in rows],
-        )
-        print(f"wrote {path}", file=sys.stderr)
-    if args.json:
-        os.makedirs(args.json, exist_ok=True)
-        path = os.path.join(args.json, "server.json")
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}", file=sys.stderr)
-    if args.audit:
-        status = (
-            "OK" if audit_violations == 0
-            else f"{audit_violations} VIOLATION(S)"
-        )
-        print(f"invariant audit across {len(rows)} cells: {status}")
-        if audit_violations:
-            return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
-# config-file mode: `run <file.yaml>` / `sweep <file.yaml>`
+# config files: `run <file.yaml>` / `sweep <file.yaml>`
 # ----------------------------------------------------------------------
 
 
@@ -617,16 +392,9 @@ def _cmd_run_config(args: argparse.Namespace) -> int:
             metrics += ("audit",)
     # The scenario travels through the selected execution backend as
     # one cell (the same pickle path sweeps use), so configs work
-    # unchanged under serial, pooled, chunked and ssh execution.
+    # unchanged under serial, pooled and chunked execution.
     scenario = scenario.with_(metrics=())
-    cell = run_cells(
-        [scenario],
-        metrics,
-        workers=args.workers,
-        backend=_cli_backend(args, args.checkpoint),
-        checkpoint=args.checkpoint,
-        chunk_size=args.chunk_size,
-    )[0]
+    cell = run_cells([scenario], metrics, **_exec_opts(args, args.checkpoint))[0]
     duration = (
         f"{scenario.duration:g}" if scenario.duration is not None else "auto"
     )
@@ -712,12 +480,7 @@ def _cmd_sweep_config(args: argparse.Namespace) -> int:
     audit_violations = 0
     try:
         for cell in stream_cells(
-            scenarios,
-            metrics,
-            workers=args.workers,
-            backend=_cli_backend(args, args.checkpoint),
-            checkpoint=args.checkpoint,
-            chunk_size=args.chunk_size,
+            scenarios, metrics, **_exec_opts(args, args.checkpoint)
         ):
             if headers is None:
                 # Scalar metrics become table/CSV columns; structured
@@ -758,7 +521,11 @@ def _cmd_sweep_config(args: argparse.Namespace) -> int:
             if csv_stream is not None:
                 csv_stream.append(row)
             if json_stream is not None:
+                # JSON rows carry the cell's wall clock, as `run
+                # <file.yaml>` JSON does; the table and CSV stay free of
+                # it, so they are byte-identical across backends.
                 payload = dict(zip(headers[:3], row[:3]))
+                payload["wall_s"] = cell.wall_s
                 payload["metrics"] = _jsonable(cell.metrics)
                 json_stream.append(payload)
     finally:
@@ -777,24 +544,9 @@ def _cmd_sweep_config(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_config_parser(command: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=f"sfs-experiment {command}",
-        description=f"{command} a scenario config file "
-        "(YAML/JSON; see `sfs-experiment list` for registered names)",
-    )
-    parser.add_argument(
-        "config", help="config file (.yaml/.yml/.json)"
-    )
-    if command == "run":
-        parser.add_argument(
-            "--duration", type=float, default=None, metavar="SEC",
-            help="override the config's simulated duration",
-        )
-        parser.add_argument(
-            "--metrics", nargs="+", default=None, metavar="NAME",
-            help="override the config's metrics (see `list`)",
-        )
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """The config-file positional plus export and execution options."""
+    parser.add_argument("config", help="config file (.yaml/.yml/.json)")
     parser.add_argument(
         "--csv", metavar="DIR", default=None,
         help="export metrics as CSV into DIR",
@@ -804,6 +556,24 @@ def _build_config_parser(command: str) -> argparse.ArgumentParser:
         help="export metrics as JSON into DIR",
     )
     _add_exec_args(parser)
+
+
+def _build_run_config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sfs-experiment run",
+        description="run a scenario config file "
+        "(YAML/JSON; see `sfs-experiment list` for registered names)",
+    )
+    _add_config_args(parser)
+    parser.add_argument(
+        "--duration", type=float, default=None, metavar="SEC",
+        help="override the config's simulated duration",
+    )
+    parser.add_argument(
+        "--metrics", nargs="+", default=None, metavar="NAME",
+        help="override the config's metrics (see `list`)",
+    )
+    parser.set_defaults(command="run", handler=_cmd_run_config)
     return parser
 
 
@@ -831,11 +601,12 @@ def _registry_sections() -> list[tuple[str, list[tuple[str, str]]]]:
             [(n, _DESCRIPTIONS.get(n, "")) for n in sorted(EXPERIMENTS)],
         ),
         (
-            "schedulers (registry names usable with `sweep --scheduler`):",
+            "schedulers (`scheduler` and sweep `schedulers` in configs):",
             [(n, "") for n in scheduler_names()],
         ),
         (
-            "scenario families (builders behind `server`/`flows`):",
+            "scenario families (python presets; configs build them with "
+            "`streams:`/`flows:` blocks):",
             [
                 (n, FAMILIES[n][1])
                 for n in sorted(FAMILIES)
@@ -854,7 +625,7 @@ def _registry_sections() -> list[tuple[str, list[tuple[str, str]]]]:
             [(n, doc_line(DEMANDS[n])) for n in demand_names()],
         ),
         (
-            "cost models (`cost_model` in configs, `server --cost-model`):",
+            "cost models (`cost_model` in configs):",
             [(n, "") for n in sorted(COST_MODELS)],
         ),
         (
@@ -891,9 +662,8 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", choices=BACKENDS, default=None,
-        help="execution backend: serial, process (local pool), chunked "
-        "(bounded-memory streaming + resumable checkpoint), or ssh "
-        "(shard across `sfs-experiment worker` hosts)",
+        help="execution backend: serial, process (local pool), or chunked "
+        "(bounded-memory streaming + resumable checkpoint)",
     )
     parser.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -902,21 +672,16 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         "skipping them",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=64, metavar="N",
+        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N",
         help="cells in flight per chunk for the chunked backend",
-    )
-    parser.add_argument(
-        "--host", action="append", metavar="HOST", default=None,
-        help="worker host for --backend ssh ('local' spawns a local "
-        "subprocess); repeat for more hosts",
     )
     parser.add_argument(
         "--audit", action="store_true",
         help="run cells under the online invariant auditor "
         "(service conservation, bounded lag, no starvation, surplus "
         "order, monotone virtual time); violations are reported and "
-        "make the command exit non-zero. For `run` this applies to the "
-        "backend-aware experiments (saturation, sensitivity).",
+        "make the command exit non-zero. For `run <id>` this applies to "
+        f"the backend-aware experiments ({', '.join(sorted(_EXEC_AWARE))}).",
     )
 
 
@@ -945,90 +710,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also export result data as JSON files into DIR",
     )
     _add_exec_args(p_run)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="run a policy x machine grid of the canonical workload",
+        help="run a sweep config file (`kind: sweep`): a policy x machine "
+        "grid, one row per cell",
     )
-    p_sweep.add_argument(
-        "--scheduler", nargs="+", default=["sfs", "sfq"],
-        metavar="NAME", help="registry scheduler names (see `list`)",
-    )
-    p_sweep.add_argument(
-        "--cpus", nargs="+", type=int, default=[1, 2, 4], metavar="N",
-        help="CPU counts to sweep",
-    )
-    p_sweep.add_argument(
-        "--quantum", nargs="+", type=float, default=[0.2], metavar="SEC",
-        help="quantum lengths to sweep",
-    )
-    p_sweep.add_argument(
-        "--tasks", type=int, default=8, metavar="N",
-        help="population size (1 heavy + N-1 unit-weight tasks)",
-    )
-    p_sweep.add_argument(
-        "--heavy-weight", type=float, default=4.0, metavar="W",
-        help="weight of the heavy task",
-    )
-    p_sweep.add_argument(
-        "--duration", type=float, default=10.0, metavar="SEC",
-        help="simulated seconds per cell",
-    )
-    p_sweep.add_argument("--csv", metavar="DIR", default=None,
-                         help="write sweep.csv into DIR")
-    p_sweep.add_argument("--json", metavar="DIR", default=None,
-                         help="write sweep.json into DIR")
-    _add_exec_args(p_sweep)
+    _add_config_args(p_sweep)
+    p_sweep.set_defaults(handler=_cmd_sweep_config)
 
-    p_server = sub.add_parser(
-        "server",
-        help="run the high-N server scenario family "
-        "(Poisson arrivals, heavy-tailed demands, mixed weights)",
-    )
-    p_server.add_argument(
-        "--n", type=int, default=1000, metavar="N",
-        help="number of jobs in the arrival stream",
-    )
-    p_server.add_argument(
-        "--scheduler", nargs="+", default=["sfs", "sfq", "round-robin"],
-        metavar="NAME", help="registry scheduler names (see `list`)",
-    )
-    p_server.add_argument(
-        "--cpus", type=int, default=4, metavar="P", help="CPU count",
-    )
-    p_server.add_argument(
-        "--seed", type=int, default=42, metavar="S",
-        help="PRNG seed for arrivals/demands/weights",
-    )
-    p_server.add_argument(
-        "--load", type=float, default=0.85, metavar="RHO",
-        help="offered utilization (arrival rate = load*cpus/mean_service)",
-    )
-    p_server.add_argument(
-        "--quantum", type=float, default=0.05, metavar="SEC",
-        help="scheduling quantum",
-    )
-    p_server.add_argument(
-        "--cost-model", choices=sorted(COST_MODELS),
-        default="lmbench",
-        help="context-switch/decision cost model",
-    )
-    p_server.add_argument(
-        "--sample-interval", type=float, default=0.5, metavar="SEC",
-        help="decimate service curves to one point per interval "
-        "(0 = every charge boundary)",
-    )
-    p_server.add_argument("--csv", metavar="DIR", default=None,
-                          help="write server.csv into DIR")
-    p_server.add_argument("--json", metavar="DIR", default=None,
-                          help="write server.json into DIR")
-    _add_exec_args(p_server)
-
-    sub.add_parser(
-        "worker",
-        help="serve the execution-backend worker protocol "
-        "(line-JSON over stdio; used by --backend ssh)",
-    )
     p_list = sub.add_parser(
         "list", help="list experiment ids and scheduler names"
     )
@@ -1038,6 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report which engine build is active (compiled C extension "
         "vs pure Python, and which event queue) instead of the registries",
     )
+    p_list.set_defaults(handler=_cmd_list)
     # `lint` is dispatched before parsing (it owns its own argparse in
     # repro.analysis.staticcheck); registered here only for --help.
     sub.add_parser(
@@ -1062,46 +754,17 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.staticcheck import main as lint_main
 
         return lint_main(argv[1:])
-    # Config-file mode: `run <file.yaml>` / `sweep <file.yaml>` take a
-    # different option set than the experiment-id/built-in-grid forms,
-    # so they are dispatched on the positional's suffix before argparse.
-    if (
-        len(argv) >= 2
-        and argv[0] in ("run", "sweep")
-        and _is_config_path(argv[1])
-    ):
-        command = argv[0]
-        args = _build_config_parser(command).parse_args(argv[1:])
-        handler = _cmd_run_config if command == "run" else _cmd_sweep_config
-        try:
-            return handler(args)
-        except ValueError as exc:
-            print(
-                f"sfs-experiment {command}: error: {exc}", file=sys.stderr
-            )
-            return 2
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
-            return _cmd_run(args)
-        except ValueError as exc:
-            print(f"sfs-experiment run: error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "sweep":
-        try:
-            return _cmd_sweep(args)
-        except ValueError as exc:
-            print(f"sfs-experiment sweep: error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "server":
-        try:
-            return _cmd_server(args)
-        except ValueError as exc:
-            print(f"sfs-experiment server: error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "worker":
-        return serve_worker()
-    return _cmd_list(args)
+    # `run <file.yaml>` takes a different option set than `run <id>`,
+    # so it is dispatched on the positional's suffix before argparse.
+    if argv[:1] == ["run"] and len(argv) >= 2 and _is_config_path(argv[1]):
+        args = _build_run_config_parser().parse_args(argv[1:])
+    else:
+        args = _build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        print(f"sfs-experiment {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

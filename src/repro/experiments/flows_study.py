@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.charts import line_chart
+from repro.exec import DEFAULT_CHUNK_SIZE
 from repro.flows import FLOW_RESOURCE_PROFILES, flow_scenario
 from repro.scenario import run_cells
 
@@ -101,7 +102,7 @@ def run(
     workers: int | None = None,
     backend=None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> FlowsResult:
     """Run the single-link grid and the multi-resource cells.

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.charts import line_chart
+from repro.exec import DEFAULT_CHUNK_SIZE
 from repro.scenario import run_cells, run_scenario, server_scenario
 
 __all__ = ["SaturationResult", "run", "render"]
@@ -101,7 +102,7 @@ def run(
     workers: int | None = None,
     backend=None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> SaturationResult:
     """Run the saturation grid and the accuracy-vs-k curve.

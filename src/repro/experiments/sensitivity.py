@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.exec import DEFAULT_CHUNK_SIZE
 from repro.experiments.common import resolve_scheduler
 from repro.scenario import Scenario, ShortJobs, group, run_cells, task
 
@@ -71,7 +72,7 @@ def run(
     workers: int | None = 0,
     backend=None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> SensitivityResult:
     """Sweep jitter x seed for each scheduler.

@@ -623,6 +623,20 @@ _SCENARIO_BLOCKS = (
 )
 
 
+def _check_scheduler(name: str, path: str) -> None:
+    """Scheduler names fail at load time, not in the first sweep cell.
+
+    A config file is an end-user artifact, and any downstream scheduler
+    registration has necessarily happened (module import) before its
+    configs load.
+    """
+    from repro.schedulers.registry import SCHEDULERS
+
+    if name not in SCHEDULERS:
+        known = ", ".join(sorted(SCHEDULERS))
+        raise ConfigError(path, f"unknown scheduler {name!r}; known: {known}")
+
+
 def scenario_from_dict(
     data: Mapping[str, Any], path: str = ""
 ) -> Scenario:
@@ -637,18 +651,9 @@ def scenario_from_dict(
         block, SCENARIO_FIELDS, path, extra_keys=_SCENARIO_BLOCKS
     )
 
-    # Registry names fail at load time: a config file is an end-user
-    # artifact, and any downstream scheduler/cost-model registration
-    # has necessarily happened (module import) before its configs load.
-    from repro.schedulers.registry import SCHEDULERS
     from repro.sim.costs import COST_MODELS
 
-    if fields["scheduler"] not in SCHEDULERS:
-        known = ", ".join(sorted(SCHEDULERS))
-        raise ConfigError(
-            _join(path, "scheduler"),
-            f"unknown scheduler {fields['scheduler']!r}; known: {known}",
-        )
+    _check_scheduler(fields["scheduler"], _join(path, "scheduler"))
     if fields["cost_model"] not in COST_MODELS:
         known = ", ".join(sorted(COST_MODELS))
         raise ConfigError(
@@ -795,6 +800,8 @@ def sweep_from_dict(data: Mapping[str, Any], path: str = "") -> Sweep:
     kwargs: dict[str, Any] = {"base": base}
     if "schedulers" in block:
         kwargs["schedulers"] = str_axis("schedulers")
+        for i, name in enumerate(kwargs["schedulers"]):
+            _check_scheduler(name, f"{_join(path, 'schedulers')}[{i}]")
     if "cpus" in block:
         kwargs["cpus"] = num_axis("cpus", FieldSpec("cpus", "int", ge=1))
     if "quanta" in block:

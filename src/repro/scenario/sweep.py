@@ -6,17 +6,18 @@ lengths, runs every cell through
 :func:`~repro.scenario.runner.run_scenario`, and returns one
 :class:`SweepCell` per grid point **in deterministic grid order**
 (scheduler-major, then cpus, then quantum) regardless of how many
-worker processes — or hosts — executed them.
+worker processes executed them.
 
 Execution is delegated to a pluggable
-:class:`~repro.exec.ExecutionBackend` (serial, process pool, chunked
-streaming with a resume checkpoint, or ssh-sharded workers); this
-module is the thin deterministic-reordering wrapper over the backend's
-completion-order iterator. :func:`run_sweep` / :func:`run_cells` keep
-their historical signatures — ``workers=None`` auto-sizes a local
-pool, ``workers=0`` forces serial execution — so existing callers and
-golden outputs are untouched; new callers pick a backend by name or
-instance and may stream cells incrementally via :func:`stream_cells`.
+:class:`~repro.exec.ExecutionBackend` (serial, process pool, or chunked
+streaming with a resume checkpoint), chosen by
+:func:`repro.exec.make_backend`; this module is the thin
+deterministic-reordering wrapper over the backend's completion-order
+iterator. :func:`run_sweep` / :func:`run_cells` keep their historical
+signatures — ``workers=None`` auto-sizes a local pool, ``workers=0``
+forces serial execution — so existing callers and golden outputs are
+untouched; new callers pick a backend by name or instance and may
+stream cells incrementally via :func:`stream_cells`.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.exec import (
-    CellJob,
-    ChunkedBackend,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.exec import DEFAULT_CHUNK_SIZE, CellJob, ExecutionBackend, make_backend
 from repro.scenario.result import check_metrics
 from repro.scenario.spec import Scenario
 
@@ -133,56 +127,13 @@ def cells_in_grid_order(cells: Iterable[SweepCell]) -> Iterator[SweepCell]:
         yield pending[index]
 
 
-def _resolve_backend(
-    backend: str | ExecutionBackend | None,
-    workers: int | None,
-    checkpoint: str | None,
-    chunk_size: int | None,
-    n_jobs: int,
-) -> tuple[ExecutionBackend, bool]:
-    """(backend to use, whether this call owns/closes it).
-
-    ``backend=None`` preserves the historical ``run_cells`` semantics:
-    serial for ``workers=0`` or single-cell grids, otherwise a local
-    process pool (falling back to serial, loudly, where subprocesses
-    are unavailable) — or a checkpointing chunked runner as soon as a
-    ``checkpoint`` path is given.
-    """
-    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
-    if backend is None:
-        if checkpoint is not None:
-            return (
-                ChunkedBackend(
-                    workers=workers, checkpoint=checkpoint, **chunking
-                ),
-                True,
-            )
-        if workers == 0 or n_jobs <= 1:
-            return SerialBackend(), True
-        return ProcessPoolBackend(workers=workers), True
-    if isinstance(backend, str):
-        return (
-            make_backend(
-                backend, workers=workers, checkpoint=checkpoint, **chunking
-            ),
-            True,
-        )
-    if checkpoint is not None and not isinstance(backend, ChunkedBackend):
-        # Layer the resume checkpoint over any caller-provided backend.
-        return (
-            ChunkedBackend(checkpoint=checkpoint, inner=backend, **chunking),
-            True,
-        )
-    return backend, False
-
-
 def stream_cells(
     scenarios: Sequence[Scenario],
     metrics: tuple[str, ...],
     workers: int | None = None,
     backend: str | ExecutionBackend | None = None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Iterator[SweepCell]:
     """Run scenarios through a backend; yield cells in grid order.
 
@@ -191,24 +142,24 @@ def stream_cells(
     completion skew), so a 10^4-cell grid can flush to CSV/JSONL as it
     runs instead of materialising every result first. ``backend`` is a
     name from :data:`repro.exec.BACKENDS`, a ready-made
-    :class:`~repro.exec.ExecutionBackend` instance, or ``None`` for
-    the historical pool-or-serial behaviour; ``checkpoint`` makes the
-    run resumable and ``chunk_size`` bounds the in-flight cells (both
-    see :class:`~repro.exec.ChunkedBackend`; ``chunk_size`` is ignored
-    by backends that don't chunk).
+    :class:`~repro.exec.ExecutionBackend` instance (which the caller
+    keeps and closes), or ``None`` for the historical pool-or-serial
+    behaviour; ``checkpoint`` makes the run resumable and
+    ``chunk_size`` bounds the in-flight cells (both see
+    :class:`~repro.exec.ChunkedBackend`; ``chunk_size`` is ignored by
+    backends that don't chunk). :func:`repro.exec.make_backend` makes
+    the choice.
     """
     check_metrics(metrics)
     jobs = [
         CellJob(index=i, scenario=scenario, metrics=tuple(metrics))
         for i, scenario in enumerate(scenarios)
     ]
-    resolved, owned = _resolve_backend(
-        backend, workers, checkpoint, chunk_size, len(jobs)
-    )
+    resolved = make_backend(backend, workers, checkpoint, chunk_size, len(jobs))
     try:
         yield from cells_in_grid_order(resolved.submit(jobs))
     finally:
-        if owned:
+        if resolved is not backend:
             resolved.close()
 
 
@@ -217,7 +168,7 @@ def run_sweep(
     workers: int | None = None,
     backend: str | ExecutionBackend | None = None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[SweepCell]:
     """Run every cell of the grid; results come back in grid order.
 
@@ -242,7 +193,7 @@ def run_cells(
     workers: int | None = None,
     backend: str | ExecutionBackend | None = None,
     checkpoint: str | None = None,
-    chunk_size: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[SweepCell]:
     """Run an arbitrary list of scenarios through an execution backend.
 

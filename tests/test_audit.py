@@ -239,7 +239,7 @@ def test_report_render_and_summary():
     summary = report.summary()
     assert summary["ok"] is False
     assert summary["examples"] == [violation.render()]
-    json.dumps(summary)  # must stay JSON-safe for checkpoints/ssh
+    json.dumps(summary)  # must stay JSON-safe for checkpoints
 
 
 def test_summary_examples_capped_at_five():

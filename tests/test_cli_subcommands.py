@@ -54,15 +54,34 @@ class TestRunSubcommand:
         assert "tasks" not in payload or payload["tasks"] == {}
 
 
+def _sweep_config(tmp_path, schedulers, cpus, duration=1.0, n_bg=7):
+    """A sweep config: one weight-4 task plus ``n_bg`` unit-weight ones."""
+    base = {
+        "name": "grid",
+        "duration": duration,
+        "tasks": [{"name": "heavy", "weight": 4.0}],
+    }
+    if n_bg:
+        base["groups"] = [{"count": n_bg, "prefix": "bg"}]
+    path = tmp_path / "grid.json"
+    path.write_text(
+        json.dumps({
+            "kind": "sweep",
+            "base": base,
+            "schedulers": schedulers,
+            "cpus": cpus,
+            "metrics": ["shares", "jains", "context_switches"],
+        })
+    )
+    return str(path)
+
+
 class TestSweepSubcommand:
-    def test_six_cell_grid_serial(self, capsys):
-        code = main([
-            "sweep", "--scheduler", "sfs", "sfq", "stride",
-            "--cpus", "1", "2", "--duration", "2.0", "--workers", "0",
-        ])
-        assert code == 0
+    def test_six_cell_grid_serial(self, tmp_path, capsys):
+        config = _sweep_config(tmp_path, ["sfs", "sfq", "stride"], [1, 2], 2.0)
+        assert main(["sweep", config, "--workers", "0"]) == 0
         out = capsys.readouterr().out
-        assert "sweep: 6 cells" in out
+        assert "6 cells" in out
         # deterministic scheduler-major ordering
         lines = [
             row for row in out.splitlines()
@@ -74,91 +93,59 @@ class TestSweepSubcommand:
 
     def test_sweep_csv_export(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"
-        code = main([
-            "sweep", "--scheduler", "sfs", "--cpus", "2",
-            "--duration", "1.0", "--workers", "0", "--csv", str(outdir),
-        ])
+        config = _sweep_config(tmp_path, ["sfs"], [2])
+        code = main(["sweep", config, "--workers", "0", "--csv", str(outdir)])
         assert code == 0
         with open(outdir / "sweep.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:3] == ["scheduler", "cpus", "quantum"]
+        assert rows[0] == [
+            "scheduler", "cpus", "quantum", "jains", "context_switches",
+        ]
         assert rows[1][0] == "sfs"
 
     def test_sweep_json_export(self, tmp_path, capsys):
         outdir = tmp_path / "sweepj"
-        main([
-            "sweep", "--scheduler", "sfs", "--cpus", "2",
-            "--duration", "1.0", "--workers", "0", "--json", str(outdir),
-        ])
+        config = _sweep_config(tmp_path, ["sfs"], [2])
+        main(["sweep", config, "--workers", "0", "--json", str(outdir)])
         capsys.readouterr()
         with open(outdir / "sweep.json") as fh:
             payload = json.load(fh)
         assert payload[0]["scheduler"] == "sfs"
-        assert 0.0 < payload[0]["jains"] <= 1.0
+        assert 0.0 < payload[0]["metrics"]["jains"] <= 1.0
+        assert 0.0 < payload[0]["metrics"]["shares"]["heavy"] < 1.0
 
-    def test_tasks_one_runs_heavy_alone(self, capsys):
+    def test_sweep_json_rows_carry_wall_s(self, tmp_path, capsys):
+        # The cell's wall clock, which `run <file.yaml>` JSON reports
+        # too; the table and CSV leave it out so they stay
+        # byte-identical across backends.
+        outdir = tmp_path / "out"
+        config = _sweep_config(tmp_path, ["sfs", "sfq"], [1])
         code = main([
-            "sweep", "--scheduler", "sfs", "--cpus", "1", "--tasks", "1",
-            "--duration", "1.0", "--workers", "0",
+            "sweep", config, "--workers", "0",
+            "--json", str(outdir), "--csv", str(outdir),
         ])
         assert code == 0
-        out = capsys.readouterr().out
+        assert "wall" not in capsys.readouterr().out
+        rows = json.loads((outdir / "sweep.json").read_text())
+        assert [row["scheduler"] for row in rows] == ["sfs", "sfq"]
+        assert all(row["wall_s"] > 0 for row in rows)
+        assert "wall" not in (outdir / "sweep.csv").read_text()
+
+    def test_tasks_one_runs_heavy_alone(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        config = _sweep_config(tmp_path, ["sfs"], [1], n_bg=0)
+        code = main(["sweep", config, "--workers", "0", "--json", str(outdir)])
+        assert code == 0
+        rows = json.loads((outdir / "sweep.json").read_text())
         # only the heavy task -> it owns the whole (1-CPU) machine
-        assert " 1.0000 " in out.splitlines()[-1]
+        assert rows[0]["metrics"]["shares"] == {"heavy": pytest.approx(1.0)}
 
-    def test_tasks_zero_rejected(self, capsys):
-        code = main([
-            "sweep", "--scheduler", "sfs", "--cpus", "1", "--tasks", "0",
-            "--duration", "1.0", "--workers", "0",
-        ])
-        assert code == 2
-        assert "--tasks must be >= 1" in capsys.readouterr().err
-
-    def test_unknown_scheduler_fails_cleanly(self, capsys):
-        code = main(["sweep", "--scheduler", "cfs", "--cpus", "1",
-                     "--duration", "1.0", "--workers", "0"])
-        assert code == 2
+    def test_unknown_scheduler_fails_cleanly(self, tmp_path, capsys):
+        config = _sweep_config(tmp_path, ["cfs"], [1])
+        assert main(["sweep", config, "--workers", "0"]) == 2
         err = capsys.readouterr().err
-        assert "unknown scheduler 'cfs'" in err
-        assert "Traceback" not in err
-
-
-class TestServerSubcommand:
-    def test_runs_and_reports_throughput(self, capsys):
-        code = main([
-            "server", "--n", "50", "--scheduler", "sfs", "round-robin",
-            "--cost-model", "zero",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        assert out.strip().splitlines()[-1].startswith("round-robin")
-
-    def test_json_export(self, tmp_path, capsys):
-        code = main([
-            "server", "--n", "30", "--scheduler", "sfq",
-            "--json", str(tmp_path),
-        ])
-        assert code == 0
-        rows = json.loads((tmp_path / "server.json").read_text())
-        assert rows[0]["scheduler"] == "sfq"
-        assert rows[0]["events_per_sec"] > 0
-        assert {"share_std", "share_pro", "share_ent"} <= set(rows[0])
-
-    def test_csv_export(self, tmp_path, capsys):
-        code = main([
-            "server", "--n", "30", "--csv", str(tmp_path),
-        ])
-        assert code == 0
-        lines = (tmp_path / "server.csv").read_text().strip().splitlines()
-        assert lines[0].startswith("scheduler,")
-        assert len(lines) == 4  # header + default three schedulers
-
-    def test_bad_n_fails_cleanly(self, capsys):
-        code = main(["server", "--n", "0"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "n_tasks must be >= 1" in err
+        # rejected at load time, with the dotted path into the config
+        assert "schedulers[0]: unknown scheduler 'cfs'" in err
         assert "Traceback" not in err
 
 
@@ -166,9 +153,9 @@ class TestExecutionBackendFlags:
     def test_sweep_chunked_checkpoint_resumes(self, tmp_path, capsys):
         ck = tmp_path / "ck.jsonl"
         argv = [
-            "sweep", "--scheduler", "sfs", "sfq", "--cpus", "1", "2",
-            "--duration", "1.0", "--backend", "chunked", "--chunk-size",
-            "2", "--workers", "0", "--checkpoint", str(ck),
+            "sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1, 2]),
+            "--backend", "chunked", "--chunk-size", "2", "--workers", "0",
+            "--checkpoint", str(ck),
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -183,8 +170,8 @@ class TestExecutionBackendFlags:
         plain = tmp_path / "plain"
         chunked = tmp_path / "chunked"
         base = [
-            "sweep", "--scheduler", "sfs", "sfq", "--cpus", "1",
-            "--duration", "1.0", "--workers", "0",
+            "sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1]),
+            "--workers", "0",
         ]
         assert main(base + ["--csv", str(plain)]) == 0
         assert main(
@@ -195,43 +182,10 @@ class TestExecutionBackendFlags:
             chunked / "sweep.csv"
         ).read_bytes()
 
-    def test_server_backend_flag(self, capsys):
-        code = main([
-            "server", "--n", "40", "--scheduler", "sfs", "--cost-model",
-            "zero", "--backend", "serial",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out and out.strip().splitlines()[-1].startswith("sfs")
-
     def test_run_accepts_backend_flags_on_paper_figures(self, capsys):
         # Paper figures don't fan out; the flags parse and are ignored.
         assert main(["run", "fig4", "--backend", "serial"]) == 0
         assert "Figure 4" in capsys.readouterr().out
-
-    def test_ssh_backend_requires_hosts(self, capsys):
-        code = main([
-            "sweep", "--scheduler", "sfs", "--cpus", "1",
-            "--duration", "1.0", "--backend", "ssh",
-        ])
-        assert code == 2
-        assert "at least one --host" in capsys.readouterr().err
-
-
-class TestWorkerSubcommand:
-    def test_worker_serves_ping_over_stdio(self, monkeypatch, capsys):
-        import io
-
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO('{"op": "ping"}\n{"op": "shutdown"}\n')
-        )
-        assert main(["worker"]) == 0
-        replies = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        ]
-        assert [r["op"] for r in replies] == ["hello", "pong", "bye"]
 
 
 class TestListSubcommand:
@@ -245,6 +199,11 @@ class TestListSubcommand:
     def test_no_arguments_is_an_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_help_names_exactly_four_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{run,sweep,list,lint}" in capsys.readouterr().out
 
 
 SCENARIO_YAML = """\

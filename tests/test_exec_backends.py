@@ -22,14 +22,12 @@ from repro.exec import (
     ChunkedBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SSHBackend,
     cell_from_json,
     cell_to_json,
     execute_job,
     load_checkpoint,
     make_backend,
 )
-from repro.exec.worker import decode_scenario, encode_scenario
 from repro.scenario import (
     Scenario,
     cells_in_grid_order,
@@ -498,84 +496,6 @@ class TestChunkedCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# worker protocol + ssh backend (local subprocess workers)
-# ----------------------------------------------------------------------
-
-
-class TestWorkerProtocol:
-    def test_scenario_codec_roundtrip(self):
-        scenario = _scenario(scheduler="sfq", cpus=2)
-        assert decode_scenario(encode_scenario(scenario)) == scenario
-
-    def test_serve_runs_a_cell(self):
-        import io
-
-        from repro.exec.worker import serve
-
-        job = _jobs([_scenario()], metrics=("jains",))[0]
-        request = {
-            "op": "run",
-            "index": 0,
-            "scenario": encode_scenario(job.scenario),
-            "metrics": ["jains"],
-        }
-        stdin = io.StringIO(
-            json.dumps({"op": "ping"})
-            + "\n"
-            + json.dumps(request)
-            + "\n"
-            + json.dumps({"op": "shutdown"})
-            + "\n"
-        )
-        stdout = io.StringIO()
-        assert serve(stdin, stdout) == 0
-        replies = [json.loads(s) for s in stdout.getvalue().splitlines()]
-        assert [r["op"] for r in replies] == ["hello", "pong", "result", "bye"]
-        cell = cell_from_json(replies[2]["cell"])
-        reference = execute_job(job)
-        assert dict(cell.metrics) == dict(reference.metrics)
-        assert (cell.index, cell.scheduler, cell.cpus) == (0, "sfs", 1)
-
-    def test_serve_reports_bad_requests_and_cell_errors(self):
-        import io
-
-        from repro.exec.worker import serve
-
-        stdin = io.StringIO(
-            "not json\n"
-            + json.dumps({"op": "warp"})
-            + "\n"
-            + json.dumps(
-                {"op": "run", "index": 3, "scenario": "!!!", "metrics": []}
-            )
-            + "\n"
-        )
-        stdout = io.StringIO()
-        assert serve(stdin, stdout) == 0
-        replies = [json.loads(s) for s in stdout.getvalue().splitlines()]
-        assert [r["op"] for r in replies] == [
-            "hello",
-            "error",
-            "error",
-            "error",
-        ]
-        assert replies[3]["index"] == 3
-
-    def test_ssh_backend_local_workers_match_serial(self):
-        scenarios = _grid(4)
-        metrics = ("jains", "context_switches")
-        with SSHBackend(hosts=("local", "local")) as backend:
-            cells = run_cells(scenarios, metrics, backend=backend)
-        assert _comparable(cells) == _comparable(
-            run_cells(scenarios, metrics, backend="serial")
-        )
-
-    def test_ssh_backend_needs_hosts(self):
-        with pytest.raises(ValueError, match="at least one host"):
-            SSHBackend(hosts=())
-
-
-# ----------------------------------------------------------------------
 # backend registry / run_cells plumbing
 # ----------------------------------------------------------------------
 
@@ -585,20 +505,34 @@ class TestMakeBackend:
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process"), ProcessPoolBackend)
         assert isinstance(make_backend("chunked"), ChunkedBackend)
-        assert isinstance(make_backend("ssh", hosts=("local",)), SSHBackend)
 
     def test_checkpoint_promotes_to_chunked(self, tmp_path):
         ck = str(tmp_path / "x.jsonl")
-        for name in ("serial", "process"):
+        for name in (None, "serial", "process"):
             backend = make_backend(name, checkpoint=ck)
             assert isinstance(backend, ChunkedBackend)
-        ssh = make_backend("ssh", hosts=("local",), checkpoint=ck)
-        assert isinstance(ssh, ChunkedBackend)
-        assert isinstance(ssh.inner, SSHBackend)
+        assert make_backend("serial", checkpoint=ck).workers == 0
+
+    def test_serial_for_workers_zero_or_one_cell(self):
+        assert isinstance(make_backend(None, n_jobs=3), ProcessPoolBackend)
+        assert isinstance(make_backend(None, n_jobs=1), SerialBackend)
+        assert isinstance(make_backend("process", workers=0), SerialBackend)
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu")
+        for name in ("gpu", "ssh"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                make_backend(name)
+
+    def test_checkpoint_with_a_backend_instance_rejected(self, tmp_path):
+        # A ready-made backend cannot take the checkpoint, so a run
+        # meant to be resumable must not silently run without one.
+        ck = tmp_path / "lost.jsonl"
+        with pytest.raises(ValueError, match="ready-made ChunkedBackend"):
+            run_cells(
+                _grid(2), ("jains",), backend=ChunkedBackend(workers=0),
+                checkpoint=str(ck),
+            )
+        assert not ck.exists()
 
     def test_run_cells_name_and_checkpoint_kwargs(self, tmp_path):
         scenarios = _grid(2)
