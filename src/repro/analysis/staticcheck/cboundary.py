@@ -8,11 +8,7 @@ reference modules using the declarative manifest in
   expose exactly the declared mirror surface, nothing dropped and
   nothing undeclared, and the Python twin class must still provide
   every mirrored name.
-- **SFS011 (mirror drift)**: the interned attribute/dict-key names the
-  C reads through cached slot offsets must equal the declared set and
-  still exist on the Python side; the ``alpha = phi * (S - v)``
-  expression must match ``FloatTags.surplus`` token for token under
-  the declared variable map; env flags and exception messages must
+- **SFS011 (mirror drift)**: env flags and exception messages must
   agree on both sides.
 
 Runs before the extension is ever built (pure text/AST analysis), so
@@ -93,24 +89,6 @@ def _class_surface(cls: ast.ClassDef) -> set[str]:
     return names
 
 
-def _subscript_keys(tree: ast.AST, receiver: str) -> set[str]:
-    """String keys subscripted on ``<anything>.<receiver>`` or ``receiver``."""
-    keys: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Subscript):
-            continue
-        value = node.value
-        named = (
-            isinstance(value, ast.Attribute) and value.attr == receiver
-        ) or (isinstance(value, ast.Name) and value.id == receiver)
-        if not named:
-            continue
-        sl = node.slice
-        if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-            keys.add(sl.value)
-    return keys
-
-
 def _env_reads(tree: ast.AST) -> set[str]:
     """First string argument of os.environ.get / os.getenv calls."""
     out: set[str] = set()
@@ -125,40 +103,6 @@ def _env_reads(tree: ast.AST) -> set[str]:
             if isinstance(value, str):
                 out.add(value)
     return out
-
-
-def _render_py_expr(node: ast.AST, name_map: dict[str, str]) -> str | None:
-    """Render an arithmetic expression to the C token-text form.
-
-    Names are translated through ``name_map`` (Python name -> C name);
-    nested binary operands keep explicit parentheses so the rendering
-    is comparable with the C source's token text.
-    """
-    ops = {
-        ast.Add: "+",
-        ast.Sub: "-",
-        ast.Mult: "*",
-        ast.Div: "/",
-        ast.Mod: "%",
-    }
-    if isinstance(node, ast.Name):
-        return name_map.get(node.id, node.id)
-    if isinstance(node, ast.Constant):
-        return repr(node.value)
-    if isinstance(node, ast.BinOp) and type(node.op) in ops:
-        left = _render_py_expr(node.left, name_map)
-        right = _render_py_expr(node.right, name_map)
-        if left is None or right is None:
-            return None
-        if isinstance(node.left, ast.BinOp):
-            left = f"({left})"
-        if isinstance(node.right, ast.BinOp):
-            right = f"({right})"
-        return f"{left}{ops[type(node.op)]}{right}"
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _render_py_expr(node.operand, name_map)
-        return None if inner is None else f"-{inner}"
-    return None
 
 
 class _Checker:
@@ -283,192 +227,9 @@ class _Checker:
                         "compiled surfaces have drifted",
                     )
 
-    def check_module_functions(self) -> None:
-        entries = csrc.table_entries(self.tokens, manifest.MODULE_FUNCTIONS_TABLE)
-        if entries is None:
-            self.add(
-                "SFS010",
-                self.c_rel,
-                1,
-                f"C table {manifest.MODULE_FUNCTIONS_TABLE!r} (module "
-                "function surface) was not found",
-            )
-            return
-        names = {t.text: t.line for t in entries}
-        for name in manifest.MODULE_FUNCTIONS:
-            if name not in names:
-                self.add(
-                    "SFS010",
-                    self.c_rel,
-                    min(names.values(), default=1),
-                    f"mirrored module function {name!r} declared in "
-                    "cboundary_manifest is missing from C table "
-                    f"{manifest.MODULE_FUNCTIONS_TABLE}",
-                )
-        for name in sorted(set(names) - set(manifest.MODULE_FUNCTIONS)):
-            self.add(
-                "SFS010",
-                self.c_rel,
-                names[name],
-                f"C exports undeclared module function {name!r}; declare "
-                "the mirror in cboundary_manifest",
-            )
-
     # ------------------------------------------------------------------
     # SFS011: mirror drift
     # ------------------------------------------------------------------
-
-    def check_interned(self) -> None:
-        declared = {s.interned for s in manifest.SLOT_MIRRORS} | {
-            d.interned for d in manifest.DICT_KEY_MIRRORS
-        }
-        actual = {t.text: t.line for t in csrc.interned_strings(self.tokens)}
-        for name in sorted(set(actual) - declared):
-            self.add(
-                "SFS011",
-                self.c_rel,
-                actual[name],
-                f"C interns attribute/key name {name!r} that is not declared "
-                "in cboundary_manifest — an undeclared (or stale) "
-                "slot-offset read",
-            )
-        for name in sorted(declared - set(actual)):
-            self.add(
-                "SFS011",
-                self.c_rel,
-                1,
-                f"cboundary_manifest declares interned name {name!r} but "
-                "_engine.c no longer interns it; update the manifest with "
-                "the rename",
-            )
-
-    def check_slot_mirrors(self) -> None:
-        for sm in manifest.SLOT_MIRRORS:
-            tree = self.tree(sm.py_file)
-            if tree is None:
-                continue
-            cls = _class_def(tree, sm.py_class)
-            if cls is None:
-                self.add(
-                    "SFS011",
-                    sm.py_file,
-                    1,
-                    f"class {sm.py_class!r} (slot-offset target of interned "
-                    f"{sm.interned!r}) was not found",
-                )
-                continue
-            if sm.interned not in _class_surface(cls):
-                self.add(
-                    "SFS011",
-                    sm.py_file,
-                    cls.lineno,
-                    f"C reads attribute {sm.interned!r} of {sm.py_class} via "
-                    "a cached slot offset, but the class no longer has it — "
-                    "a stale slot offset (renamed or removed attribute)",
-                )
-
-    def check_dict_keys(self) -> None:
-        for dk in manifest.DICT_KEY_MIRRORS:
-            tree = self.tree(dk.py_file)
-            if tree is None:
-                continue
-            if dk.interned not in _subscript_keys(tree, dk.receiver):
-                self.add(
-                    "SFS011",
-                    dk.py_file,
-                    1,
-                    f"C reads/writes {dk.receiver}[{dk.interned!r}] but "
-                    f"{dk.py_file} never subscripts that key on "
-                    f"{dk.receiver!r}; the shared per-task dict keys have "
-                    "drifted",
-                )
-
-    def check_exprs(self) -> None:
-        for em in manifest.ALPHA_EXPRS:
-            body = csrc.function_body(self.tokens, em.c_function)
-            if body is None:
-                self.add(
-                    "SFS011",
-                    self.c_rel,
-                    1,
-                    f"C function {em.c_function!r} (holder of the mirrored "
-                    f"{em.c_var} expression) was not found",
-                )
-                continue
-            rhs = csrc.assignment_expr(body, em.c_var)
-            if rhs is None:
-                self.add(
-                    "SFS011",
-                    self.c_rel,
-                    body[0].line,
-                    f"no `{em.c_var} = ...;` assignment in {em.c_function}; "
-                    "the mirrored expression is gone",
-                )
-                continue
-            c_text = csrc.expr_text(rhs)
-            py_text = self._py_expr_text(em)
-            if py_text is None:
-                continue  # the py-side violation was already recorded
-            if c_text != py_text:
-                self.add(
-                    "SFS011",
-                    self.c_rel,
-                    rhs[0].line,
-                    f"C computes {em.c_var} = {c_text} but "
-                    f"{em.py_class}.{em.py_method} computes {py_text} under "
-                    "the declared variable map; expression shape and "
-                    "operand order must match bit for bit",
-                )
-
-    def _py_expr_text(self, em: manifest.ExprMirror) -> str | None:
-        tree = self.tree(em.py_file)
-        if tree is None:
-            return None
-        cls = _class_def(tree, em.py_class)
-        method = None
-        if cls is not None:
-            for item in cls.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == em.py_method
-                ):
-                    method = item
-                    break
-        if method is None:
-            self.add(
-                "SFS011",
-                em.py_file,
-                1,
-                f"{em.py_class}.{em.py_method} (python reference of the C "
-                f"{em.c_var} expression) was not found",
-            )
-            return None
-        ret = None
-        for sub in ast.walk(method):
-            if isinstance(sub, ast.Return) and sub.value is not None:
-                ret = sub.value
-                break
-        if ret is None:
-            self.add(
-                "SFS011",
-                em.py_file,
-                method.lineno,
-                f"{em.py_class}.{em.py_method} has no return expression to "
-                "mirror",
-            )
-            return None
-        name_map = {py: c for c, py in em.var_map}
-        rendered = _render_py_expr(ret, name_map)
-        if rendered is None:
-            self.add(
-                "SFS011",
-                em.py_file,
-                ret.lineno,
-                f"{em.py_class}.{em.py_method}'s return expression is not "
-                "plain arithmetic; the conformance checker cannot compare "
-                "it to the C mirror",
-            )
-        return rendered
 
     def check_env_flags(self) -> None:
         declared = set(manifest.ENV_FLAGS)
@@ -543,11 +304,6 @@ class _Checker:
             return self.out
         self.tokens = csrc.tokenize(source)
         self.check_type_mirrors()
-        self.check_module_functions()
-        self.check_interned()
-        self.check_slot_mirrors()
-        self.check_dict_keys()
-        self.check_exprs()
         self.check_env_flags()
         self.check_exceptions()
         return sorted(

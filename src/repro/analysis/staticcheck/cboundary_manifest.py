@@ -5,18 +5,18 @@ of the pure-Python simulator and must stay behaviourally identical to
 it (docs/ARCHITECTURE.md's compiled-boundary rules; the runtime side
 is pinned by tests/test_eventq.py and the goldens). This module is the
 *static* side of that contract: a declarative list of every mirrored
-symbol, attribute, expression, env flag and exception message, checked
-both ways by :mod:`.cboundary` (rules SFS010/SFS011).
+type surface, env flag and exception message, checked both ways by
+:mod:`.cboundary` (rules SFS010/SFS011).
 
-Workflow for widening the compiled boundary (ROADMAP round 4 — e.g.
-moving ``SortedTaskList`` or ``_charge`` into C):
+Workflow for widening the compiled boundary (e.g. moving ``_charge``
+into C):
 
 1. Write the C code and its pure-Python twin.
-2. Declare every new mirrored method/getset/member, every attribute
-   name the C reads through a cached slot offset, every new env flag
-   and user-facing exception message *here*.
+2. Declare every new mirrored method/getset/member, every new env flag
+   and user-facing exception message *here*, and extend the checker if
+   the new code mirrors something of another kind.
 3. ``sfs-experiment lint --cboundary`` must come back clean. An
-   undeclared mirror, a dropped mirror, or a drifted name/expression
+   undeclared mirror, a dropped mirror, or a drifted name or message
    is a blocking lint error — CI runs the check before building the
    extension, so drift is reported even where gcc is absent.
 """
@@ -26,21 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "ALPHA_EXPRS",
     "C_SOURCE",
-    "DICT_KEY_MIRRORS",
     "ENV_FLAGS",
     "ENV_FLAG_FILES",
     "ENV_SCAN_FILES",
     "EXCEPTION_MIRRORS",
-    "MODULE_FUNCTIONS",
-    "MODULE_FUNCTIONS_TABLE",
-    "SLOT_MIRRORS",
     "TYPE_MIRRORS",
-    "DictKeyMirror",
     "ExceptionMirror",
-    "ExprMirror",
-    "SlotMirror",
     "TypeMirror",
 ]
 
@@ -94,94 +86,10 @@ TYPE_MIRRORS: tuple[TypeMirror, ...] = (
     ),
 )
 
-#: module-level functions the extension exports (its PyMethodDef table)
-MODULE_FUNCTIONS: tuple[str, ...] = ("sfs_recompute",)
-MODULE_FUNCTIONS_TABLE = "module_methods"
-
-
-@dataclass(frozen=True)
-class SlotMirror:
-    """An interned attribute name the C reads via a cached slot offset.
-
-    ``sfs_recompute`` caches ``__slots__`` member offsets per type;
-    renaming the Python attribute silently degrades (or breaks) the C
-    fast path, so every interned name must still be a slot/attribute
-    of the declared class.
-    """
-
-    interned: str
-    py_file: str
-    py_class: str
-
-
-SLOT_MIRRORS: tuple[SlotMirror, ...] = (
-    SlotMirror("phi", "src/repro/sim/task.py", "Task"),
-    SlotMirror("sched", "src/repro/sim/task.py", "Task"),
-    SlotMirror("tid", "src/repro/sim/task.py", "Task"),
-    SlotMirror("_keys", "src/repro/sim/runqueue.py", "SortedTaskList"),
-    SlotMirror("_tasks", "src/repro/sim/runqueue.py", "SortedTaskList"),
-    SlotMirror("_cached_key", "src/repro/sim/runqueue.py", "SortedTaskList"),
-    SlotMirror("comparisons", "src/repro/sim/runqueue.py", "SortedTaskList"),
-)
-
-
-@dataclass(frozen=True)
-class DictKeyMirror:
-    """An interned dict key the C reads/writes in ``task.sched``.
-
-    The Python reference must use the same literal key on the same
-    receiver attribute, or the two paths stop seeing each other's
-    state.
-    """
-
-    interned: str
-    py_file: str
-    receiver: str
-
-
-DICT_KEY_MIRRORS: tuple[DictKeyMirror, ...] = (
-    DictKeyMirror("S", "src/repro/core/sfs.py", "sched"),
-    DictKeyMirror("alpha", "src/repro/core/sfs.py", "sched"),
-)
-
-
-@dataclass(frozen=True)
-class ExprMirror:
-    """A C arithmetic expression that must bit-match a Python one.
-
-    ``var_map`` maps C variable names to the Python method's names.
-    Operand *order* matters: IEEE-double multiplication is commutative
-    in value but the contract here is "same expression, same
-    evaluation order", which is what makes the bit-identity claim
-    reviewable at a glance.
-    """
-
-    c_function: str
-    c_var: str
-    py_file: str
-    py_class: str
-    py_method: str
-    var_map: tuple[tuple[str, str], ...]
-
-
-ALPHA_EXPRS: tuple[ExprMirror, ...] = (
-    ExprMirror(
-        c_function="sfs_recompute",
-        c_var="alpha",
-        py_file="src/repro/core/fixed_point.py",
-        py_class="FloatTags",
-        py_method="surplus",
-        var_map=(("phi", "phi"), ("S", "start"), ("v", "vtime")),
-    ),
-)
-
 #: env flags both engine selections honour; each must appear as a
 #: string literal in at least one of ENV_FLAG_FILES
 ENV_FLAGS: tuple[str, ...] = ("SFS_ENGINE", "SFS_EVENTQ")
-ENV_FLAG_FILES: tuple[str, ...] = (
-    "src/repro/sim/engine.py",
-    "src/repro/core/sfs.py",
-)
+ENV_FLAG_FILES: tuple[str, ...] = ("src/repro/sim/engine.py",)
 #: sim/core modules scanned for *undeclared* ``SFS_*`` env reads
 ENV_SCAN_FILES: tuple[str, ...] = (
     "src/repro/sim/engine.py",

@@ -485,7 +485,6 @@ _TAG_ATTRS = frozenset(
         "phi",
         "virtual_time",
         "_vtime",
-        "_v_at_recompute",
         "_last_finish",
     }
 )
@@ -713,11 +712,8 @@ class MirrorSurfaceRule(LintRule):
 class MirrorDriftRule(LintRule):
     """Compiled/pure mirror internals must not drift.
 
-    Cross-checks the C extension's interned attribute and dict-key
-    names against the actual ``__slots__``/dict-key layout of the
-    Python reference, the ``alpha = phi * (S - v)`` expression shape
-    against ``FloatTags.surplus`` (operand order included), env-flag
-    declarations, and exception-message parity. Produced by the
+    Cross-checks the env-flag declarations and exception-message parity
+    of the C extension against its Python reference. Produced by the
     compiled-boundary conformance checker under ``lint --cboundary``.
     """
 

@@ -1,18 +1,18 @@
 """A purpose-built C tokenizer for the compiled-boundary checker.
 
 This is not a C parser — it recognises exactly the handful of shapes
-the conformance checker (:mod:`.cboundary`) needs to read out of
+a conformance checker (:mod:`.cboundary`) reads out of
 ``src/repro/sim/_engine.c``:
 
 - ``PyMethodDef``/``PyGetSetDef``/``PyMemberDef`` initializer tables
   (the first string literal of each ``{...}`` entry is the exposed
   name),
-- ``PyUnicode_InternFromString("...")`` calls (the attribute/dict-key
-  names the C code reads through cached slot offsets),
-- one function body and one ``var = expr;`` assignment inside it (the
-  ``alpha = phi * (S - v)`` expression shape), and
 - every string literal, with C's adjacent-literal concatenation
-  applied (exception-message parity).
+  applied (exception-message parity),
+- ``PyUnicode_InternFromString("...")`` calls, and one function body
+  and one ``var = expr;`` assignment inside it. The checker has no
+  mirror of these kinds today (the engine interns no names and
+  mirrors no arithmetic); they stay for a compiled kernel that does.
 
 Comments and preprocessor lines are stripped, string/char literals are
 decoded enough for text comparison, and everything else becomes

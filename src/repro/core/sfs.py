@@ -12,28 +12,53 @@ Because the surplus depends only on the *start* tag, SFS does not need
 to know the quantum length when it schedules, so quanta may end early
 when threads block (a property the paper calls out explicitly).
 
-The implementation mirrors §3.1's kernel data structures: three sorted
-queues over the runnable threads —
+§3.1's kernel keeps three sorted queues over the runnable threads —
+descending user weight, ascending start tag, ascending surplus — and
+recomputes every surplus and re-sorts the third queue whenever the
+virtual time moves: O(n) work per decision. This implementation keeps
+the first two (the readjustment frontier owns queue 1, the tagged base
+class queue 2) and replaces the third with a partition of the runnable
+set into **weight classes**: one start-tag-ordered queue per distinct
+user weight.
 
-1. descending user weight (drives the §2.1 weight readjustment scan),
-2. ascending start tag (its head *is* the virtual time),
-3. ascending surplus (its first schedulable entry is the decision),
+Why that is exact: within a class every thread whose ``phi`` still
+equals its user weight shares one ``phi > 0``, and for a fixed
+``phi > 0`` the surplus is monotone in ``S`` — IEEE subtraction of the
+same ``v`` and multiplication by the same positive ``phi`` are both
+monotone, and so is the fixed-point variant's integer arithmetic. So a
+class's start-tag order *is* its surplus order at every ``v``, and the
+least ``(alpha, tid)`` over the whole runnable set is the least over
 
-with surpluses recomputed and the third queue re-sorted by insertion
-sort whenever the virtual time advances (§3.2's "mostly sorted" trick).
+- each class's first schedulable member, plus the run of members right
+  behind it whose surplus rounds to the same value (the lowest tid in
+  that run wins the tie), and
+- the few threads §2.1 readjusted (``phi != weight``: at most ``p - 1``
+  capped threads, or every member when fewer than ``p`` are runnable),
+  which the class walks skip and the pick evaluates directly.
+
+A decision therefore costs O(C + p) surplus evaluations, with ``C`` the
+number of distinct runnable weights, instead of a recompute over all
+``n`` runnable threads plus a sort. Classes are keyed by user weight,
+not by ``phi``, so readjustment never moves a thread between queues;
+only a ``setweight()`` refiles it. The §3.1 surplus queue survives in
+:mod:`repro.core.sfs_heuristic`, whose §3.2 scan windows need it.
 
 Invariants maintained (checked by the test suite):
 
 - ``alpha_i >= 0`` for every runnable thread;
 - at least one runnable thread has ``alpha_i == 0`` (the one at ``v``);
+- every pick equals the brute-force :meth:`exact_minimum_surplus_task`;
 - on one processor SFS degenerates to SFQ (min surplus == min start tag).
 """
 
 from __future__ import annotations
 
-import os
+import math
+from bisect import bisect_right
+from types import MappingProxyType
+from typing import Mapping
 
-from repro.core.fixed_point import FloatTags, TagArithmetic
+from repro.core.fixed_point import TagArithmetic
 from repro.core.tags import TaggedScheduler
 from repro.sim.costs import DecisionCostParams
 from repro.sim.runqueue import SortedTaskList
@@ -41,27 +66,13 @@ from repro.sim.task import Task, TaskState
 
 __all__ = ["SurplusFairScheduler"]
 
-
-def _load_compiled_recompute():
-    """The C surplus-recompute helper, honouring the SFS_ENGINE policy.
-
-    Returns ``repro.sim._engine.sfs_recompute`` when the optional
-    extension is importable and ``SFS_ENGINE`` does not force the pure
-    path, else None. The helper reproduces ``FloatTags.surplus`` bit
-    for bit (same IEEE-double expression), so it is gated per scheduler
-    instance on the tag arithmetic actually being :class:`FloatTags` —
-    fixed-point tags keep the pure integer loop.
-    """
-    if os.environ.get("SFS_ENGINE", "auto") == "pure":
-        return None
-    try:
-        from repro.sim._engine import sfs_recompute
-    except ImportError:
-        return None
-    return sfs_recompute
+_RUNNABLE = TaskState.RUNNABLE
+#: the readjusted set when readjustment is off
+_NO_TASKS: Mapping[int, Task] = MappingProxyType({})
 
 
-_C_RECOMPUTE = _load_compiled_recompute()
+def _start_tag(task: Task):
+    return task.sched["S"]
 
 
 class SurplusFairScheduler(TaggedScheduler):
@@ -83,14 +94,16 @@ class SurplusFairScheduler(TaggedScheduler):
         when > 0, a CPU re-runs its previous thread if that thread's
         surplus is within ``affinity_bonus`` seconds of the minimum —
         trading a bounded fairness slack for cache locality (fewer
-        migrations). 0 (default) is the paper's exact policy.
+        migrations). 0 (default) is the paper's exact policy. Must be
+        finite.
     """
 
     name = "SFS"
 
-    # Calibrated to Table 1 (≈4 us at a 2-entry run queue) and Fig. 7's
-    # growth to ≈8 us at 50 processes. The linear term reflects the
-    # amortized surplus-update/re-sort cost of §3.2.
+    # The paper's kernel cost, calibrated to Table 1 (≈4 us at a
+    # 2-entry run queue) and Fig. 7's growth to ≈8 us at 50 processes.
+    # The linear term models the kernel's amortized §3.2
+    # surplus-update/re-sort, not this implementation's pick.
     decision_cost_params = DecisionCostParams(base=3.3e-6, per_thread=0.09e-6)
 
     def __init__(
@@ -100,8 +113,10 @@ class SurplusFairScheduler(TaggedScheduler):
         readjust: bool = True,
         affinity_bonus: float = 0.0,
     ) -> None:
-        if affinity_bonus < 0:
-            raise ValueError(f"affinity_bonus must be >= 0, got {affinity_bonus}")
+        if not (math.isfinite(affinity_bonus) and affinity_bonus >= 0):
+            raise ValueError(
+                f"affinity_bonus must be finite and >= 0, got {affinity_bonus!r}"
+            )
         super().__init__(
             readjust=readjust, tag_math=tag_math, wake_preempt=wake_preempt
         )
@@ -113,18 +128,9 @@ class SurplusFairScheduler(TaggedScheduler):
         #: the ReadjustmentFrontier owns the descending-weight queue and
         #: :attr:`weight_queue` aliases it (one structure, not two).
         self._own_weight_queue = SortedTaskList(key=lambda t: -t.weight)
-        #: §3.1 queue 3: runnable threads by ascending surplus
-        self.surplus_queue = SortedTaskList(key=lambda t: t.sched["alpha"])
-        self._in_queues: set[int] = set()
-        self._surplus_dirty = True
-        #: v at the last full surplus recompute. §3.1 prescribes a
-        #: recompute when v differs from "the previous scheduling
-        #: instance", so the comparison must be against this snapshot —
-        #: not against the last _refresh_vtime() call, which other hooks
-        #: (e.g. wrap-around checks) may invoke in between.
-        self._v_at_recompute = self._vtime
-        #: instrumentation: full surplus recomputations (resorts)
-        self.resort_count = 0
+        #: user weight -> that class's runnable threads by ascending
+        #: start tag (a class is dropped when its last member leaves)
+        self._classes: dict[float, SortedTaskList] = {}
         #: instrumentation: pick_next invocations
         self.decision_count = 0
 
@@ -145,105 +151,135 @@ class SurplusFairScheduler(TaggedScheduler):
         return self._own_weight_queue
 
     def _runnable_set_changed(self, task: Task, now: float) -> None:
-        runnable = task.tid in self._runnable
-        if runnable and task.tid not in self._in_queues:
-            task.sched["alpha"] = self.surplus_of(task)
+        if task.tid in self._runnable:
             if self.frontier is None:
                 self._own_weight_queue.add(task)
-            self.surplus_queue.add(task)
-            self._in_queues.add(task.tid)
-        elif not runnable and task.tid in self._in_queues:
+            self._file(task)
+        else:
             if self.frontier is None:
                 self._own_weight_queue.discard(task)
-            self.surplus_queue.discard(task)
-            self._in_queues.discard(task.tid)
-        # Readjustment may have changed phis, arrivals/departures moved
-        # v: stored surpluses are stale until the next decision.
-        self._surplus_dirty = True
+            self._unfile(task)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
-        # The frontier repositions its queue itself; the ablation copy
-        # must be repositioned here or its cached sort order goes stale.
-        if self.frontier is None and task.tid in self._in_queues:
-            self._own_weight_queue.reposition(task)
+        if task.tid in self._runnable:
+            # The frontier repositions its queue itself; the ablation
+            # copy must be repositioned here or its order goes stale.
+            if self.frontier is None:
+                self._own_weight_queue.reposition(task)
+            self._refile(task, old_weight)
         super().on_weight_change(task, old_weight, now)
 
+    def _file(self, task: Task) -> None:
+        """Index a thread that joined the runnable set."""
+        queue = self._classes.get(task.weight)
+        if queue is None:
+            queue = SortedTaskList(key=_start_tag)
+            self._classes[task.weight] = queue
+        queue.add(task)
+
+    def _unfile(self, task: Task) -> None:
+        """Drop a thread that left the runnable set (if it was indexed)."""
+        self._drop(task, task.weight)
+
+    def _refile(self, task: Task, old_weight: float) -> None:
+        """Move a runnable thread whose user weight changed."""
+        self._drop(task, old_weight)
+        self._file(task)
+
+    def _drop(self, task: Task, weight: float) -> None:
+        queue = self._classes.get(weight)
+        if queue is not None and queue.discard(task) and not queue:
+            del self._classes[weight]
+
     def _tags_updated(self, task: Task, now: float) -> None:
-        # A preemption advanced this task's start tag; its surplus grew.
-        if task.tid in self._in_queues:
-            task.sched["alpha"] = self.surplus_of(task)
-            self.surplus_queue.reposition(task)
+        # A preemption advanced this task's start tag.
+        self._classes[task.weight].reposition(task)
 
     def _after_rebase(self, offset) -> None:
-        # Tags moved but (S - v) is invariant under a common shift, so
-        # surpluses are unchanged; nothing to re-sort.
-        pass
+        # A rebase shifted every start tag: refresh the cached keys.
+        for queue in self._classes.values():
+            queue.resort_insertion()
 
     # ------------------------------------------------------------------
     # the scheduling decision
     # ------------------------------------------------------------------
 
-    def _recompute_surpluses(self) -> None:
-        """Update every runnable thread's surplus and re-sort queue 3.
+    def _least_surplus(self) -> tuple[Task | None, float | int | None]:
+        """The schedulable thread with the least ``(alpha, tid)``, and alpha.
 
-        §3.1: "if the virtual time changes from the previous scheduling
-        instance, then the scheduler must update the surplus values of
-        all runnable threads (since alpha_i is a function of v) and
-        re-sort the queue." The paper's kernel re-sorts its linked list
-        with insertion sort to exploit the mostly-sorted order (§3.2);
-        here the recompute loop and the re-sort are fused into a single
-        pass plus one :meth:`~repro.sim.runqueue.SortedTaskList.rebuild_sorted`
-        call, whose timsort is near-linear on the same mostly-sorted
-        input but runs its comparisons in C. Keys are unique (tid
-        tie-break), so any sort produces the identical final order —
-        the decision sequence is bit-for-bit unchanged. This recompute
-        *is* the dominant cost of exact SFS under overload (runnable
-        sets in the thousands, one recompute per decision), which is
-        why the whole pass drops into C when the optional extension is
-        built and the tags are plain floats; see docs/PERFORMANCE.md
-        for measurements.
+        The readjusted threads, whose ``phi`` differs from their class
+        weight, are evaluated directly. Each weight class is then walked
+        from its head in ``(S, tid)`` order, which is its surplus order
+        (module doc), passing over running and readjusted members:
+
+        - the first member evaluated has the class's least surplus, so
+          a class whose least surplus exceeds the best so far is done;
+        - the walk goes on only while the surplus stays equal, because
+          rounding can give a larger start tag the same surplus and a
+          lower tid;
+        - members sharing a start tag with one already evaluated tie on
+          surplus with a larger tid, so their run is skipped in one
+          bisect (same-instant arrival bursts).
         """
+        surplus = self.tags.surplus
         v = self._vtime
-        queue = self.surplus_queue
-        if _C_RECOMPUTE is not None and type(self.tags) is FloatTags:
-            # One C call: compute every alpha = phi*(S-v), write it into
-            # task.sched, sort by (alpha, tid), and install the queue's
-            # new internal state. Bit-identical to the loop below.
-            _C_RECOMPUTE(queue._tasks, v, queue)
-        else:
-            surplus = self.tags.surplus
-            keyed = []
-            append = keyed.append
-            for task in queue:
+        frontier = self.frontier
+        readjusted = frontier.readjusted() if frontier is not None else _NO_TASKS
+        best = best_alpha = best_tid = None
+        for task in readjusted.values():
+            if task.state is _RUNNABLE:
                 alpha = surplus(task.phi, task.sched["S"], v)
-                task.sched["alpha"] = alpha
-                append(((alpha, task.tid), task))
-            queue.rebuild_sorted(keyed)
-        self.resort_count += 1
-        self._surplus_dirty = False
-        self._v_at_recompute = v
+                if (
+                    best is None
+                    or alpha < best_alpha
+                    or (alpha == best_alpha and task.tid < best_tid)
+                ):
+                    best, best_alpha, best_tid = task, alpha, task.tid
+        if len(readjusted) == len(self._runnable):
+            return best, best_alpha  # equal-share mode: all evaluated above
+        for queue in self._classes.values():
+            keys, tasks = queue.sorted_view()
+            least = None
+            i, n = 0, len(tasks)
+            while i < n:
+                task = tasks[i]
+                i += 1
+                if task.state is not _RUNNABLE or task.tid in readjusted:
+                    continue
+                start = task.sched["S"]
+                alpha = surplus(task.phi, start, v)
+                if least is None:
+                    least = alpha
+                    if best is not None and alpha > best_alpha:
+                        break
+                elif alpha > least:
+                    break
+                if (
+                    best is None
+                    or alpha < best_alpha
+                    or (alpha == best_alpha and task.tid < best_tid)
+                ):
+                    best, best_alpha, best_tid = task, alpha, task.tid
+                if i < n and keys[i][0] == start:
+                    queue.comparisons += n.bit_length()
+                    i = bisect_right(keys, (start, math.inf), i)
+        return best, best_alpha
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
         self.decision_count += 1
         self._refresh_vtime()
-        # sfs-lint: disable=SFS005 (bit-identity staleness test, not arithmetic)
-        if self._vtime != self._v_at_recompute or self._surplus_dirty:
-            self._recompute_surpluses()
-        best = self._first_schedulable(self.surplus_queue)
+        best, alpha = self._least_surplus()
         if best is None or self.affinity_bonus <= 0:
             return best
-        return self._apply_affinity(cpu, best)
+        return self._apply_affinity(cpu, best, alpha)
 
-    def _apply_affinity(self, cpu: int, best: Task) -> Task:
+    def _apply_affinity(self, cpu: int, best: Task, best_alpha) -> Task:
         """§5 extension: keep the CPU's previous thread when near-tied.
 
-        Both sides of the bonus comparison are *fresh* Eq. 4 surpluses
-        computed against one virtual-time snapshot. ``best`` was picked
-        off the surplus queue's stored keys, so its fresh surplus is
-        re-derived here too — the guard below re-selects if a stored
-        key turns out stale (it should not, after the recompute in
-        :meth:`pick_next`, but the bonus must never admit a thread more
-        than ``affinity_bonus`` past the fresh minimum).
+        ``best_alpha`` is ``best``'s fresh Eq. 4 surplus; the previous
+        thread's is computed against the same virtual time, so the
+        bonus never admits a thread more than ``affinity_bonus`` past
+        the fresh minimum.
         """
         assert self.machine is not None
         prev = self.machine.previous_task(cpu)
@@ -251,7 +287,7 @@ class SurplusFairScheduler(TaggedScheduler):
             prev is None
             or prev is best
             or prev.state is not TaskState.RUNNABLE
-            or prev.tid not in self._in_queues
+            or prev.tid not in self._runnable
         ):
             return best
         # Express the bonus in surplus units (works for float and
@@ -262,18 +298,7 @@ class SurplusFairScheduler(TaggedScheduler):
             self.tags.finish_tag(self.tags.zero, self.affinity_bonus, 1.0),
             self.tags.zero,
         )
-        v = self._vtime
-        best_alpha = self.surplus_of(best, v)
-        # sfs-lint: disable=SFS005 (bit-identity staleness test vs stored queue key)
-        if best_alpha != best.sched["alpha"]:
-            # Stale stored key: re-select against fresh surpluses so the
-            # bound below really is the fresh minimum.
-            self._recompute_surpluses()
-            best = self._first_schedulable(self.surplus_queue)
-            if best is None or prev is best:
-                return best
-            best_alpha = best.sched["alpha"]
-        if self.surplus_of(prev, v) <= best_alpha + bonus:
+        if self.surplus_of(prev) <= best_alpha + bonus:
             self.affinity_hits += 1
             return prev
         return best
@@ -290,8 +315,10 @@ class SurplusFairScheduler(TaggedScheduler):
     def exact_minimum_surplus_task(self) -> Task | None:
         """The schedulable thread with the smallest fresh surplus.
 
-        Used as the ground truth when measuring heuristic accuracy
-        (Fig. 3); ties broken by tid like the real decision path.
+        The brute-force O(n) oracle: ground truth for the heuristic's
+        accuracy (Fig. 3), the auditor's ``surplus_order`` check and
+        the differential tests of :meth:`pick_next`. Ties are broken by
+        tid like the real decision path.
         """
         self._refresh_vtime()
         best: Task | None = None

@@ -1,15 +1,17 @@
 """The §3.2 bounded-scan decision heuristic for SFS.
 
-Exact SFS must recompute every runnable thread's surplus whenever the
-virtual time advances — O(t log t) with run-queue length ``t``. The
-paper's heuristic caps this: *"the thread with the minimum surplus
-typically has either a small weight, a small start tag, or a small
-surplus in the previous scheduling instance"*, so examining the first
-``k`` threads of each of the three queues (the weight queue backwards,
-since it is sorted descending), computing fresh surpluses only for
-those, and picking the minimum is almost always right. Fig. 3 shows
-k = 20 yields > 99 % accuracy on a quad-processor with up to 400
-runnable threads.
+The paper's exact kernel recomputes every runnable thread's surplus
+whenever the virtual time advances — O(t log t) with run-queue length
+``t``. (That premise describes the paper's kernel, not
+:mod:`repro.core.sfs`, whose weight-class pick is exact at O(C + p)
+per decision.) The heuristic caps the kernel's cost: *"the thread with
+the minimum surplus typically has either a small weight, a small start
+tag, or a small surplus in the previous scheduling instance"*, so
+examining the first ``k`` threads of each of the three queues (the
+weight queue backwards, since it is sorted descending), computing
+fresh surpluses only for those, and picking the minimum is almost
+always right. Fig. 3 shows k = 20 yields > 99 % accuracy on a
+quad-processor with up to 400 runnable threads.
 
 Full surplus refreshes still happen, but only every ``refresh_every``
 decisions ("infrequent updates and sorting are still required to
@@ -28,12 +30,14 @@ under overload (runnable sets in the thousands):
   surpluses; fixed-point shifts may round), so the next decision
   forces a full refresh immediately rather than trusting a stale order
   for up to ``refresh_every`` more decisions;
-- the periodic refresh shares the exact path's fused
-  recompute-and-rebuild (one pass computing fresh surpluses, one
-  timsort): O(n log n) guaranteed even though after ``refresh_every``
-  decisions of drift the queue arrives arbitrarily scrambled —
-  insertion sort's quadratic case, which is why the §3.2 insertion
-  re-sort is not used here.
+- the periodic refresh is one fused recompute-and-rebuild (one pass
+  computing fresh surpluses, one timsort): O(n log n) guaranteed even
+  though after ``refresh_every`` decisions of drift the queue arrives
+  arbitrarily scrambled — insertion sort's quadratic case, which is
+  why the §3.2 insertion re-sort is not used here.
+
+This module therefore owns §3.1's third queue, ascending surplus as of
+each thread's last refresh, in place of exact SFS's weight classes.
 
 Set ``track_accuracy=True`` to have every decision also compute the
 exact minimum-surplus thread and record whether the heuristic matched —
@@ -46,9 +50,16 @@ from __future__ import annotations
 from repro.core.fixed_point import TagArithmetic
 from repro.core.sfs import SurplusFairScheduler
 from repro.sim.costs import DecisionCostParams
+from repro.sim.runqueue import SortedTaskList
 from repro.sim.task import Task, TaskState
 
 __all__ = ["HeuristicSurplusFairScheduler"]
+
+
+def _require_count(name: str, value) -> None:
+    """Reject anything but an integer >= 1 (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class HeuristicSurplusFairScheduler(SurplusFairScheduler):
@@ -83,16 +94,20 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         wake_preempt: bool = True,
         readjust: bool = True,
     ) -> None:
-        if scan_depth < 1:
-            raise ValueError(f"scan_depth must be >= 1, got {scan_depth}")
-        if refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
+        _require_count("scan_depth", scan_depth)
+        _require_count("refresh_every", refresh_every)
         super().__init__(
             tag_math=tag_math, wake_preempt=wake_preempt, readjust=readjust
         )
         self.scan_depth = scan_depth
         self.refresh_every = refresh_every
         self.track_accuracy = track_accuracy
+        #: §3.1 queue 3: runnable threads by ascending surplus, as of
+        #: each thread's last refresh (arrival, preemption or the
+        #: periodic full recompute)
+        self.surplus_queue = SortedTaskList(key=lambda t: t.sched["alpha"])
+        #: instrumentation: full surplus recomputations (resorts)
+        self.resort_count = 0
         self._since_refresh = 0
         #: surplus-queue order invalidated structurally (setweight /
         #: rebase) — force a full refresh at the next decision
@@ -116,23 +131,52 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         return self.tracked_matches / self.tracked_decisions
 
     # ------------------------------------------------------------------
-    # staleness hooks: structural order invalidation forces a refresh
+    # queue 3 upkeep (replaces exact SFS's weight classes); structural
+    # order invalidation forces a refresh
     # ------------------------------------------------------------------
 
-    def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
-        super().on_weight_change(task, old_weight, now)
-        if task.is_runnable:
-            # Readjustment may have rescaled *several* phis; surpluses
-            # scale with phi, so the stored order is invalid, not just
-            # drifted. Refresh at the next decision.
-            self._order_stale = True
+    def _file(self, task: Task) -> None:
+        task.sched["alpha"] = self.surplus_of(task)
+        self.surplus_queue.add(task)
+
+    def _unfile(self, task: Task) -> None:
+        self.surplus_queue.discard(task)
+
+    def _refile(self, task: Task, old_weight: float) -> None:
+        # Readjustment may rescale *several* phis; surpluses scale with
+        # phi, so the stored order is invalid, not just drifted.
+        # Refresh at the next decision.
+        self._order_stale = True
+
+    def _tags_updated(self, task: Task, now: float) -> None:
+        # A preemption advanced this task's start tag; its surplus grew.
+        task.sched["alpha"] = self.surplus_of(task)
+        self.surplus_queue.reposition(task)
 
     def _after_rebase(self, offset) -> None:
-        super()._after_rebase(offset)
         # Surpluses are invariant under a common tag shift in exact
         # arithmetic, but fixed-point shifts round — refreshing once is
         # cheap insurance against a silently reordered queue.
         self._order_stale = True
+
+    def _recompute_surpluses(self) -> None:
+        """Refresh every stored surplus and re-sort queue 3.
+
+        One pass computes the fresh surpluses, and one
+        :meth:`~repro.sim.runqueue.SortedTaskList.rebuild_sorted` call
+        sorts them: keys are unique (tid tie-break), so any sort gives
+        the same order.
+        """
+        v = self._vtime
+        surplus = self.tags.surplus
+        keyed = []
+        append = keyed.append
+        for task in self.surplus_queue:
+            alpha = surplus(task.phi, task.sched["S"], v)
+            task.sched["alpha"] = alpha
+            append(((alpha, task.tid), task))
+        self.surplus_queue.rebuild_sorted(keyed)
+        self.resort_count += 1
 
     # ------------------------------------------------------------------
     # the bounded decision scan

@@ -166,12 +166,10 @@ class TaggedScheduler(Scheduler):
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
         if self.frontier is None:
             task.phi = task.weight
-        if task.is_runnable:
-            if self.frontier is not None:
-                # Blocked tasks are not frontier members; their phi is
-                # re-derived on wakeup from the then-current weight.
-                self.frontier.reweight(task, old_weight)
-            self._runnable_set_changed(task, now)
+        elif task.is_runnable:
+            # Blocked tasks are not frontier members; their phi is
+            # re-derived on wakeup from the then-current weight.
+            self.frontier.reweight(task, old_weight)
 
     # ------------------------------------------------------------------
     # shared machinery
@@ -228,7 +226,12 @@ class TaggedScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _runnable_set_changed(self, task: Task, now: float) -> None:
-        """Called after any arrival/wakeup/block/exit/weight change."""
+        """Called after any arrival/wakeup/block/exit.
+
+        ``task.tid in self._runnable`` tells a join from a departure;
+        an exit may also report a task that was already blocked.
+        Weight changes go through :meth:`on_weight_change` instead.
+        """
 
     def _tags_updated(self, task: Task, now: float) -> None:
         """Called after a preemption updated a task's tags."""

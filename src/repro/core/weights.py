@@ -39,7 +39,7 @@ For ``t == p`` the paper's recursion already does the right thing
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.task import Task
@@ -433,6 +433,18 @@ class ReadjustmentFrontier:
     def capped_tasks(self) -> list["Task"]:
         """Snapshot of the capped members, heaviest first."""
         return [t for t in self.queue.peek_n(self.p - 1) if t.tid in self._capped]
+
+    def readjusted(self) -> Mapping[int, "Task"]:
+        """Members whose ``phi`` may differ from their user weight, by tid.
+
+        The capped members (at most ``p - 1``), or every member in the
+        ``t < p`` equal-share mode. Every other member holds
+        ``phi == weight`` exactly. Read-only, and valid only until the
+        next mutation: the decision path reads it once per pick.
+        """
+        if self._equalized:
+            return {task.tid: task for task in self.queue}
+        return self._capped
 
     # ------------------------------------------------------------------
     # mutations

@@ -1,12 +1,9 @@
-/* Compiled hot path for the discrete-event engine and the SFS surplus
- * recompute.
+/* Compiled hot path for the discrete-event engine.
  *
  * This module is the optional C twin of repro/sim/engine.py: an
  * ``Engine`` type implementing the same calendar-queue event loop
  * (one bucket per exact timestamp, a C double min-heap over the
- * distinct times, whole-bucket batch dispatch), plus a
- * ``sfs_recompute`` helper that runs the Eq. 4 surplus-recompute loop
- * of repro/core/sfs.py at C speed for float tag arithmetic.
+ * distinct times, whole-bucket batch dispatch).
  *
  * Behavioural contract: bit-for-bit identical event order and
  * arithmetic versus the pure-Python implementations. Every float
@@ -26,7 +23,6 @@
 #include <Python.h>
 #include <structmember.h>
 #include <math.h>
-#include <stdlib.h>
 
 /* Raise `exc` with a printf-style message whose %R slots are two C
  * doubles (PyErr_Format has no float directive). */
@@ -40,16 +36,6 @@ raise_with_two_doubles(PyObject *exc, const char *fmt, double a, double b)
     Py_XDECREF(ao);
     Py_XDECREF(bo);
 }
-
-/* ------------------------------------------------------------------ */
-/* interned attribute / dict-key names (created at module init)        */
-/* ------------------------------------------------------------------ */
-
-static PyObject *str_phi;   /* "phi"   */
-static PyObject *str_sched; /* "sched" */
-static PyObject *str_tid;   /* "tid"   */
-static PyObject *str_S;     /* "S"     */
-static PyObject *str_alpha; /* "alpha" */
 
 /* ------------------------------------------------------------------ */
 /* EventHandle                                                         */
@@ -731,364 +717,21 @@ static PyTypeObject Engine_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* sfs_recompute: the Eq. 4 surplus loop of repro/core/sfs.py in C     */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    double alpha;
-    long long tid;
-    PyObject *task;    /* borrowed from the input sequence */
-    PyObject *alpha_o; /* owned PyFloat(alpha) */
-    PyObject *tid_o;   /* owned PyLong(tid) */
-} recompute_entry;
-
-static int
-recompute_cmp(const void *pa, const void *pb)
-{
-    const recompute_entry *a = *(recompute_entry *const *)pa;
-    const recompute_entry *b = *(recompute_entry *const *)pb;
-    if (a->alpha < b->alpha) return -1;
-    if (a->alpha > b->alpha) return 1;
-    if (a->tid < b->tid) return -1;
-    if (a->tid > b->tid) return 1;
-    return 0;
-}
-
-static inline int
-entry_lt(const recompute_entry *a, const recompute_entry *b)
-{
-    if (a->alpha != b->alpha)
-        return a->alpha < b->alpha;
-    return a->tid < b->tid;
-}
-
-/* Sort an array of entry pointers. The input is the surplus queue in
- * its previous sorted order with freshly recomputed keys — §3.2's
- * "mostly sorted" observation — so insertion sort runs in O(n +
- * inversions). A shift budget bails out to qsort if the order has
- * decayed (a valid permutation at any point, so qsort can take over). */
-static void
-sort_entries(recompute_entry **ptrs, Py_ssize_t n)
-{
-    size_t budget = (size_t)n * 8 + 64;
-    for (Py_ssize_t i = 1; i < n; i++) {
-        recompute_entry *e = ptrs[i];
-        Py_ssize_t j = i - 1;
-        while (j >= 0 && entry_lt(e, ptrs[j])) {
-            ptrs[j + 1] = ptrs[j];
-            j--;
-            if (budget-- == 0) {
-                ptrs[j + 1] = e;
-                qsort(ptrs, (size_t)n, sizeof(recompute_entry *),
-                      recompute_cmp);
-                return;
-            }
-        }
-        ptrs[j + 1] = e;
-    }
-}
-
-/* Cached slot offsets for one Task type: with __slots__, phi/sched/tid
- * are fixed-offset member descriptors, so reading them is one load
- * instead of a generic attribute lookup. Falls back to getattr when the
- * type doesn't match the cache (subclasses, test doubles). */
-typedef struct {
-    PyTypeObject *type; /* borrowed; identity-checked per call */
-    Py_ssize_t phi_off;
-    Py_ssize_t sched_off;
-    Py_ssize_t tid_off;
-} slot_cache;
-
-static slot_cache task_slots = {NULL, 0, 0, 0};
-
-static Py_ssize_t
-member_offset(PyTypeObject *type, PyObject *name)
-{
-    PyObject *descr = PyObject_GetAttr((PyObject *)type, name);
-    if (descr == NULL) {
-        PyErr_Clear();
-        return -1;
-    }
-    Py_ssize_t off = -1;
-    if (Py_TYPE(descr) == &PyMemberDescr_Type) {
-        PyMemberDef *m = ((PyMemberDescrObject *)descr)->d_member;
-        if (m != NULL && m->type == T_OBJECT_EX && !(m->flags & READONLY))
-            off = m->offset;
-    }
-    Py_DECREF(descr);
-    return off;
-}
-
-static int
-slot_cache_fill(slot_cache *cache, PyTypeObject *type)
-{
-    cache->phi_off = member_offset(type, str_phi);
-    cache->sched_off = member_offset(type, str_sched);
-    cache->tid_off = member_offset(type, str_tid);
-    if (cache->phi_off < 0 || cache->sched_off < 0 || cache->tid_off < 0) {
-        cache->type = NULL;
-        return 0; /* not slot-backed: use generic getattr */
-    }
-    Py_INCREF(type); /* pin the cached type for the process lifetime */
-    Py_XDECREF(cache->type);
-    cache->type = type;
-    return 1;
-}
-
-/* Read a T_OBJECT_EX slot; NULL + AttributeError when unset. Returns a
- * BORROWED reference (the task keeps the slot alive for the caller's
- * whole loop iteration). */
-static inline PyObject *
-slot_read(PyObject *obj, Py_ssize_t offset, PyObject *name)
-{
-    PyObject *value = *(PyObject **)((char *)obj + offset);
-    if (value == NULL)
-        PyErr_SetObject(PyExc_AttributeError, name);
-    return value;
-}
-
-PyDoc_STRVAR(sfs_recompute_doc,
-"sfs_recompute(tasks, v, queue=None)\n\n"
-"For every task compute alpha = phi * (sched['S'] - v) (Eq. 4, float\n"
-"tag arithmetic), store it in task.sched['alpha'], and produce the\n"
-"sorted state SortedTaskList carries: the (alpha, tid) key list, the\n"
-"task list in the same order, and the tid -> key dict. With `queue`\n"
-"given, that state is installed onto it directly (its _keys/_tasks/\n"
-"_cached_key slots are replaced and `comparisons` is charged as\n"
-"rebuild_sorted would) and the element count is returned; without it\n"
-"the (keys, tasks, cached_key) triple is returned for the caller to\n"
-"install. Keys are unique (tid tie-break) so the order is identical to\n"
-"the pure-Python recompute-and-rebuild path, bit for bit.");
-
-static PyObject *str_keys_attr;    /* "_keys" */
-static PyObject *str_tasks_attr;   /* "_tasks" */
-static PyObject *str_cached_attr;  /* "_cached_key" */
-static PyObject *str_comparisons;  /* "comparisons" */
-
-static int
-install_on_queue(PyObject *queue, PyObject *keys, PyObject *tasks,
-                 PyObject *cached, Py_ssize_t n)
-{
-    if (PyObject_SetAttr(queue, str_keys_attr, keys) < 0 ||
-        PyObject_SetAttr(queue, str_tasks_attr, tasks) < 0 ||
-        PyObject_SetAttr(queue, str_cached_attr, cached) < 0)
-        return -1;
-    /* comparisons += n * max(1, n.bit_length()) — same charge as
-     * rebuild_sorted/install_sorted. */
-    long long bits = 0;
-    for (Py_ssize_t m = n; m > 0; m >>= 1)
-        bits++;
-    if (bits < 1)
-        bits = 1;
-    PyObject *old = PyObject_GetAttr(queue, str_comparisons);
-    if (old == NULL)
-        return -1;
-    PyObject *delta = PyLong_FromLongLong((long long)n * bits);
-    if (delta == NULL) {
-        Py_DECREF(old);
-        return -1;
-    }
-    PyObject *fresh = PyNumber_Add(old, delta);
-    Py_DECREF(old);
-    Py_DECREF(delta);
-    if (fresh == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(queue, str_comparisons, fresh);
-    Py_DECREF(fresh);
-    return rc;
-}
-
-static PyObject *
-sfs_recompute(PyObject *Py_UNUSED(mod), PyObject *args)
-{
-    PyObject *tasks_in;
-    PyObject *queue = Py_None;
-    double v;
-    if (!PyArg_ParseTuple(args, "Od|O", &tasks_in, &v, &queue))
-        return NULL;
-    PyObject *seq = PySequence_Fast(tasks_in, "tasks must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    recompute_entry *ent = NULL;
-    recompute_entry **ptrs = NULL;
-    PyObject *keys = NULL, *tasks_out = NULL, *cached = NULL, *result = NULL;
-    Py_ssize_t filled = 0;
-    if (n > 0) {
-        ent = PyMem_Malloc((size_t)n * (sizeof(recompute_entry) +
-                                        sizeof(recompute_entry *)));
-        if (ent == NULL) {
-            Py_DECREF(seq);
-            return PyErr_NoMemory();
-        }
-        ptrs = (recompute_entry **)(ent + n);
-    }
-    /* Resolve the Task type's slot offsets once (identity-checked, so a
-     * different task class just refills or falls back to getattr). */
-    slot_cache *slots = NULL;
-    if (n > 0) {
-        PyTypeObject *t0 = Py_TYPE(PySequence_Fast_GET_ITEM(seq, 0));
-        if (task_slots.type == t0)
-            slots = &task_slots;
-        else if (slot_cache_fill(&task_slots, t0))
-            slots = &task_slots;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *task = PySequence_Fast_GET_ITEM(seq, i);
-        PyObject *phi_o, *sched, *tid_o; /* borrowed when slot-backed */
-        int borrowed = (slots != NULL && Py_TYPE(task) == slots->type);
-        if (borrowed) {
-            phi_o = slot_read(task, slots->phi_off, str_phi);
-            sched = phi_o ? slot_read(task, slots->sched_off, str_sched)
-                          : NULL;
-            tid_o = sched ? slot_read(task, slots->tid_off, str_tid) : NULL;
-            if (tid_o == NULL)
-                goto fail;
-        }
-        else {
-            phi_o = PyObject_GetAttr(task, str_phi);
-            if (phi_o == NULL)
-                goto fail;
-            sched = PyObject_GetAttr(task, str_sched);
-            if (sched == NULL) {
-                Py_DECREF(phi_o);
-                goto fail;
-            }
-            tid_o = PyObject_GetAttr(task, str_tid);
-            if (tid_o == NULL) {
-                Py_DECREF(phi_o);
-                Py_DECREF(sched);
-                goto fail;
-            }
-        }
-        double phi = PyFloat_AsDouble(phi_o);
-        if (!borrowed)
-            Py_DECREF(phi_o);
-        if (phi == -1.0 && PyErr_Occurred())
-            goto fail_triplet;
-        if (!PyDict_Check(sched)) {
-            PyErr_SetString(PyExc_TypeError, "task.sched must be a dict");
-            goto fail_triplet;
-        }
-        PyObject *S_o = PyDict_GetItemWithError(sched, str_S);
-        if (S_o == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_SetObject(PyExc_KeyError, str_S);
-            goto fail_triplet;
-        }
-        double S = PyFloat_AsDouble(S_o);
-        if (S == -1.0 && PyErr_Occurred())
-            goto fail_triplet;
-        /* Same IEEE-double expression, same evaluation order as
-         * FloatTags.surplus: alpha = phi * (S - v). */
-        double alpha = phi * (S - v);
-        PyObject *alpha_o = PyFloat_FromDouble(alpha);
-        if (alpha_o == NULL)
-            goto fail_triplet;
-        if (PyDict_SetItem(sched, str_alpha, alpha_o) < 0) {
-            Py_DECREF(alpha_o);
-            goto fail_triplet;
-        }
-        long long tid = PyLong_AsLongLong(tid_o);
-        if (tid == -1 && PyErr_Occurred()) {
-            Py_DECREF(alpha_o);
-            goto fail_triplet;
-        }
-        if (!borrowed)
-            Py_DECREF(sched);
-        else
-            Py_INCREF(tid_o); /* entry keeps its own tid reference */
-        ent[filled].alpha = alpha;
-        ent[filled].tid = tid;
-        ent[filled].task = task;
-        ent[filled].alpha_o = alpha_o;
-        ent[filled].tid_o = tid_o;
-        ptrs[filled] = &ent[filled];
-        filled++;
-        continue;
-    fail_triplet:
-        if (!borrowed) {
-            Py_DECREF(sched);
-            Py_DECREF(tid_o);
-        }
-        goto fail;
-    }
-    if (n > 1)
-        sort_entries(ptrs, n);
-    keys = PyList_New(n);
-    tasks_out = PyList_New(n);
-#if PY_VERSION_HEX < 0x030D0000
-    cached = _PyDict_NewPresized(n);
-#else
-    cached = PyDict_New();
-#endif
-    if (keys == NULL || tasks_out == NULL || cached == NULL)
-        goto fail;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        recompute_entry *e = ptrs[i];
-        PyObject *key = PyTuple_Pack(2, e->alpha_o, e->tid_o);
-        if (key == NULL)
-            goto fail;
-        PyList_SET_ITEM(keys, i, key); /* steals key */
-        Py_INCREF(e->task);
-        PyList_SET_ITEM(tasks_out, i, e->task);
-        if (PyDict_SetItem(cached, e->tid_o, key) < 0)
-            goto fail;
-    }
-    if (queue == Py_None)
-        result = PyTuple_Pack(3, keys, tasks_out, cached);
-    else if (install_on_queue(queue, keys, tasks_out, cached, n) == 0)
-        result = PyLong_FromSsize_t(n);
-fail:
-    for (Py_ssize_t i = 0; i < filled; i++) {
-        Py_DECREF(ent[i].alpha_o);
-        Py_DECREF(ent[i].tid_o);
-    }
-    PyMem_Free(ent);
-    Py_XDECREF(keys);
-    Py_XDECREF(tasks_out);
-    Py_XDECREF(cached);
-    Py_DECREF(seq);
-    return result;
-}
-
-/* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
-
-static PyMethodDef module_methods[] = {
-    {"sfs_recompute", sfs_recompute, METH_VARARGS, sfs_recompute_doc},
-    {NULL}
-};
 
 static struct PyModuleDef enginemodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._engine",
-    .m_doc = "Compiled calendar-queue event engine and SFS surplus "
-             "recompute (optional; pure-Python fallback in "
-             "repro.sim.engine).",
+    .m_doc = "Compiled calendar-queue event engine (optional; "
+             "pure-Python fallback in repro.sim.engine).",
     .m_size = -1,
-    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC
 PyInit__engine(void)
 {
     if (PyType_Ready(&Handle_Type) < 0 || PyType_Ready(&Engine_Type) < 0)
-        return NULL;
-    str_phi = PyUnicode_InternFromString("phi");
-    str_sched = PyUnicode_InternFromString("sched");
-    str_tid = PyUnicode_InternFromString("tid");
-    str_S = PyUnicode_InternFromString("S");
-    str_alpha = PyUnicode_InternFromString("alpha");
-    str_keys_attr = PyUnicode_InternFromString("_keys");
-    str_tasks_attr = PyUnicode_InternFromString("_tasks");
-    str_cached_attr = PyUnicode_InternFromString("_cached_key");
-    str_comparisons = PyUnicode_InternFromString("comparisons");
-    if (str_phi == NULL || str_sched == NULL || str_tid == NULL ||
-        str_S == NULL || str_alpha == NULL || str_keys_attr == NULL ||
-        str_tasks_attr == NULL || str_cached_attr == NULL ||
-        str_comparisons == NULL)
         return NULL;
     PyObject *m = PyModule_Create(&enginemodule);
     if (m == NULL)

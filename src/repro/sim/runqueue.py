@@ -100,6 +100,15 @@ class SortedTaskList:
         self.remove(task)
         self.add(task)
 
+    def sorted_view(self) -> tuple[list[tuple[float, int]], list[Task]]:
+        """The live ``(keys, tasks)`` lists, in order; read, never mutate.
+
+        For walks that index the queue and bisect on its cached
+        ``(key, tid)`` pairs, such as exact SFS's weight-class pick,
+        which skips a run of equal start tags in one bisect.
+        """
+        return self._keys, self._tasks
+
     def head(self) -> Task | None:
         """The task with the smallest key, or None if empty."""
         return self._tasks[0] if self._tasks else None
@@ -191,33 +200,6 @@ class SortedTaskList:
         self._tasks = [t for _, t in keyed]
         self._cached_key = {t.tid: k for k, t in keyed}
         n = len(keyed)
-        self.comparisons += n * max(1, n.bit_length())
-        return n
-
-    def install_sorted(
-        self,
-        keys: list[tuple[float, int]],
-        tasks: list[Task],
-        cached_key: dict[int, tuple[float, int]],
-    ) -> int:
-        """Install fully prepared sorted state (the compiled fast path).
-
-        ``repro.sim._engine.sfs_recompute`` produces exactly these three
-        structures — already sorted, split and indexed — so the exact-SFS
-        recompute can swap them in wholesale instead of rebuilding them
-        from ``(key, task)`` pairs. The caller vouches for the sorted
-        invariant; :meth:`is_sorted` still verifies it against fresh
-        keys in the audit suite. Returns the element count.
-        """
-        if len(tasks) != len(self._tasks):
-            raise ValueError(
-                f"install_sorted got {len(tasks)} tasks for a queue of "
-                f"{len(self._tasks)}"
-            )
-        self._keys = keys
-        self._tasks = tasks
-        self._cached_key = cached_key
-        n = len(tasks)
         self.comparisons += n * max(1, n.bit_length())
         return n
 

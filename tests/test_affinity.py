@@ -1,5 +1,7 @@
 """Tests for the §5 processor-affinity extension to SFS."""
 
+import math
+
 import pytest
 
 from tests.conftest import add_inf
@@ -21,8 +23,8 @@ class _AuditedSFS(SurplusFairScheduler):
         super().__init__(**kw)
         self.violations: list[tuple[float, float]] = []
 
-    def _apply_affinity(self, cpu, best):
-        pick = super()._apply_affinity(cpu, best)
+    def _apply_affinity(self, cpu, best, best_alpha):
+        pick = super()._apply_affinity(cpu, best, best_alpha)
         if pick is not None and pick is not best:
             fresh = {
                 tid: alpha
@@ -48,6 +50,21 @@ class TestAffinity:
     def test_rejects_negative_bonus(self):
         with pytest.raises(ValueError):
             SurplusFairScheduler(affinity_bonus=-1.0)
+
+    @pytest.mark.parametrize("bonus", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bonus(self, bonus):
+        # A NaN bonus never fires yet is non-zero, so the auditor would
+        # silently skip its exact-SFS checks; an infinite one overflows
+        # the fixed-point conversion mid-run. Both fail at construction.
+        with pytest.raises(ValueError, match="affinity_bonus") as err:
+            SurplusFairScheduler(affinity_bonus=bonus)
+        assert repr(bonus) in str(err.value)
+
+    def test_infinite_bonus_rejected_before_fixed_point_run(self):
+        from repro.core.fixed_point import FixedTags
+
+        with pytest.raises(ValueError, match="affinity_bonus"):
+            SurplusFairScheduler(affinity_bonus=math.inf, tag_math=FixedTags(n=4))
 
     def test_zero_bonus_is_papers_policy(self):
         sched, machine, _ = run(0.0)

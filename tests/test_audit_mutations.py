@@ -81,21 +81,24 @@ def test_undercharged_finish_tag_flagged_by_bounded_lag(monkeypatch):
     assert report.counts["surplus_order"] == 0
 
 
+def _schedulable_by_surplus(sched):
+    """Schedulable threads in ascending fresh (surplus, tid) order."""
+    sched._refresh_vtime()
+    return sorted(
+        (t for t in sched._runnable.values() if t.state is TaskState.RUNNABLE),
+        key=lambda t: (sched.surplus_of(t), t.tid),
+    )
+
+
 def test_broken_surplus_ordering_flagged(monkeypatch):
     # The bug: the decision returns the runnable thread with the
-    # *largest* surplus (a reversed comparator / corrupted queue-3
+    # *largest* surplus (a reversed comparator / corrupted class
     # order). Every sampled dispatch disagrees with the brute-force
     # fresh minimum.
     def worst_pick(self, cpu, now):
         self.decision_count += 1
-        self._refresh_vtime()
-        if self._surplus_dirty:
-            self._recompute_surpluses()
-        worst = None
-        for candidate in self.surplus_queue:
-            if candidate.state is TaskState.RUNNABLE:
-                worst = candidate
-        return worst
+        ranked = _schedulable_by_surplus(self)
+        return ranked[-1] if ranked else None
 
     monkeypatch.setattr(SurplusFairScheduler, "pick_next", worst_pick)
     report = run_scenario(_scenario()).audit_report
@@ -125,11 +128,8 @@ def test_starved_thread_flagged_by_no_starvation(monkeypatch):
     # thread (a filtering bug), starving it while the run stays busy.
     def biased_pick(self, cpu, now):
         self.decision_count += 1
-        self._refresh_vtime()
-        if self._surplus_dirty:
-            self._recompute_surpluses()
-        for candidate in self.surplus_queue:
-            if candidate.state is TaskState.RUNNABLE and candidate.name != "bg-1":
+        for candidate in _schedulable_by_surplus(self):
+            if candidate.name != "bg-1":
                 return candidate
         return None
 

@@ -255,27 +255,3 @@ class TestCompiledSurface:
         assert h.cancelled
         h.cancel()  # idempotent
         assert engine.pending == 1
-
-    def test_sfs_recompute_matches_pure(self):
-        """The C Eq. 4 loop is bit-identical to FloatTags.surplus."""
-        from repro.core.fixed_point import FloatTags
-        from repro.sim.events import Run
-        from repro.sim.task import Task
-
-        tags = FloatTags()
-        tasks = []
-        for i in range(50):
-            task = Task(behavior=[Run(1.0)], weight=1 + i % 7)
-            task.phi = 0.1 + (i % 11) / 7.0
-            task.sched["S"] = i / 3.0
-            tasks.append(task)
-        v = 2.5
-        keys, out_tasks, cached = compiled_engine.sfs_recompute(tasks, v)
-        expected = sorted(
-            ((tags.surplus(t.phi, t.sched["S"], v), t.tid), t) for t in tasks
-        )
-        assert keys == [k for k, _ in expected]
-        assert out_tasks == [t for _, t in expected]
-        assert cached == {t.tid: k for k, t in expected}
-        for t in tasks:
-            assert t.sched["alpha"] == tags.surplus(t.phi, t.sched["S"], v)

@@ -59,6 +59,16 @@ def assert_matches_oracle(frontier, members, p):
     if len(members) >= p:
         assert frontier.capped_count <= max(0, p - 1)
     assert frontier.queue.is_sorted()
+    # readjusted() names every member whose phi may differ from its
+    # weight; exact SFS evaluates those directly and trusts the rest.
+    readjusted = frontier.readjusted()
+    assert set(readjusted) <= {m.tid for m in members}
+    if len(members) >= p:
+        assert len(readjusted) == frontier.capped_count
+    for member in members:
+        if member.tid not in readjusted:
+            # sfs-lint: disable=SFS005 (unreadjusted phi is the weight, bit for bit)
+            assert member.phi == member.weight
 
 
 class FrontierMatchesBatch(RuleBasedStateMachine):

@@ -10,6 +10,7 @@ from repro.core.sfs import SurplusFairScheduler
 from repro.schedulers.sfq import StartTimeFairScheduler
 from repro.sim.events import Block, Run
 from repro.sim.machine import Machine
+from repro.sim.runqueue import SortedTaskList
 from repro.sim.task import Task
 from repro.workloads.base import GeneratorBehavior
 from repro.workloads.cpu_bound import Infinite
@@ -60,14 +61,19 @@ class TestSurplusInvariants:
             yield Block(10.0)
             yield Run(math.inf)
 
+        def filed():
+            return sorted(t.tid for q in sched._classes.values() for t in q)
+
         t = m.add_task(Task(GeneratorBehavior(gen()), weight=1, name="b"))
         add_inf(m, 1, "bg")
         m.run_until(1.0)
-        assert t not in sched.surplus_queue
+        assert t not in sched._classes[1.0]
         assert t not in sched.weight_queue
+        assert filed() == sorted(sched._runnable)
         m.run_until(11.0)
-        assert t in sched.surplus_queue
+        assert t in sched._classes[1.0]
         assert t in sched.weight_queue
+        assert filed() == sorted(sched._runnable)
 
     def test_weight_queue_sorted_descending_by_user_weight(self):
         m, sched = sfs_machine(cpus=2)
@@ -169,13 +175,24 @@ class TestSfqEquivalence:
 
 
 class TestInstrumentation:
-    def test_resort_count_grows_with_vtime_changes(self):
+    def test_exact_sfs_never_resorts(self, monkeypatch):
+        # v moves at almost every decision here, which made the §3.1
+        # kernel recompute and re-sort every surplus. The weight-class
+        # pick keeps no surplus queue and never re-sorts: its classes
+        # only see O(log n) adds, removes and repositions.
         m, sched = sfs_machine(cpus=2, quantum=0.1)
         for i in range(4):
             add_inf(m, 1, f"T{i}")
+        resorts = []
+        for name in ("resort", "resort_insertion", "rebuild_sorted"):
+            monkeypatch.setattr(
+                SortedTaskList, name, lambda *a, name=name: resorts.append(name)
+            )
         m.run_until(2.0)
-        assert sched.resort_count > 0
         assert sched.decision_count > 0
+        assert resorts == []
+        assert not hasattr(sched, "surplus_queue")
+        assert not hasattr(sched, "resort_count")
 
     def test_surpluses_keyed_by_tid(self):
         m, sched = sfs_machine(cpus=2)

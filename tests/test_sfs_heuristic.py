@@ -1,5 +1,6 @@
 """Tests for the §3.2 bounded-scan heuristic."""
 
+import math
 import random
 
 import pytest
@@ -89,6 +90,36 @@ class TestBehaviour:
             HeuristicSurplusFairScheduler(scan_depth=0)
         with pytest.raises(ValueError):
             HeuristicSurplusFairScheduler(refresh_every=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("scan_depth", 2.5),
+            ("scan_depth", True),
+            ("scan_depth", "20"),
+            ("refresh_every", math.nan),
+            ("refresh_every", 50.0),
+        ],
+    )
+    def test_rejects_non_integer_parameters(self, name, value):
+        # A fractional scan depth used to pass the >= 1 guard and break
+        # the queue slicing mid-run; a NaN refresh_every silently
+        # disabled the periodic refresh.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HeuristicSurplusFairScheduler(**{name: value})
+
+    def test_fractional_scan_depth_fails_before_the_run(self):
+        from repro.scenario import run_scenario
+        from repro.scenario.server import server_scenario
+
+        scenario = server_scenario(
+            60,
+            scheduler="sfs-heuristic",
+            load=1.6,
+            scheduler_params={"scan_depth": 2.5},
+        )
+        with pytest.raises(ValueError, match="scan_depth must be an integer"):
+            run_scenario(scenario)
 
     def test_pick_comes_from_the_three_queue_windows(self):
         m, sched = machine(scan_depth=3, refresh_every=10**6)
