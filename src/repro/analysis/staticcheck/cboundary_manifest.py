@@ -71,7 +71,7 @@ TYPE_MIRRORS: tuple[TypeMirror, ...] = (
         getset_table="Engine_getset",
         members_table=None,
         methods=("schedule_at", "schedule_after", "step", "run_until", "run"),
-        getsets=("now", "events_fired", "pending", "queue_kind"),
+        getsets=("now", "events_fired", "pending"),
     ),
     TypeMirror(
         c_type="EventHandle",
@@ -88,7 +88,7 @@ TYPE_MIRRORS: tuple[TypeMirror, ...] = (
 
 #: env flags both engine selections honour; each must appear as a
 #: string literal in at least one of ENV_FLAG_FILES
-ENV_FLAGS: tuple[str, ...] = ("SFS_ENGINE", "SFS_EVENTQ")
+ENV_FLAGS: tuple[str, ...] = ("SFS_ENGINE",)
 ENV_FLAG_FILES: tuple[str, ...] = ("src/repro/sim/engine.py",)
 #: sim/core modules scanned for *undeclared* ``SFS_*`` env reads
 ENV_SCAN_FILES: tuple[str, ...] = (

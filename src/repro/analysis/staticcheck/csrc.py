@@ -1,18 +1,14 @@
 """A purpose-built C tokenizer for the compiled-boundary checker.
 
-This is not a C parser — it recognises exactly the handful of shapes
-a conformance checker (:mod:`.cboundary`) reads out of
+This is not a C parser — it recognises exactly the two shapes a
+conformance checker (:mod:`.cboundary`) reads out of
 ``src/repro/sim/_engine.c``:
 
 - ``PyMethodDef``/``PyGetSetDef``/``PyMemberDef`` initializer tables
   (the first string literal of each ``{...}`` entry is the exposed
   name),
 - every string literal, with C's adjacent-literal concatenation
-  applied (exception-message parity),
-- ``PyUnicode_InternFromString("...")`` calls, and one function body
-  and one ``var = expr;`` assignment inside it. The checker has no
-  mirror of these kinds today (the engine interns no names and
-  mirrors no arithmetic); they stay for a compiled kernel that does.
+  applied (exception-message parity).
 
 Comments and preprocessor lines are stripped, string/char literals are
 decoded enough for text comparison, and everything else becomes
@@ -26,10 +22,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "Token",
-    "assignment_expr",
-    "expr_text",
-    "function_body",
-    "interned_strings",
     "merge_adjacent_strings",
     "string_literals",
     "table_entries",
@@ -163,21 +155,6 @@ def string_literals(tokens: list[Token]) -> list[Token]:
     return [t for t in merge_adjacent_strings(tokens) if t.kind == "str"]
 
 
-def interned_strings(tokens: list[Token]) -> list[Token]:
-    """Arguments of every ``PyUnicode_InternFromString("...")`` call."""
-    out: list[Token] = []
-    for i, tok in enumerate(tokens):
-        if (
-            tok.kind == "id"
-            and tok.text == "PyUnicode_InternFromString"
-            and i + 2 < len(tokens)
-            and tokens[i + 1].text == "("
-            and tokens[i + 2].kind == "str"
-        ):
-            out.append(tokens[i + 2])
-    return out
-
-
 def table_entries(tokens: list[Token], table_name: str) -> list[Token] | None:
     """The entry names of an array-of-struct initializer table.
 
@@ -220,72 +197,3 @@ def table_entries(tokens: list[Token], table_name: str) -> list[Token] | None:
             entries.append(tok)
             expecting_name = False
     return entries
-
-
-def function_body(tokens: list[Token], name: str) -> list[Token] | None:
-    """The brace-balanced body tokens of function ``name``'s definition.
-
-    Skips declarations (``name(...);``) and call sites; the definition
-    is the occurrence whose parameter list is followed by ``{``.
-    """
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.text != name:
-            continue
-        if i + 1 >= n or tokens[i + 1].text != "(":
-            continue
-        j = i + 1
-        depth = 0
-        while j < n:
-            if tokens[j].text == "(":
-                depth += 1
-            elif tokens[j].text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        if j + 1 >= n or tokens[j + 1].text != "{":
-            continue
-        body_start = j + 2
-        depth = 1
-        k = body_start
-        while k < n:
-            if tokens[k].text == "{" and tokens[k].kind == "punct":
-                depth += 1
-            elif tokens[k].text == "}" and tokens[k].kind == "punct":
-                depth -= 1
-                if depth == 0:
-                    return tokens[body_start:k]
-            k += 1
-    return None
-
-
-def assignment_expr(tokens: list[Token], var: str) -> list[Token] | None:
-    """The right-hand side of the first ``var = <expr>;`` assignment.
-
-    Comparison operators are two adjacent punct tokens here, so a
-    lone ``=`` preceded/followed by another operator char is skipped
-    (``==``, ``!=``, ``<=``, ``>=``).
-    """
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.text != var:
-            continue
-        if i + 1 >= n or tokens[i + 1].text != "=":
-            continue
-        if i + 2 < n and tokens[i + 2].text == "=":
-            continue  # var == ...
-        if i > 0 and tokens[i - 1].text in ("=", "!", "<", ">"):
-            continue
-        rhs: list[Token] = []
-        j = i + 2
-        while j < n and tokens[j].text != ";":
-            rhs.append(tokens[j])
-            j += 1
-        return rhs
-    return None
-
-
-def expr_text(tokens: list[Token]) -> str:
-    """Whitespace-free canonical text of an expression token list."""
-    return "".join(t.text for t in tokens)

@@ -27,9 +27,6 @@ from repro.core.weights import (
     ReadjustmentFrontier,
     is_feasible,
     readjust,
-    readjust_sorted,
-    readjust_sorted_iterative,
-    readjust_tasks,
     violators,
     waterfill_shares,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "TaggedScheduler",
     "is_feasible",
     "readjust",
-    "readjust_sorted",
-    "readjust_sorted_iterative",
-    "readjust_tasks",
     "replay_trace",
     "violators",
     "waterfill_shares",

@@ -270,9 +270,9 @@ def replay_trace(
             continue  # no heavy and the top weight is feasible
         # Merge-walk the current heavy set and the heap top in
         # (-weight, tid) order, peeling infeasible weights exactly as
-        # readjust_sorted_iterative does (ties never split: if the
-        # first of two equal weights peels, so does the second). Only
-        # an actual promotion or demotion touches the heap.
+        # weights.readjust does (ties never split: if the first of two
+        # equal weights peels, so does the second). Only an actual
+        # promotion or demotion touches the heap.
         s = total
         k = 0
         keep = 0  # prefix of hsorted that is (still) heavy

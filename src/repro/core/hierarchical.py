@@ -77,11 +77,6 @@ class SchedulingClass:
         """A class competes for CPUs iff it has runnable members."""
         return bool(self.members)
 
-    def schedulable_members(self) -> list[Task]:
-        return [
-            t for t in self.members.values() if t.state is TaskState.RUNNABLE
-        ]
-
     def local_virtual_time(self) -> float:
         """Minimum member start tag (the class's internal SFQ clock)."""
         if not self.members:

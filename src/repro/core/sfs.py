@@ -124,10 +124,6 @@ class SurplusFairScheduler(TaggedScheduler):
         #: dispatches that kept the CPU's previous thread thanks to the
         #: affinity bonus (instrumentation for the ablation bench)
         self.affinity_hits = 0
-        #: §3.1 queue 1 when readjustment is off; with readjustment on,
-        #: the ReadjustmentFrontier owns the descending-weight queue and
-        #: :attr:`weight_queue` aliases it (one structure, not two).
-        self._own_weight_queue = SortedTaskList(key=lambda t: -t.weight)
         #: user weight -> that class's runnable threads by ascending
         #: start tag (a class is dropped when its last member leaves)
         self._classes: dict[float, SortedTaskList] = {}
@@ -138,34 +134,14 @@ class SurplusFairScheduler(TaggedScheduler):
     # queue maintenance via TaggedScheduler extension points
     # ------------------------------------------------------------------
 
-    @property
-    def weight_queue(self) -> SortedTaskList:
-        """§3.1 queue 1: runnable threads by descending user weight.
-
-        Aliases the readjustment frontier's queue when readjustment is
-        on (the frontier keeps it sorted through weight changes); SFS
-        maintains its own copy only in the ``readjust=False`` ablation.
-        """
-        if self.frontier is not None:
-            return self.frontier.queue
-        return self._own_weight_queue
-
     def _runnable_set_changed(self, task: Task, now: float) -> None:
         if task.tid in self._runnable:
-            if self.frontier is None:
-                self._own_weight_queue.add(task)
             self._file(task)
         else:
-            if self.frontier is None:
-                self._own_weight_queue.discard(task)
             self._unfile(task)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
         if task.tid in self._runnable:
-            # The frontier repositions its queue itself; the ablation
-            # copy must be repositioned here or its order goes stale.
-            if self.frontier is None:
-                self._own_weight_queue.reposition(task)
             self._refile(task, old_weight)
         super().on_weight_change(task, old_weight, now)
 

@@ -102,6 +102,10 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         self.scan_depth = scan_depth
         self.refresh_every = refresh_every
         self.track_accuracy = track_accuracy
+        #: §3.1 queue 1 when readjustment is off; with readjustment on,
+        #: the ReadjustmentFrontier owns the descending-weight queue and
+        #: :attr:`weight_queue` aliases it (one structure, not two).
+        self._own_weight_queue = SortedTaskList(key=lambda t: -t.weight)
         #: §3.1 queue 3: runnable threads by ascending surplus, as of
         #: each thread's last refresh (arrival, preemption or the
         #: periodic full recompute)
@@ -130,19 +134,40 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
             return 1.0
         return self.tracked_matches / self.tracked_decisions
 
+    @property
+    def weight_queue(self) -> SortedTaskList:
+        """§3.1 queue 1: runnable threads by descending user weight.
+
+        Aliases the readjustment frontier's queue when readjustment is
+        on (the frontier keeps it sorted through weight changes); the
+        heuristic maintains its own copy only in the ``readjust=False``
+        ablation.
+        """
+        if self.frontier is not None:
+            return self.frontier.queue
+        return self._own_weight_queue
+
     # ------------------------------------------------------------------
-    # queue 3 upkeep (replaces exact SFS's weight classes); structural
-    # order invalidation forces a refresh
+    # queue 1 (ablation copy) and queue 3 upkeep, replacing exact SFS's
+    # weight classes; structural order invalidation forces a refresh
     # ------------------------------------------------------------------
 
     def _file(self, task: Task) -> None:
+        if self.frontier is None:
+            self._own_weight_queue.add(task)
         task.sched["alpha"] = self.surplus_of(task)
         self.surplus_queue.add(task)
 
     def _unfile(self, task: Task) -> None:
+        if self.frontier is None:
+            self._own_weight_queue.discard(task)
         self.surplus_queue.discard(task)
 
     def _refile(self, task: Task, old_weight: float) -> None:
+        # The frontier repositions its queue itself; the ablation copy
+        # must be repositioned here or its order goes stale.
+        if self.frontier is None:
+            self._own_weight_queue.reposition(task)
         # Readjustment may rescale *several* phis; surpluses scale with
         # phi, so the stored order is invalid, not just drifted.
         # Refresh at the next decision.

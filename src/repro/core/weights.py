@@ -35,6 +35,14 @@ share). Equal phis also keep start tags advancing at equal rates, so no
 relative credit builds up to starve anyone when more threads arrive.
 For ``t == p`` the paper's recursion already does the right thing
 (e.g. weights ``[10, 1]`` on two processors readjust to ``[1, 1]``).
+
+Every scheduler that readjusts runs the one production path,
+:class:`ReadjustmentFrontier`, which repairs the assignment per
+runnable-set delta in O(log n + p). :func:`readjust` is the batch
+oracle: the same map computed from scratch over a weight vector, used
+by the fluid GMS reference and by the checks that hold the frontier to
+it bit for bit. The paper-literal Fig. 2 recursion lives with the
+tests, as the oracle :func:`readjust`'s closed form is checked against.
 """
 
 from __future__ import annotations
@@ -47,10 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "is_feasible",
     "violators",
-    "readjust_sorted",
-    "readjust_sorted_iterative",
     "readjust",
-    "readjust_tasks",
     "waterfill_shares",
     "ReadjustmentFrontier",
 ]
@@ -154,122 +159,45 @@ def violators(weights: Sequence[float], p: int) -> list[int]:
     return [i for i, w in enumerate(weights) if _violates(w, total, p)]
 
 
-def readjust_sorted(weights: Sequence[float], p: int) -> list[float]:
-    """The paper's recursive algorithm (Fig. 2) on weights sorted in
-    descending order. Returns a new list; the input must be sorted.
+def readjust(weights: Sequence[float], p: int) -> list[float]:
+    """The batch oracle: readjust an arbitrary-order weight vector.
 
-    Raises ``ValueError`` on unsorted input, non-positive weights, or
-    ``p < 1``.
+    Returns the adjusted weights in input order. Violators are peeled
+    off the heavy end, in ``(-weight, index)`` order, while the exactly
+    carried remainder still fails Eq. 1. Every adjusted thread ends
+    with share exactly ``1/p`` (by induction over the Fig. 2
+    recursion), so with ``k`` violators and unadjusted sum ``S`` each
+    gets the one value ``S / (p - k)``. Computing it once is exact
+    where the recursion wobbles by ulps, and the exact remainder makes
+    the result independent of summation order — hence bit-identical to
+    :class:`ReadjustmentFrontier`. Equal weights map to equal outputs.
+
+    Raises ``ValueError`` on non-positive weights or ``p < 1``.
     """
-    w = [float(x) for x in weights]
-    _validate(w, p)
-    if not w:
-        return w
-    if len(w) < p:
-        return _equalize(w)
-    _readjust_recursive(w, 0, p)
-    return w
-
-
-def _equalize(w: list[float]) -> list[float]:
-    """Degenerate ``t < p`` case (see module docstring): every thread
-    holds a full processor; equal instantaneous weights express that.
-    Already-equal inputs are returned unchanged so the map is exactly
-    idempotent. The mean is taken over the *exact* total so that the
-    incremental frontier — which reaches the same runnable set by a
-    different event history — computes the identical float."""
-    if all(x == w[0] for x in w):
-        return list(w)
-    mean = _ExactWeightSum.of(w).as_float() / len(w)
-    return [mean] * len(w)
-
-
-def _validate(w: list[float], p: int) -> None:
     if p < 1:
         raise ValueError(f"processor count must be >= 1, got {p}")
+    w = [float(x) for x in weights]
     for x in w:
         if x <= 0:
             raise ValueError(f"weights must be > 0, got {x}")
-    # Tolerance-based order check: values produced by a previous
-    # readjustment can wobble by an ulp.
-    for i in range(len(w) - 1):
-        if w[i] < w[i + 1] - _REL_TOL * max(w[i + 1], 1.0):
-            raise ValueError("weights must be sorted in descending order")
-
-
-def _readjust_recursive(w: list[float], i: int, p: int) -> None:
-    """Direct transcription of Fig. 2 (0-based indices).
-
-    ``w[i:]`` are the threads still to examine; ``p`` the processors
-    still available to them. The scan stops at the first thread that
-    satisfies the constraint (all later threads have smaller weights and
-    therefore request smaller, feasible fractions).
-    """
-    remaining = len(w) - i
-    if remaining == 0 or remaining < p:
-        # Defensive: unreachable when called with t >= p at the top
-        # level, because remaining and p decrease in lockstep.
-        return
-    total = sum(w[i:])
-    if _violates(w[i], total, p):
-        _readjust_recursive(w, i + 1, p - 1)
-        tail_sum = sum(w[i + 1:])
-        w[i] = tail_sum / (p - 1)
-
-
-def readjust_sorted_iterative(weights: Sequence[float], p: int) -> list[float]:
-    """Closed-form equivalent of :func:`readjust_sorted`.
-
-    Every adjusted thread ends with overall share exactly ``1/p``
-    (provable by induction over the Fig. 2 recursion), so all adjusted
-    weights are *equal*: with ``k`` violators and unadjusted suffix sum
-    ``S``, the final total is ``T = S * p / (p - k)`` and each adjusted
-    weight is ``T / p = S / (p - k)``. Computing that value once is
-    numerically exact where the level-by-level recursion accumulates
-    ulp-scale asymmetries; this is therefore the production path used
-    by :func:`readjust`, with the recursion kept as the paper-literal
-    reference (the two are property-tested for agreement).
-    """
-    w = [float(x) for x in weights]
-    _validate(w, p)
     t = len(w)
-    if not w:
-        return w
     if t < p:
-        return _equalize(w)
-    # Scan while violating, peeling each violator off the exact suffix
-    # sum. suffix_k = sum(w[k:]) carried exactly — the float handed to
-    # the Eq. 1 test is correctly rounded and therefore independent of
-    # summation order, which keeps this batch oracle bit-identical to
-    # the incremental ReadjustmentFrontier.
+        # Degenerate case (module docstring): equal shares, taken over
+        # the exact total so the frontier computes the identical float.
+        if all(x == w[0] for x in w):
+            return w
+        return [_ExactWeightSum.of(w).as_float() / t] * t
+    order = sorted(range(t), key=lambda i: (-w[i], i))
     remaining = _ExactWeightSum.of(w)
     k = 0
-    limit = min(p - 1, t)
-    while k < limit and _violates(w[k], remaining.as_float(), p - k):
-        remaining.sub(w[k])
+    while k < p - 1 and _violates(w[order[k]], remaining.as_float(), p - k):
+        remaining.sub(w[order[k]])
         k += 1
     if k:
         adjusted = remaining.as_float() / (p - k)
-        for i in range(k):
+        for i in order[:k]:
             w[i] = adjusted
     return w
-
-
-def readjust(weights: Sequence[float], p: int) -> list[float]:
-    """Readjust an *arbitrary-order* weight vector.
-
-    Sorts internally (descending), applies the algorithm (closed form —
-    see :func:`readjust_sorted_iterative`), and scatters the adjusted
-    values back to the original positions. Stable for ties: equal
-    weights map to equal adjusted weights.
-    """
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    sorted_w = [weights[i] for i in order]
-    adjusted = readjust_sorted_iterative(sorted_w, p)
-    result = [0.0] * len(weights)
-    for pos, idx in enumerate(order):
-        result[idx] = adjusted[pos]
-    return result
 
 
 def waterfill_shares(
@@ -322,31 +250,6 @@ def waterfill_shares(
     return shares
 
 
-def readjust_tasks(tasks: Sequence["Task"], p: int) -> list["Task"]:
-    """Recompute the instantaneous weight ``phi`` of each runnable task.
-
-    The batch form of §3.1's readjustment hook: reads ``task.weight``
-    (the user assignment, never modified) and writes ``task.phi``.
-    Returns the tasks whose ``phi`` changed. The tag-based schedulers
-    now maintain the same mapping incrementally via
-    :class:`ReadjustmentFrontier`; this batch pass is kept as the
-    reference oracle (property tests assert bit-identical agreement)
-    and for the simple schedulers whose event rates don't warrant the
-    incremental machinery.
-    """
-    if not tasks:
-        return []
-    weights = [t.weight for t in tasks]
-    adjusted = readjust(weights, p)
-    changed = []
-    for task, phi in zip(tasks, adjusted):
-        # sfs-lint: disable=SFS005 (bit-identity change detection: skip no-op writes)
-        if task.phi != phi:
-            task.phi = phi
-            changed.append(task)
-    return changed
-
-
 class ReadjustmentFrontier:
     """Incrementally maintained §2.1 feasibility frontier.
 
@@ -372,8 +275,8 @@ class ReadjustmentFrontier:
 
     Invariants (checked by the hypothesis model tests):
 
-    - every member's ``phi`` equals what ``readjust_tasks`` over the
-      current membership would assign, bit for bit;
+    - every member's ``phi`` equals what :func:`readjust` over the
+      current membership's weights assigns, bit for bit;
     - at most ``p - 1`` members are capped when ``t >= p``;
     - repair is idempotent (:meth:`refresh` changes nothing).
     """
@@ -429,10 +332,6 @@ class ReadjustmentFrontier:
     def capped_count(self) -> int:
         """Number of members currently holding a capped ``phi``."""
         return len(self._capped)
-
-    def capped_tasks(self) -> list["Task"]:
-        """Snapshot of the capped members, heaviest first."""
-        return [t for t in self.queue.peek_n(self.p - 1) if t.tid in self._capped]
 
     def readjusted(self) -> Mapping[int, "Task"]:
         """Members whose ``phi`` may differ from their user weight, by tid.

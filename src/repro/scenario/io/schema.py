@@ -22,6 +22,7 @@ Two sources of truth:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -72,7 +73,8 @@ class FieldSpec:
 
     ``kind`` is one of ``str`` / ``int`` / ``float`` / ``bool`` (ints
     are accepted where floats are expected, as YAML writes ``2`` for
-    ``2.0``). ``required`` fields have no default; ``nullable`` fields
+    ``2.0``; floats must be finite, as NaN passes every bound check).
+    ``required`` fields have no default; ``nullable`` fields
     additionally accept an explicit ``null``. ``gt``/``ge`` bound
     numeric values; ``choices`` restricts strings to an enumerated set.
     """
@@ -113,6 +115,8 @@ class FieldSpec:
                     path, f"must be a number, got {_type_name(value)}"
                 )
             value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(path, f"must be a finite number, got {value}")
         else:  # pragma: no cover - table construction error
             raise AssertionError(f"bad FieldSpec kind {self.kind!r}")
         if self.gt is not None and value <= self.gt:

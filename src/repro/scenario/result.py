@@ -112,10 +112,6 @@ class SimulationResult:
         """The driver object (feeder/ring) declared under ``name``."""
         return self.drivers[name]
 
-    def sched_tag(self, name: str, key: str, default: float = 0.0) -> float:
-        """A scheduler-private per-task value (e.g. SFQ's start tag S)."""
-        return self.tasks[name].sched.get(key, default)
-
     # -- service and shares --------------------------------------------
 
     def service(self, name: str) -> float:

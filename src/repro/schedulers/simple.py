@@ -3,11 +3,15 @@
 Stride, lottery and round-robin only need a runnable set plus optional
 §2.1 weight readjustment (`task.phi` maintenance); this base class
 provides exactly that so each policy file contains only its policy.
+Readjustment runs through the same incremental
+:class:`~repro.core.weights.ReadjustmentFrontier` the tag-based
+schedulers use, at O(log n + p) per arrival, wakeup, block, exit and
+weight change.
 """
 
 from __future__ import annotations
 
-from repro.core.weights import readjust_tasks
+from repro.core.weights import ReadjustmentFrontier
 from repro.sim.scheduler import Scheduler
 from repro.sim.task import Task, TaskState
 
@@ -20,29 +24,40 @@ class SimpleQueueScheduler(Scheduler):
     def __init__(self, readjust: bool = False) -> None:
         super().__init__()
         self.readjust = readjust
+        #: incremental §2.1 frontier (created at attach; needs num_cpus)
+        self.frontier: ReadjustmentFrontier | None = None
         self._runnable: dict[int, Task] = {}
+
+    def attach(self, machine) -> None:
+        super().attach(machine)
+        if self.readjust:
+            self.frontier = ReadjustmentFrontier(machine.num_cpus)
 
     # -- hooks ---------------------------------------------------------
 
     def on_arrival(self, task: Task, now: float) -> None:
-        if not self.readjust:
+        if self.frontier is None:
             task.phi = task.weight
         self._runnable[task.tid] = task
         self._enter(task, now)
-        self._apply_readjustment()
+        if self.frontier is not None:
+            self.frontier.add(task)
 
     def on_wakeup(self, task: Task, now: float) -> None:
-        if not self.readjust:
+        if self.frontier is None:
             task.phi = task.weight
         self._runnable[task.tid] = task
         self._resume(task, now)
-        self._apply_readjustment()
+        if self.frontier is not None:
+            self.frontier.add(task)
 
     def on_block(self, task: Task, now: float, ran: float) -> None:
+        # Charge first: stride's stride uses the phi the task ran at.
         self._account(task, now, ran)
         self._runnable.pop(task.tid, None)
         self._leave(task, now)
-        self._apply_readjustment()
+        if self.frontier is not None:
+            self.frontier.remove(task)
 
     def on_preempt(self, task: Task, now: float, ran: float) -> None:
         self._account(task, now, ran)
@@ -52,12 +67,16 @@ class SimpleQueueScheduler(Scheduler):
             self._account(task, now, ran)
         self._runnable.pop(task.tid, None)
         self._leave(task, now)
-        self._apply_readjustment()
+        if self.frontier is not None:
+            self.frontier.remove(task)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
-        if not self.readjust:
+        if self.frontier is None:
             task.phi = task.weight
-        self._apply_readjustment()
+        elif task.tid in self._runnable:
+            # Blocked tasks are not frontier members; their phi is
+            # re-derived on wakeup from the then-current weight.
+            self.frontier.reweight(task, old_weight)
 
     # -- extension points ------------------------------------------------
 
@@ -75,11 +94,6 @@ class SimpleQueueScheduler(Scheduler):
         """The task just ran ``ran`` seconds (any reason)."""
 
     # -- shared helpers ---------------------------------------------------
-
-    def _apply_readjustment(self) -> None:
-        if not self.readjust or self.machine is None:
-            return
-        readjust_tasks(list(self._runnable.values()), self.machine.num_cpus)
 
     def schedulable(self) -> list[Task]:
         """Runnable tasks not currently on a CPU, in tid order."""

@@ -248,9 +248,7 @@ Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if ((args != NULL && PyTuple_GET_SIZE(args) > 0) ||
         (kwds != NULL && PyDict_GET_SIZE(kwds) > 0)) {
         PyErr_SetString(PyExc_TypeError,
-                        "the compiled Engine takes no arguments (its "
-                        "event queue is the built-in calendar queue; "
-                        "use repro.sim.engine.PyEngine to pick a queue)");
+                        "the compiled Engine takes no arguments");
         return NULL;
     }
     EngineObject *self = (EngineObject *)type->tp_alloc(type, 0);
@@ -599,7 +597,8 @@ Engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
 PyDoc_STRVAR(run_until_doc,
 "run_until(t_end)\n\n"
 "Process all events with time <= t_end; leave now == t_end. Events\n"
-"scheduled exactly at t_end do fire.");
+"scheduled exactly at t_end do fire. Raises ValueError if t_end is in\n"
+"the past (or NaN).");
 
 static PyObject *
 Engine_run_until(EngineObject *self, PyObject *arg)
@@ -607,7 +606,9 @@ Engine_run_until(EngineObject *self, PyObject *arg)
     double t_end = PyFloat_AsDouble(arg);
     if (t_end == -1.0 && PyErr_Occurred())
         return NULL;
-    if (t_end < self->now) {
+    /* `!(t_end >= now)` rejects both the past and NaN with one test,
+     * mirroring PyEngine.run_until. */
+    if (!(t_end >= self->now)) {
         raise_with_two_doubles(PyExc_ValueError,
                                "t_end %R is in the past (now=%R)",
                                t_end, self->now);
@@ -671,12 +672,6 @@ Engine_get_pending(EngineObject *self, void *closure)
     return PyLong_FromLongLong(self->live);
 }
 
-static PyObject *
-Engine_get_queue_kind(EngineObject *self, void *closure)
-{
-    return PyUnicode_FromString("calendar");
-}
-
 static PyGetSetDef Engine_getset[] = {
     {"now", (getter)Engine_get_now, NULL,
      "Current simulation time in seconds.", NULL},
@@ -684,8 +679,6 @@ static PyGetSetDef Engine_getset[] = {
      "Number of events processed so far (instrumentation).", NULL},
     {"pending", (getter)Engine_get_pending, NULL,
      "Number of not-yet-fired, not-cancelled events - O(1).", NULL},
-    {"queue_kind", (getter)Engine_get_queue_kind, NULL,
-     "Event-queue kind (always the built-in calendar queue).", NULL},
     {NULL}
 };
 

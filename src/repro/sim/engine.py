@@ -9,11 +9,9 @@ The engine knows nothing about CPUs or schedulers; the machine layer
 
 Two engine implementations share this contract:
 
-- :class:`PyEngine` (this module): pure Python, with a pluggable event
-  queue from :mod:`repro.sim.eventq`. The default queue is the
-  calendar queue, which batches all same-timestamp events through a
-  single dispatch pass; the reference binary heap remains available
-  for equivalence testing (``SFS_EVENTQ=heap``).
+- :class:`PyEngine` (this module): pure Python, on the calendar queue
+  of :mod:`repro.sim.eventq`, which batches all same-timestamp events
+  through a single dispatch pass.
 - ``repro.sim._engine.Engine``: the optional C extension (built from
   ``src/repro/sim/_engine.c``), implementing the same calendar queue
   and run loop in C. It is selected automatically when importable.
@@ -34,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable
 
-from repro.sim.eventq import EVENT_QUEUES, make_event_queue
+from repro.sim.eventq import CalendarEventQueue
 
 __all__ = ["Engine", "EventHandle", "PyEngine", "build_info"]
 
@@ -76,24 +74,10 @@ class EventHandle:
 
 
 class PyEngine:
-    """Discrete-event simulation clock and event queue (pure Python).
+    """Discrete-event simulation clock and calendar event queue (pure Python)."""
 
-    Parameters
-    ----------
-    queue:
-        Event-queue implementation: a name from
-        :data:`repro.sim.eventq.EVENT_QUEUES` (``"calendar"`` or
-        ``"heap"``), or None to take the ``SFS_EVENTQ`` environment
-        variable (default ``"calendar"``). The choice changes wall
-        clock, never behaviour — both queues yield events in identical
-        ``(time, seq)`` order.
-    """
-
-    def __init__(self, queue: str | None = None) -> None:
-        if queue is None:
-            queue = os.environ.get("SFS_EVENTQ", "calendar")
-        self._queue = make_event_queue(queue)
-        self.queue_kind = queue
+    def __init__(self) -> None:
+        self._queue = CalendarEventQueue()
         self._now = 0.0
         self._seq = 0
         self._fired = 0
@@ -194,9 +178,10 @@ class PyEngine:
     def run_until(self, t_end: float) -> None:
         """Process all events with time <= ``t_end``; leave now == t_end.
 
-        Events scheduled exactly at ``t_end`` do fire.
+        Events scheduled exactly at ``t_end`` do fire. Raises
+        ``ValueError`` if ``t_end`` is in the past (or NaN).
         """
-        if t_end < self._now:
+        if not t_end >= self._now:  # rejects the past and NaN in one test
             raise ValueError(f"t_end {t_end} is in the past (now={self._now})")
         self._drain(t_end)
         self._now = t_end
@@ -246,15 +231,14 @@ Engine, _ENGINE_KIND = _select_engine()
 
 
 def build_info() -> dict:
-    """Report which engine/event-queue build is active.
+    """Report which engine build is active.
 
     Returned keys: ``engine`` (``"compiled"`` or ``"pure"``),
-    ``engine_class`` (qualified class name), ``eventq`` (active queue
-    kind for the pure engine; the compiled engine always uses its
-    built-in calendar queue), ``compiled_available`` (whether the C
-    extension imports), and ``selector`` (the ``SFS_ENGINE`` policy in
-    effect). Surfaced by ``sfs-experiment list --build-info`` so sweep
-    logs can record which hot path produced them.
+    ``engine_class`` (qualified class name), ``compiled_available``
+    (whether the C extension imports), and ``selector`` (the
+    ``SFS_ENGINE`` policy in effect). Surfaced by ``sfs-experiment list
+    --build-info`` so sweep logs can record which hot path produced
+    them.
     """
     try:
         from repro.sim import _engine  # noqa: F401
@@ -265,12 +249,6 @@ def build_info() -> dict:
     return {
         "engine": _ENGINE_KIND,
         "engine_class": f"{Engine.__module__}.{Engine.__qualname__}",
-        "eventq": (
-            "calendar"
-            if _ENGINE_KIND == "compiled"
-            else os.environ.get("SFS_EVENTQ", "calendar")
-        ),
-        "eventq_kinds": sorted(EVENT_QUEUES),
         "compiled_available": available,
         "selector": os.environ.get("SFS_ENGINE", "auto"),
     }

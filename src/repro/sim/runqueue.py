@@ -203,10 +203,6 @@ class SortedTaskList:
         self.comparisons += n * max(1, n.bit_length())
         return n
 
-    def as_list(self) -> list[Task]:
-        """A snapshot copy of the queue in key order."""
-        return list(self._tasks)
-
     def is_sorted(self) -> bool:
         """Check the sorted-order invariant against *fresh* keys."""
         fresh = [(self._key(t), t.tid) for t in self._tasks]

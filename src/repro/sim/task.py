@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Block, Exit, Run, Segment
@@ -31,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Task", "TaskState"]
 
 _tid_counter = itertools.count(1)
+
+
+def _check_weight(weight: float) -> None:
+    # One comparison chain rejects <= 0, NaN and +inf alike.
+    if not 0 < weight < math.inf:
+        raise ValueError(f"weight must be finite and > 0, got {weight}")
 
 
 class TaskState(enum.Enum):
@@ -51,8 +58,8 @@ class Task:
     behavior:
         The workload behaviour generating Run/Block/Exit segments.
     weight:
-        The user-assigned weight ``w_i`` (must be > 0). Shares are
-        proportional to weights across runnable tasks.
+        The user-assigned weight ``w_i`` (must be finite and > 0).
+        Shares are proportional to weights across runnable tasks.
     name:
         Human-readable label used in traces and rendered figures.
     footprint_kb:
@@ -93,8 +100,7 @@ class Task:
         footprint_kb: float = 0.0,
         ts_priority: int = 20,
     ) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be > 0, got {weight}")
+        _check_weight(weight)
         if footprint_kb < 0:
             raise ValueError(f"footprint_kb must be >= 0, got {footprint_kb}")
         self.tid: int = next(_tid_counter)
@@ -136,8 +142,7 @@ class Task:
 
     @weight.setter
     def weight(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError(f"weight must be > 0, got {value}")
+        _check_weight(value)
         self._weight = float(value)
 
     @property

@@ -61,39 +61,6 @@ static PyMethodDef Demo_methods[] = {
     assert csrc.table_entries(tokens, "Missing_table") is None
 
 
-def test_interned_strings_and_assignment_expr():
-    tokens = csrc.tokenize(
-        """
-static int setup(void) {
-    str_phi = PyUnicode_InternFromString("phi");
-    str_S = PyUnicode_InternFromString("S");
-    return 0;
-}
-static double f(double phi, double S, double v) {
-    double alpha = phi * (S - v);
-    return alpha;
-}
-"""
-    )
-    assert [t.text for t in csrc.interned_strings(tokens)] == ["phi", "S"]
-    body = csrc.function_body(tokens, "f")
-    assert body is not None
-    expr = csrc.assignment_expr(body, "alpha")
-    assert csrc.expr_text(expr) == "phi*(S-v)"
-
-
-def test_function_body_skips_declarations_and_calls():
-    tokens = csrc.tokenize(
-        """
-static double f(double x);
-int main(void) { return f(1.0); }
-static double f(double x) { return x + 1; }
-"""
-    )
-    body = csrc.function_body(tokens, "f")
-    assert csrc.expr_text(body) == "returnx+1;"
-
-
 # ----------------------------------------------------------------------
 # the real repo conforms
 # ----------------------------------------------------------------------

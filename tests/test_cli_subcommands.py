@@ -299,6 +299,21 @@ class TestConfigMode:
         err = capsys.readouterr().err
         assert "cpus" in err and ">= 1" in err
 
+    @pytest.mark.parametrize("scheduler", ["sfs", "sfq"])
+    def test_nan_weight_fails_at_load_with_dotted_path(
+        self, tmp_path, capsys, scheduler
+    ):
+        # Under SFS a NaN weight used to die mid-run on a raw conversion
+        # error naming no field; under SFQ it ran to exit 0.
+        path = tmp_path / "nan.yaml"
+        path.write_text(
+            f"name: nan\nscheduler: {scheduler}\ncpus: 2\nduration: 1.0\n"
+            "tasks:\n  - {name: a, weight: .nan}\n  - {name: b}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "tasks[0].weight" in err and "finite" in err
+
     def test_list_names_arrivals_and_demands(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

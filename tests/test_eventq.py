@@ -2,25 +2,26 @@
 
 The engine's one ordering guarantee — events fire in ascending
 ``(time, seq)`` order — must hold identically across every queue and
-engine build: the reference binary heap, the pure-Python calendar
-queue, and the compiled C engine. These tests drive all of them with
-the same randomized schedules (same-timestamp bursts, cancellations,
-reentrant scheduling from callbacks) and require bit-identical fire
-logs, clocks and counters. A divergence here means simulations would
-stop being reproducible across builds, which is the repository's
-ground rule.
+engine build: the reference binary heap defined here, the pure-Python
+calendar queue, and the compiled C engine. These tests drive all of
+them with the same randomized schedules (same-timestamp bursts,
+cancellations, reentrant scheduling from callbacks) and require
+bit-identical fire logs, clocks and counters. A divergence here means
+simulations would stop being reproducible across builds, which is the
+repository's ground rule.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import PyEngine
-from repro.sim.eventq import EVENT_QUEUES, make_event_queue
+from repro.sim.eventq import CalendarEventQueue
 
 try:
     from repro.sim import _engine as compiled_engine
@@ -32,6 +33,87 @@ needs_compiled = pytest.mark.skipif(
     reason="repro.sim._engine extension not built "
     "(python setup.py build_ext --inplace)",
 )
+
+
+# ----------------------------------------------------------------------
+# the oracle: a plain binary heap
+# ----------------------------------------------------------------------
+
+
+class HeapEventQueue:
+    """Reference binary-heap event queue (``(time, seq, handle)`` tuples).
+
+    The engine's original structure, kept as the oracle the calendar
+    queue is checked against. ``seq`` is unique, so tuple comparison
+    never falls through to the handle and every sift compares in C.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: list = []
+
+    def push(self, handle) -> None:
+        """Queue ``handle`` (reads its ``time`` and ``seq``)."""
+        heappush(self._heap, (handle.time, handle.seq, handle))
+
+    def pop_due(self, bound: float):
+        """Next live handle with ``time <= bound``, or None.
+
+        Cancelled handles encountered on the way are dropped.
+        """
+        heap = self._heap
+        while heap:
+            when, _, head = heap[0]
+            if head.cancelled:
+                heappop(heap)
+                continue
+            if when > bound:
+                return None
+            heappop(heap)
+            return head
+        return None
+
+    def pop_batch_due(self, bound: float):
+        """All handles sharing the earliest due timestamp, or None.
+
+        Pops the same-time run off the heap one tuple at a time; the
+        batch may contain cancelled handles but always at least one
+        live one.
+        """
+        first = self.pop_due(bound)
+        if first is None:
+            return None
+        batch = [first]
+        heap = self._heap
+        when = first.time
+        while heap and heap[0][0] == when:
+            batch.append(heappop(heap)[2])
+        return batch
+
+    def requeue(self, handles, time: float) -> None:
+        """Put back the unfired tail of a popped batch (exception path)."""
+        for handle in handles:
+            heappush(self._heap, (handle.time, handle.seq, handle))
+
+
+#: the pure engine's queue and its oracle, by name
+QUEUES = {"calendar": CalendarEventQueue, "heap": HeapEventQueue}
+
+
+def py_engine(kind: str) -> PyEngine:
+    """A fresh pure engine running on the ``kind`` queue."""
+    engine = PyEngine()
+    engine._queue = QUEUES[kind]()
+    return engine
+
+
+def all_engines() -> list:
+    """One fresh engine per queue and build available here."""
+    engines = [py_engine("calendar"), py_engine("heap")]
+    if compiled_engine is not None:
+        engines.append(compiled_engine.Engine())
+    return engines
 
 
 # ----------------------------------------------------------------------
@@ -102,24 +184,21 @@ class TestQueueEquivalence:
     @given(programs)
     @settings(max_examples=200, deadline=None)
     def test_calendar_matches_heap(self, program):
-        calendar = execute(PyEngine(queue="calendar"), program)
-        heap = execute(PyEngine(queue="heap"), program)
+        calendar = execute(py_engine("calendar"), program)
+        heap = execute(py_engine("heap"), program)
         assert calendar == heap
 
     @needs_compiled
     @given(programs)
     @settings(max_examples=200, deadline=None)
     def test_compiled_matches_pure(self, program):
-        pure = execute(PyEngine(queue="calendar"), program)
+        pure = execute(PyEngine(), program)
         c = execute(compiled_engine.Engine(), program)
         assert c == pure
 
     def test_same_timestamp_burst_fires_in_seq_order(self):
         """A thousand events at one timestamp drain as one batch, FIFO."""
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        for engine in engines:
+        for engine in all_engines():
             fired = []
             for i in range(1000):
                 engine.schedule_at(1.0, fired.append, i)
@@ -130,10 +209,7 @@ class TestQueueEquivalence:
 
     def test_interleaved_cancellation_burst(self):
         """Cancel every other event in a burst; survivors keep order."""
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        for engine in engines:
+        for engine in all_engines():
             fired = []
             handles = [
                 engine.schedule_at(2.0, fired.append, i) for i in range(100)
@@ -151,9 +227,9 @@ class TestQueueEquivalence:
 class TestQueueContract:
     """Direct pop-level checks on the queue implementations."""
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_due_respects_bound(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = py_engine(kind)
         queue = engine._queue
         engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(2.0, lambda: None)
@@ -162,9 +238,9 @@ class TestQueueContract:
         assert first is not None and first.time == 1.0
         assert queue.pop_due(1.5) is None
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_batch_skips_fully_cancelled_buckets(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = py_engine(kind)
         queue = engine._queue
         doomed = [engine.schedule_at(1.0, lambda: None) for _ in range(3)]
         keeper = engine.schedule_at(2.0, lambda: None)
@@ -174,9 +250,9 @@ class TestQueueContract:
         assert batch is not None
         assert keeper in batch
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_requeue_restores_tail(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = py_engine(kind)
         queue = engine._queue
         engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(1.0, lambda: None)
@@ -186,22 +262,12 @@ class TestQueueContract:
         again = queue.pop_batch_due(math.inf)
         assert again == batch[1:]
 
-    def test_make_event_queue_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_event_queue("wheel-of-fortune")
-
 
 class TestExceptionSemantics:
     """A raising callback must leave the engine resumable."""
 
-    def _engines(self):
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        return engines
-
     def test_exception_mid_batch_preserves_tail(self):
-        for engine in self._engines():
+        for engine in all_engines():
             fired = []
 
             def boom():
@@ -221,6 +287,17 @@ class TestExceptionSemantics:
             assert engine.pending == 0
 
 
+class TestClockValidation:
+    """``run_until`` rejects the past and NaN on every build."""
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.nan])
+    def test_run_until_rejects_past_and_nan(self, t_end):
+        for engine in all_engines():
+            with pytest.raises(ValueError, match="in the past"):
+                engine.run_until(t_end)
+            assert engine.now == 0.0
+
+
 @needs_compiled
 class TestCompiledSurface:
     """Pin the C engine's validation/API parity with PyEngine."""
@@ -238,8 +315,8 @@ class TestCompiledSurface:
             engine.run_until(1.0)
 
     def test_takes_no_constructor_args(self):
-        with pytest.raises(TypeError):
-            compiled_engine.Engine(queue="heap")
+        with pytest.raises(TypeError, match="takes no arguments"):
+            compiled_engine.Engine(1.0)
 
     def test_handle_surface(self):
         engine = compiled_engine.Engine()

@@ -119,17 +119,20 @@ class TestApiMisuse:
             m.run_until(1.0)
 
     def test_task_weight_validation(self):
-        with pytest.raises(ValueError):
-            Task(Infinite(), weight=0)
-        with pytest.raises(ValueError):
-            Task(Infinite(), weight=-1)
+        # NaN slips past a bare `<= 0` guard; NaN and inf would then
+        # reach the exact readjustment sum as a raw error mid-run.
+        for weight in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                Task(Infinite(), weight=weight)
         with pytest.raises(ValueError):
             Task(Infinite(), weight=1, footprint_kb=-1)
 
     def test_weight_setter_validation(self):
         t = Task(Infinite(), weight=1)
-        with pytest.raises(ValueError):
-            t.weight = 0
+        for weight in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                t.weight = weight
+        assert t.weight == 1.0
 
 
 class TestDeadTaskGuards:

@@ -13,6 +13,7 @@ Three layers of guarantee, strongest last:
 """
 
 import json
+import math
 import pickle
 import random
 
@@ -76,6 +77,20 @@ class TestErrors:
         err = _err({**MINIMAL, "quantum": 0})
         assert err.path == "quantum"
         assert "> 0" in err.detail
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tasks[0].weight", "duration", "quantum"])
+    def test_non_finite_float_names_the_field(self, field, value):
+        # NaN passes every `value <= bound` test, and a NaN duration
+        # used to make the run loop spin forever.
+        data = {**MINIMAL, "tasks": [{"name": "a"}]}
+        if field == "tasks[0].weight":
+            data["tasks"][0]["weight"] = value
+        else:
+            data[field] = value
+        err = _err(data)
+        assert err.path == field
+        assert "finite" in err.detail
 
     def test_unknown_top_level_key_lists_accepted(self):
         err = _err({**MINIMAL, "qantum": 0.1})

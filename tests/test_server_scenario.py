@@ -78,10 +78,15 @@ class TestInvariantsSmallN:
         machine, tasks, _ = build_machine(scn)
         machine.check_work_conserving = True  # raises on an idle CPU
         machine.run_until(scn.duration)
-        for queue_name in ("start_queue", "weight_queue"):
-            queue = getattr(machine.scheduler, queue_name, None)
-            if queue is not None:
-                assert queue.is_sorted()
+        sched = machine.scheduler
+        if scheduler == "sfs":
+            queues = [sched.start_queue, sched.frontier.queue]
+        elif scheduler == "sfq":
+            queues = [sched.start_queue]
+        else:
+            queues = []  # round-robin keeps no sorted queue
+        for queue in queues:
+            assert queue.is_sorted()
         total = sum(t.service for t in tasks.values())
         assert 0 < total <= machine.total_capacity(0, scn.duration) + 1e-6
 

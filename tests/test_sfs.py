@@ -68,11 +68,11 @@ class TestSurplusInvariants:
         add_inf(m, 1, "bg")
         m.run_until(1.0)
         assert t not in sched._classes[1.0]
-        assert t not in sched.weight_queue
+        assert t not in sched.frontier.queue
         assert filed() == sorted(sched._runnable)
         m.run_until(11.0)
         assert t in sched._classes[1.0]
-        assert t in sched.weight_queue
+        assert t in sched.frontier.queue
         assert filed() == sorted(sched._runnable)
 
     def test_weight_queue_sorted_descending_by_user_weight(self):
@@ -81,7 +81,7 @@ class TestSurplusInvariants:
         for i, w in enumerate(weights):
             add_inf(m, w, f"T{i}")
         m.run_until(0.05)
-        listed = [t.weight for t in sched.weight_queue]
+        listed = [t.weight for t in sched.frontier.queue]
         assert listed == sorted(weights, reverse=True)
 
 

@@ -2,12 +2,11 @@
 
 import pytest
 
+from tests.fig2_oracle import readjust_sorted
 from repro.core.weights import (
+    ReadjustmentFrontier,
     is_feasible,
     readjust,
-    readjust_sorted,
-    readjust_sorted_iterative,
-    readjust_tasks,
     violators,
 )
 from repro.sim.task import Task
@@ -137,35 +136,47 @@ class TestReadjustArbitraryOrder:
             ([9, 8, 7, 6, 5, 4, 3, 2, 1], 3),
         ]
         for w, p in cases:
-            assert readjust_sorted(w, p) == pytest.approx(
-                readjust_sorted_iterative(w, p)
-            )
+            assert readjust_sorted(w, p) == pytest.approx(readjust(w, p))
 
 
 class TestReadjustTasks:
+    """The frontier writes ``phi`` and never the user weight."""
+
     def _tasks(self, weights):
         return [Task(Infinite(), weight=w) for w in weights]
 
+    def _frontier(self, tasks, p=2):
+        frontier = ReadjustmentFrontier(p)
+        for task in tasks:
+            frontier.add(task)
+        return frontier
+
     def test_phi_updated_weight_untouched(self):
         tasks = self._tasks([10, 1])
-        changed = readjust_tasks(tasks, 2)
+        frontier = self._frontier(tasks)
+        # sfs-lint: disable=SFS005 (the cap S / (p - k) = 1 / 1 is exact)
         assert tasks[0].phi == 1.0
         assert tasks[0].weight == 10.0  # user weight never modified
-        assert tasks[0] in changed
+        assert tasks[0].tid in frontier.readjusted()
 
     def test_unchanged_tasks_not_reported(self):
-        tasks = self._tasks([1, 1])
-        assert readjust_tasks(tasks, 2) == []
+        frontier = self._frontier(self._tasks([1, 1]))
+        assert frontier.phi_writes == 0
+        assert not frontier.readjusted()
 
     def test_empty_task_list(self):
-        assert readjust_tasks([], 2) == []
+        frontier = self._frontier([])
+        assert len(frontier) == 0
+        assert not frontier.readjusted()
 
     def test_phi_restored_when_assignment_becomes_feasible(self):
         tasks = self._tasks([10, 1])
-        readjust_tasks(tasks, 2)
+        frontier = self._frontier(tasks)
+        # sfs-lint: disable=SFS005 (the cap S / (p - k) = 1 / 1 is exact)
         assert tasks[0].phi == 1.0
-        # A third thread makes 10 less dominant but still infeasible;
-        # then many more threads make it feasible again.
-        tasks += self._tasks([1] * 20)
-        readjust_tasks(tasks, 2)
+        # Many more threads make the weight of 10 feasible again.
+        for task in self._tasks([1] * 20):
+            frontier.add(task)
+        # sfs-lint: disable=SFS005 (an uncapped phi is the weight, bit for bit)
         assert tasks[0].phi == 10.0  # 10/31 < 1/2: feasible again
+        assert not frontier.readjusted()

@@ -8,13 +8,8 @@ share of adjusted threads.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.weights import (
-    is_feasible,
-    readjust,
-    readjust_sorted,
-    readjust_sorted_iterative,
-    violators,
-)
+from tests.fig2_oracle import readjust_sorted
+from repro.core.weights import is_feasible, readjust, violators
 
 weights_strategy = st.lists(
     st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -40,8 +35,8 @@ def test_output_is_feasible_when_t_at_least_p(w, p):
 def test_idempotent_closed_form(w, p):
     # The closed-form path assigns one exact value to all adjusted
     # threads, so a second application is bitwise identical.
-    first = readjust_sorted_iterative(sorted_desc(w), p)
-    second = readjust_sorted_iterative(first, p)
+    first = readjust(sorted_desc(w), p)
+    second = readjust(first, p)
     assert second == first
 
 
@@ -109,7 +104,7 @@ def test_output_stays_sorted_descending(w, p):
 def test_iterative_equals_recursive(w, p):
     sw = sorted_desc(w)
     a = readjust_sorted(sw, p)
-    b = readjust_sorted_iterative(sw, p)
+    b = readjust(sw, p)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
@@ -118,9 +113,9 @@ def test_iterative_equals_recursive(w, p):
 @given(weights_strategy, procs_strategy)
 def test_arbitrary_order_matches_sorted_application(w, p):
     out = readjust(w, p)
-    # Re-sorting the output must equal adjusting the sorted input
-    # (readjust uses the closed-form path).
-    expected = readjust_sorted_iterative(sorted_desc(w), p)
+    # Re-sorting the output must equal adjusting the sorted input:
+    # the input order changes where values land, never the values.
+    expected = readjust(sorted_desc(w), p)
     assert sorted(out, reverse=True) == sorted(expected, reverse=True)
 
 
