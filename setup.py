@@ -6,9 +6,9 @@ and to drive the *optional* C extension build.
 
 The extension (``repro.sim._engine``, built from
 ``src/repro/sim/_engine.c``) is the compiled hot path for the event
-engine and the SFS surplus recompute. It is strictly optional — the
-pure-Python implementations are behaviourally identical — so the build
-must never make installation fail:
+engine. It is strictly optional — the pure-Python engine is
+behaviourally identical — so the build must never make installation
+fail:
 
 - ``python setup.py build_ext --inplace`` builds it explicitly (the
   normal development route; CI's compiled leg uses this);

@@ -158,7 +158,8 @@ class TaggedScheduler(Scheduler):
     def on_preempt(self, task: Task, now: float, ran: float) -> None:
         self._finish_quantum(task, ran)
         # Continuously runnable: next start tag is the finish tag (Eq. 6).
-        task.sched["S"] = task.sched["F"]
+        sched = task.sched
+        sched["S"] = sched["F"]
         self.start_queue.reposition(task)
         self._maybe_rebase()
         self._tags_updated(task, now)
@@ -177,8 +178,9 @@ class TaggedScheduler(Scheduler):
 
     def _finish_quantum(self, task: Task, ran: float) -> None:
         """Apply Eq. 5 after a quantum of length ``ran`` (may be 0)."""
-        f = self.tags.finish_tag(task.sched["S"], ran, task.phi)
-        task.sched["F"] = f
+        sched = task.sched
+        f = self.tags.finish_tag(sched["S"], ran, task.phi)
+        sched["F"] = f
         self._last_finish = f
 
     def _remove_runnable(self, task: Task) -> None:

@@ -86,24 +86,6 @@ class CalendarEventQueue:
         else:
             bucket.append(handle)
 
-    def _next_batch(self, bound: float) -> "list[EventHandle] | None":
-        """Pop the earliest bucket with ``time <= bound`` (raw, may be
-        entirely cancelled); None when nothing is due."""
-        head = self._head
-        if head is not None:
-            # The partially drained bucket is always earliest (see class
-            # docstring), but may still be beyond the caller's bound.
-            if self._head_time > bound:
-                return None
-            batch = head[self._head_pos:]
-            self._head = None
-            return batch
-        times = self._times
-        if not times or times[0] > bound:
-            return None
-        when = heappop(times)
-        return self._buckets.pop(when)
-
     def pop_due(self, bound: float) -> "EventHandle | None":
         """Next live handle with ``time <= bound``, or None."""
         while True:
@@ -136,10 +118,24 @@ class CalendarEventQueue:
         returned batch may still *contain* cancelled handles (interior
         ones are the engine's job to skip while firing in seq order).
         """
+        times = self._times
         while True:
-            batch = self._next_batch(bound)
-            if batch is None:
+            head = self._head
+            if head is not None:
+                # The partially drained bucket is always earliest (see
+                # class docstring), but may still be beyond the bound.
+                if self._head_time > bound:
+                    return None
+                batch = head[self._head_pos:]
+                self._head = None
+            elif not times or times[0] > bound:
                 return None
+            else:
+                batch = self._buckets.pop(heappop(times))
+            # A batch whose first handle is live (every live singleton)
+            # needs no scan.
+            if not batch[0].cancelled:
+                return batch
             for handle in batch:
                 if not handle.cancelled:
                     return batch

@@ -44,7 +44,7 @@ class Run(Segment):
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # rejects NaN too
             raise ValueError(f"Run duration must be >= 0, got {self.duration}")
 
 
@@ -59,7 +59,7 @@ class Block(Segment):
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # rejects NaN too
             raise ValueError(f"Block duration must be >= 0, got {self.duration}")
 
 

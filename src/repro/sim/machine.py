@@ -29,7 +29,7 @@ import random
 
 from repro.sim.costs import ZERO_COST, CostModel
 from repro.sim.engine import Engine, EventHandle
-from repro.sim.events import Block, Exit, Run, Segment
+from repro.sim.events import Block, Exit, Run
 from repro.sim.processor import Processor
 from repro.sim.scheduler import Scheduler
 from repro.sim.task import Task, TaskState
@@ -40,6 +40,13 @@ __all__ = ["Machine"]
 
 #: tolerance for "segment completes exactly at quantum end" comparisons
 _EPS = 1e-12
+
+
+def _not_a_segment(task: Task, segment: object) -> TypeError:
+    """The error for a behaviour that produced something else."""
+    return TypeError(
+        f"behavior of {task.name} produced {segment!r}, expected Run/Block/Exit"
+    )
 
 
 class Machine:
@@ -106,13 +113,13 @@ class Machine:
     ) -> None:
         if cpus < 1:
             raise ValueError(f"need at least one CPU, got {cpus}")
-        if quantum <= 0:
+        if not quantum > 0:  # rejects NaN too
             raise ValueError(f"quantum must be > 0, got {quantum}")
         if not 0.0 <= quantum_jitter < 1.0:
             raise ValueError(
                 f"quantum_jitter must be in [0, 1), got {quantum_jitter}"
             )
-        if service_sample_interval < 0:
+        if not service_sample_interval >= 0:  # rejects NaN too
             raise ValueError(
                 "service_sample_interval must be >= 0, "
                 f"got {service_sample_interval}"
@@ -123,6 +130,19 @@ class Machine:
         self.quantum_jitter = float(quantum_jitter)
         self._jitter_rng = random.Random(jitter_seed)
         self.cost_model = cost_model
+        # Resolved once: neither the cost model nor the scheduler is
+        # replaced after construction. A model whose every term is 0.0
+        # charges exactly 0.0 per switch (footprints are finite), so its
+        # dispatches skip the cost calls; a scheduler that keeps the
+        # default quantum_for always answers None.
+        self._free_switches = (
+            cost_model.ctx_base == 0.0
+            and cost_model.cache_per_kb == 0.0
+            and cost_model.cache_per_kb2 == 0.0
+            and not cost_model.include_decision_cost
+        )
+        self._count_live = cost_model.decision_count_mode == "live"
+        self._own_quantum = type(scheduler).quantum_for is not Scheduler.quantum_for
         self.sample_service = sample_service
         self.service_sample_interval = float(service_sample_interval)
         self.preempt_on_wake = preempt_on_wake
@@ -171,21 +191,16 @@ class Machine:
     def live_count(self) -> int:
         """Number of arrived, non-exited tasks (runnable or blocked).
 
-        Maintained incrementally (+1 on arrival, -1 on exit): this
-        property sits on the per-dispatch path under
-        ``decision_count_mode == "live"`` cost models, where a scan of
-        ``self.tasks`` would make long runs quadratic in the number of
-        tasks ever created.
+        Maintained incrementally (+1 on arrival, -1 on exit): every
+        context switch under a ``decision_count_mode == "live"`` cost
+        model reads it, where a scan of ``self.tasks`` would make long
+        runs quadratic in the number of tasks ever created.
         """
         return self._live_count
 
     def runnable_tasks(self) -> list[Task]:
         """Snapshot of runnable (incl. running) tasks, by tid."""
         return [self._runnable[tid] for tid in sorted(self._runnable)]
-
-    def running_tasks(self) -> dict[int, Task]:
-        """Map of cpu_id -> currently running task (busy CPUs only)."""
-        return {p.cpu_id: p.task for p in self.processors if p.task is not None}
 
     def previous_task(self, cpu: int) -> Task | None:
         """The task that last ran on ``cpu`` (None if never used).
@@ -244,10 +259,8 @@ class Machine:
         if task.state is TaskState.RUNNING:
             proc = self._processor_of(task)
             self._charge(proc, now)
-            ran = max(0.0, now - proc.dispatch_time)
-            self._vacate(proc)
-            self._retire(task, now, ran)
-            self._schedule_cpu(proc)
+            self._retire(task, now, self._vacate(proc))
+            self._schedule_cpu(proc, now)
         elif task.state is TaskState.RUNNABLE:
             self._retire(task, now, 0.0)
         elif task.state is TaskState.BLOCKED:
@@ -313,7 +326,7 @@ class Machine:
     def _arrive(self, task: Task) -> None:
         if task.state is TaskState.EXITED:
             return  # killed before arrival (kill_task_at < arrival time)
-        now = self.now
+        now = self.engine.now
         task.arrival_time = now
         self.tasks.append(task)
         self._live_count += 1
@@ -325,7 +338,7 @@ class Machine:
             self.trace.record(now, tracing.ARRIVE, task)
             self._known.add(task.tid)
             self.scheduler.on_arrival(task, now)
-            self._try_place(task)
+            self._try_place(task, now)
         elif isinstance(segment, Block):
             task.state = TaskState.BLOCKED
             self._schedule_wake(task, segment.duration)
@@ -338,9 +351,9 @@ class Machine:
     def _wake(self, task: Task) -> None:
         if task.state is not TaskState.BLOCKED:
             return
-        now = self.now
+        now = self.engine.now
         self._wake_handles.pop(task.tid, None)
-        segment: Segment = task.advance_behavior(now)
+        segment = task.behavior.next_segment(now)
         if isinstance(segment, Block):
             # The behaviour chained another sleep; stay blocked.
             self._schedule_wake(task, segment.duration)
@@ -349,6 +362,8 @@ class Machine:
             self._mark_exited(task, now)
             self._notify_exit(task, now)
             return
+        if not isinstance(segment, Run):
+            raise _not_a_segment(task, segment)
         task.remaining_run = segment.duration
         task.state = TaskState.RUNNABLE
         self._runnable[task.tid] = task
@@ -361,46 +376,38 @@ class Machine:
             self.trace.record(now, tracing.ARRIVE, task)
             self._known.add(task.tid)
             self.scheduler.on_arrival(task, now)
-        self._try_place(task)
+        self._try_place(task, now)
 
     def _quantum_expiry(self, proc: Processor, seq: int) -> None:
         if proc.seq != seq or proc.task is None:
             return  # stale timer
-        now = self.now
-        task = proc.task
-        self._charge(proc, now)
-        ran = max(0.0, now - proc.dispatch_time)
-        self._vacate(proc)
-        task.state = TaskState.RUNNABLE
-        task.preempt_count += 1
-        self.trace.preemptions += 1
-        self.scheduler.on_preempt(task, now, ran)
-        if self.on_requeue:
-            for observer in self.on_requeue:
-                observer(self, task)
-        self._schedule_cpu(proc)
+        now = self.engine.now
+        self._preempt(proc, now)
+        self._schedule_cpu(proc, now)
 
     def _segment_end(self, proc: Processor, seq: int) -> None:
-        if proc.seq != seq or proc.task is None:
-            return  # stale timer
-        now = self.now
         task = proc.task
+        if proc.seq != seq or task is None:
+            return  # stale timer
+        now = self.engine.now
         self._charge(proc, now)
-        segment = task.advance_behavior(now)
+        segment = task.behavior.next_segment(now)
         if isinstance(segment, Run):
             # The task keeps computing: stay on-CPU inside the same
             # quantum, with no scheduler involvement.
-            task.remaining_run = segment.duration
+            remaining = segment.duration
+            task.remaining_run = remaining
             proc.segment_handle = None
-            if math.isfinite(task.remaining_run):
-                seg_end = now + task.remaining_run
+            if math.isfinite(remaining):
+                seg_end = now + remaining
                 if seg_end <= proc.quantum_end + _EPS:
                     proc.segment_handle = self.engine.schedule_at(
-                        seg_end, self._segment_end, proc, proc.seq
+                        seg_end, self._segment_end, proc, seq
                     )
             return
-        ran = max(0.0, now - proc.dispatch_time)
-        self._vacate(proc)
+        if not isinstance(segment, (Block, Exit)):
+            raise _not_a_segment(task, segment)
+        ran = self._vacate(proc)
         if isinstance(segment, Block):
             task.state = TaskState.BLOCKED
             task.block_count += 1
@@ -410,39 +417,37 @@ class Machine:
             self._schedule_wake(task, segment.duration)
         else:  # Exit
             self._retire(task, now, ran)
-        self._schedule_cpu(proc)
+        self._schedule_cpu(proc, now)
 
     # ------------------------------------------------------------------
     # dispatch machinery
     # ------------------------------------------------------------------
 
-    def _try_place(self, task: Task) -> None:
+    def _try_place(self, task: Task, now: float) -> None:
         """Place a newly runnable task: idle CPU first, else maybe preempt."""
-        for proc in self.processors:
-            if proc.idle:
-                self._schedule_cpu(proc)
+        processors = self.processors
+        for proc in processors:
+            if proc.task is None:
+                self._schedule_cpu(proc, now)
                 return
         if not self.preempt_on_wake:
             return
-        running = self.running_tasks()
-        victim_cpu = self.scheduler.choose_victim(task, running, self.now)
+        # No CPU is idle, so every processor has a running task.
+        running = {proc.cpu_id: proc.task for proc in processors}
+        victim_cpu = self.scheduler.choose_victim(task, running, now)
         if victim_cpu is None:
             return
-        proc = self.processors[victim_cpu]
-        if proc.task is None:  # scheduler raced us; just dispatch
-            self._schedule_cpu(proc)
-            return
-        self._force_preempt(proc)
-        self._schedule_cpu(proc)
+        proc = processors[victim_cpu]
+        if proc.task is not None:  # else the scheduler raced us
+            self._preempt(proc, now)
+        self._schedule_cpu(proc, now)
 
-    def _force_preempt(self, proc: Processor) -> None:
-        """Evict the running task on ``proc`` (wakeup preemption)."""
-        now = self.now
+    def _preempt(self, proc: Processor, now: float) -> None:
+        """Evict the running task on ``proc``; it stays runnable."""
         task = proc.task
         assert task is not None
         self._charge(proc, now)
-        ran = max(0.0, now - proc.dispatch_time)
-        self._vacate(proc)
+        ran = self._vacate(proc)
         task.state = TaskState.RUNNABLE
         task.preempt_count += 1
         self.trace.preemptions += 1
@@ -451,9 +456,8 @@ class Machine:
             for observer in self.on_requeue:
                 observer(self, task)
 
-    def _schedule_cpu(self, proc: Processor) -> None:
+    def _schedule_cpu(self, proc: Processor, now: float) -> None:
         """Run one scheduling decision for an idle CPU."""
-        now = self.now
         self.trace.decisions += 1
         task = self.scheduler.pick_next(proc.cpu_id, now)
         if task is None:
@@ -473,55 +477,58 @@ class Machine:
                 f"{self.scheduler.name} picked {task.name} in state "
                 f"{task.state.value}"
             )
-        self._dispatch(proc, task)
+        self._dispatch(proc, task, now)
 
-    def _dispatch(self, proc: Processor, task: Task) -> None:
-        now = self.now
-        prev = self._prev_task[proc.cpu_id]
+    def _dispatch(self, proc: Processor, task: Task, now: float) -> None:
+        cpu = proc.cpu_id
+        trace = self.trace
+        prev = self._prev_task[cpu]
         cost = 0.0
         if prev is not task:
-            if self.cost_model.decision_count_mode == "live":
-                count = self.live_count
-            else:
-                count = self.runnable_count
-            decision = self.scheduler.decision_cost(count)
-            prev_kb = prev.footprint_kb if prev is not None else None
-            cost = self.cost_model.switch_cost(prev_kb, task.footprint_kb, decision)
-            self.trace.context_switches += 1
-        self.trace.dispatches += 1
+            if not self._free_switches:
+                count = self._live_count if self._count_live else len(self._runnable)
+                cost = self.cost_model.switch_cost(
+                    prev.footprint_kb if prev is not None else None,
+                    task.footprint_kb,
+                    self.scheduler.decision_cost(count),
+                )
+                proc.overhead_time += cost
+                trace.overhead_time += cost
+            trace.context_switches += 1
+        trace.dispatches += 1
         if task.first_dispatch_time is None:
             task.first_dispatch_time = now
-        proc.seq += 1
+        seq = proc.seq + 1
+        proc.seq = seq
         proc.task = task
         self._proc_by_tid[task.tid] = proc
         task.state = TaskState.RUNNING
-        task.last_cpu = proc.cpu_id
+        task.last_cpu = cpu
         task.dispatch_count += 1
         start = now + cost
-        proc.overhead_time += cost
-        self.trace.overhead_time += cost
         proc.dispatch_time = start
         proc.charged_until = start
-        slice_len = self.scheduler.quantum_for(task, proc.cpu_id, now)
+        slice_len = None
+        if self._own_quantum:
+            slice_len = self.scheduler.quantum_for(task, cpu, now)
         if slice_len is None:
             slice_len = self.quantum
         if self.quantum_jitter > 0.0:
             slice_len *= 1.0 + self._jitter_rng.uniform(
                 -self.quantum_jitter, self.quantum_jitter
             )
-        proc.quantum_end = start + slice_len
+        quantum_end = start + slice_len
+        proc.quantum_end = quantum_end
+        schedule_at = self.engine.schedule_at
         proc.segment_handle = None
-        if math.isfinite(task.remaining_run):
-            seg_end = start + task.remaining_run
-            if seg_end <= proc.quantum_end + _EPS:
+        remaining = task.remaining_run
+        if math.isfinite(remaining):
+            seg_end = start + remaining
+            if seg_end <= quantum_end + _EPS:
                 # Scheduled before the quantum timer so that exact ties
                 # resolve as "segment completed".
-                proc.segment_handle = self.engine.schedule_at(
-                    seg_end, self._segment_end, proc, proc.seq
-                )
-        proc.quantum_handle = self.engine.schedule_at(
-            proc.quantum_end, self._quantum_expiry, proc, proc.seq
-        )
+                proc.segment_handle = schedule_at(seg_end, self._segment_end, proc, seq)
+        proc.quantum_handle = schedule_at(quantum_end, self._quantum_expiry, proc, seq)
         if self.on_dispatch:
             for observer in self.on_dispatch:
                 observer(self, proc, task)
@@ -537,32 +544,43 @@ class Machine:
         delta = now - proc.charged_until
         if delta <= 0:
             return
-        task.service += delta
+        service = task.service + delta
+        task.service = service
         proc.busy_time += delta
-        if math.isfinite(task.remaining_run):
-            task.remaining_run = max(0.0, task.remaining_run - delta)
+        remaining = task.remaining_run
+        if math.isfinite(remaining):
+            remaining -= delta
+            task.remaining_run = remaining if remaining > 0.0 else 0.0
         proc.charged_until = now
         if self.sample_service:
             series = task.series
-            if (
-                self.service_sample_interval <= 0.0
-                or not series
-                or now - series[-1][0] >= self.service_sample_interval
-            ):
-                series.append((now, task.service))
+            interval = self.service_sample_interval
+            if interval <= 0.0 or not series or now - series[-1][0] >= interval:
+                series.append((now, service))
 
-    def _vacate(self, proc: Processor) -> None:
-        """Detach the current task from ``proc`` (after charging)."""
+    def _vacate(self, proc: Processor) -> float:
+        """Detach the current task from ``proc`` (after charging it up
+        to now); return how long it ran since its dispatch."""
         task = proc.task
         assert task is not None
-        self.trace.record_run(
-            proc.cpu_id, task.tid, proc.dispatch_time, proc.charged_until
-        )
-        proc.cancel_timers()
+        start = proc.dispatch_time
+        end = proc.charged_until
+        self.trace.record_run(proc.cpu_id, task.tid, start, end)
+        # Cancel the pending timers; the epoch bump below also makes any
+        # that still fire (see the handlers' seq checks) stale.
+        if proc.quantum_handle is not None:
+            proc.quantum_handle.cancel()
+            proc.quantum_handle = None
+        if proc.segment_handle is not None:
+            proc.segment_handle.cancel()
+            proc.segment_handle = None
         proc.seq += 1
         self._prev_task[proc.cpu_id] = task
         self._proc_by_tid.pop(task.tid, None)
         proc.task = None
+        # Charged up to now, the run interval ends at now, or at its
+        # start while the dispatch's dead time has not yet elapsed.
+        return end - start
 
     def _schedule_wake(self, task: Task, duration: float) -> None:
         """Arm the wake timer; infinite blocks wait for signal()."""

@@ -54,20 +54,6 @@ class Processor:
         self.quantum_handle: "EventHandle | None" = None
         self.segment_handle: "EventHandle | None" = None
 
-    @property
-    def idle(self) -> bool:
-        """True when no task is dispatched on this CPU."""
-        return self.task is None
-
-    def cancel_timers(self) -> None:
-        """Cancel any pending quantum-expiry / segment-end events."""
-        if self.quantum_handle is not None:
-            self.quantum_handle.cancel()
-            self.quantum_handle = None
-        if self.segment_handle is not None:
-            self.segment_handle.cancel()
-            self.segment_handle = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self.task.name if self.task else "idle"
         return f"<Processor {self.cpu_id}: {running}>"

@@ -96,9 +96,29 @@ class SortedTaskList:
         return True
 
     def reposition(self, task: Task) -> None:
-        """Re-insert a task whose key changed (remove + add)."""
-        self.remove(task)
-        self.add(task)
+        """Re-insert a task whose key changed.
+
+        One bisect-delete at the cached key and one bisect-insert at the
+        fresh key; counts the same comparisons as :meth:`remove` then
+        :meth:`add`. Raises ValueError if ``task`` is absent.
+        """
+        tid = task.tid
+        cached = self._cached_key
+        old = cached.get(tid)
+        if old is None:
+            raise ValueError(f"{task!r} not in queue")
+        k = (self._key(task), tid)
+        keys = self._keys
+        tasks = self._tasks
+        n = len(keys)
+        idx = bisect_left(keys, old)
+        del keys[idx]
+        del tasks[idx]
+        idx = bisect_right(keys, k)
+        keys.insert(idx, k)
+        tasks.insert(idx, task)
+        cached[tid] = k
+        self.comparisons += (n.bit_length() or 1) + ((n - 1).bit_length() or 1)
 
     def sorted_view(self) -> tuple[list[tuple[float, int]], list[Task]]:
         """The live ``(keys, tasks)`` lists, in order; read, never mutate.

@@ -24,8 +24,6 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.events import Block, Exit, Run, Segment
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Behavior
 
@@ -63,8 +61,9 @@ class Task:
     name:
         Human-readable label used in traces and rendered figures.
     footprint_kb:
-        Working-set size in KB; drives the cache-restoration component
-        of the context-switch cost model (Table 1 / Fig. 7).
+        Working-set size in KB (finite, >= 0); drives the
+        cache-restoration component of the context-switch cost model
+        (Table 1 / Fig. 7).
     ts_priority:
         Priority in ticks for the Linux 2.2 time-sharing baseline
         (default 20 ticks = 200 ms, the 2.2 default "nice 0").
@@ -101,8 +100,10 @@ class Task:
         ts_priority: int = 20,
     ) -> None:
         _check_weight(weight)
-        if footprint_kb < 0:
-            raise ValueError(f"footprint_kb must be >= 0, got {footprint_kb}")
+        if not 0 <= footprint_kb < math.inf:  # rejects NaN too
+            raise ValueError(
+                f"footprint_kb must be finite and >= 0, got {footprint_kb}"
+            )
         self.tid: int = next(_tid_counter)
         self.name: str = name if name is not None else f"task{self.tid}"
         self._weight: float = float(weight)
@@ -169,16 +170,6 @@ class Task:
     def is_runnable(self) -> bool:
         """True if the task is on the run queue or on a CPU."""
         return self.state in (TaskState.RUNNABLE, TaskState.RUNNING)
-
-    def advance_behavior(self, now: float) -> Segment:
-        """Ask the behaviour for the next segment; validate its type."""
-        segment = self.behavior.next_segment(now)
-        if not isinstance(segment, (Run, Block, Exit)):
-            raise TypeError(
-                f"behavior of {self.name} produced {segment!r}, "
-                "expected Run/Block/Exit"
-            )
-        return segment
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

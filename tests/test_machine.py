@@ -23,8 +23,11 @@ class TestConstruction:
             Machine(SurplusFairScheduler(), cpus=0)
 
     def test_rejects_nonpositive_quantum(self):
-        with pytest.raises(ValueError):
-            Machine(SurplusFairScheduler(), quantum=0.0)
+        # NaN slips past `quantum <= 0` and used to fail only at the
+        # first dispatch, as an event scheduled "in the past".
+        for quantum in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="quantum must be > 0"):
+                Machine(SurplusFairScheduler(), quantum=quantum)
 
     def test_rejects_bad_jitter(self):
         with pytest.raises(ValueError):

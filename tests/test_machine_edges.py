@@ -49,10 +49,13 @@ class TestZeroLengthSegments:
         assert t.service == 0.0
 
     def test_negative_segment_durations_rejected(self):
-        with pytest.raises(ValueError):
-            Run(-0.1)
-        with pytest.raises(ValueError):
-            Block(-0.1)
+        # NaN slips past a bare `< 0` guard: Run(nan) then runs forever
+        # and Block(nan) fails mid-run naming neither segment nor task.
+        for duration in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="Run duration must be >= 0"):
+                Run(duration)
+            with pytest.raises(ValueError, match="Block duration must be >= 0"):
+                Block(duration)
 
 
 class TestSegmentQuantumBoundary:
@@ -124,8 +127,11 @@ class TestApiMisuse:
         for weight in (0, -1, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and > 0"):
                 Task(Infinite(), weight=weight)
-        with pytest.raises(ValueError):
-            Task(Infinite(), weight=1, footprint_kb=-1)
+        # A non-finite footprint made the switch cost NaN (or parked the
+        # CPU at t = inf) instead of failing at construction.
+        for footprint in (-1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="footprint_kb must be finite"):
+                Task(Infinite(), weight=1, footprint_kb=footprint)
 
     def test_weight_setter_validation(self):
         t = Task(Infinite(), weight=1)
@@ -251,8 +257,10 @@ class TestIncrementalAccounting:
 
 class TestServiceSampleDecimation:
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            machine(service_sample_interval=-0.1)
+        # NaN slipped past `< 0` and silently disabled the final-total pin.
+        for interval in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="service_sample_interval"):
+                machine(service_sample_interval=interval)
 
     def test_decimation_preserves_totals_and_schedule(self):
         def build(interval):

@@ -4,12 +4,15 @@ import pytest
 
 from tests.conftest import add_inf
 from repro.core.sfs import SurplusFairScheduler
+from repro.schedulers.linux_ts import LinuxTimeSharingScheduler
 from repro.sim.costs import (
+    CostModel,
     DecisionCostParams,
     LMBENCH_COST,
     TESTBED_COST,
     ZERO_COST,
 )
+from repro.sim.events import Block, Run
 from repro.sim.machine import Machine
 from repro.sim.metrics import (
     service_at,
@@ -17,6 +20,9 @@ from repro.sim.metrics import (
     share_between,
     shares,
 )
+from repro.sim.task import Task
+from repro.workloads.base import GeneratorBehavior
+from repro.workloads.cpu_bound import Infinite
 
 
 class TestServiceAt:
@@ -140,3 +146,96 @@ class TestCostModel:
         # Only the initial dispatch is a switch.
         assert m.trace.context_switches == 1
         assert m.trace.dispatches >= 19
+
+
+def _cycle(run, block):
+    """Compute ``run`` s, sleep ``block`` s, forever."""
+
+    def gen():
+        while True:
+            yield Run(run)
+            yield Block(block)
+
+    return GeneratorBehavior(gen())
+
+
+class TestDispatchDeadTime:
+    """Every dispatch's dead time is the cost model's formula, bit for bit."""
+
+    MODELS = {
+        "zero": ZERO_COST,
+        "testbed": TESTBED_COST,
+        "lmbench": LMBENCH_COST,
+        # each differs from ZERO_COST in one field, so each charges
+        "decision-only": CostModel(
+            ctx_base=0.0,
+            cache_per_kb=0.0,
+            cache_per_kb2=0.0,
+            include_decision_cost=True,
+        ),
+        "ctx-only": CostModel(
+            ctx_base=2e-6,
+            cache_per_kb=0.0,
+            cache_per_kb2=0.0,
+            include_decision_cost=False,
+        ),
+    }
+    #: (footprint_kb, run, block) of the blocking tasks
+    BLOCKING = [
+        (0.0, 0.03, 0.05),
+        (4.0, 0.07, 0.02),
+        (16.0, 0.011, 0.13),
+        (64.0, 0.2, 0.3),
+        (0.5, 0.05, 0.01),
+    ]
+
+    @pytest.mark.parametrize("policy", ["sfs", "linux-ts"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_dead_time_is_the_formula(self, model, policy):
+        cost_model = self.MODELS[model]
+        if policy == "sfs":
+            scheduler = SurplusFairScheduler()
+        else:
+            scheduler = LinuxTimeSharingScheduler()
+        m = Machine(scheduler, cpus=2, quantum=0.05, cost_model=cost_model)
+        for i, (kb, run, block) in enumerate(self.BLOCKING):
+            task = Task(_cycle(run, block), weight=1 + i % 3, footprint_kb=kb)
+            m.add_task(task, at=0.01 * i)
+        m.add_task(Task(Infinite(), weight=2, footprint_kb=8.0))
+        last = {}  # cpu -> the task it ran last
+        counts = {"switch": 0, "same": 0}
+        total = 0.0
+
+        def check(machine, proc, task):
+            nonlocal total
+            now = machine.now
+            prev = last.get(proc.cpu_id)
+            if prev is task:
+                expected = 0.0
+                counts["same"] += 1
+            else:
+                if cost_model.decision_count_mode == "live":
+                    count = machine.live_count
+                else:
+                    count = machine.runnable_count
+                expected = cost_model.switch_cost(
+                    prev.footprint_kb if prev is not None else None,
+                    task.footprint_kb,
+                    scheduler.decision_cost(count),
+                )
+                counts["switch"] += 1
+            assert proc.dispatch_time == now + expected
+            if policy == "linux-ts":
+                slice_len = scheduler.quantum_for(task, proc.cpu_id, now)
+            else:
+                slice_len = machine.quantum
+            assert proc.quantum_end == proc.dispatch_time + slice_len
+            last[proc.cpu_id] = task
+            total += expected
+
+        m.on_dispatch.append(check)
+        m.run_until(3.0)
+        assert counts["switch"] > 50 and counts["same"] > 0, counts
+        assert m.trace.context_switches == counts["switch"]
+        assert m.trace.overhead_time == total
+        assert (total == 0.0) == (cost_model is ZERO_COST)

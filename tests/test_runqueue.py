@@ -81,6 +81,36 @@ class TestKeyChanges:
         assert list(q) == [tasks[1], tasks[2], tasks[0]]
         assert q.is_sorted()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 100])
+    def test_reposition_counts_like_remove_then_add(self, n):
+        # perfbench reports the sum of these counts as
+        # runqueue.comparisons, so reposition must add what remove
+        # followed by add would, and leave the same order.
+        fast = SortedTaskList(key=lambda t: t.sched["x"])
+        slow = SortedTaskList(key=lambda t: t.sched["x"])
+        tasks = make_tasks([1] * n)
+        for i, t in enumerate(tasks):
+            t.sched["x"] = i
+            fast.add(t)
+            slow.add(t)
+        for step, t in enumerate(tasks * 2):
+            t.sched["x"] = (step * 7) % (n + 3) - 1.5
+            before = (fast.comparisons, slow.comparisons)
+            fast.reposition(t)
+            slow.remove(t)
+            slow.add(t)
+            assert fast.comparisons - before[0] == slow.comparisons - before[1]
+            assert list(fast) == list(slow)
+        assert fast.is_sorted()
+
+    def test_reposition_missing_raises(self):
+        q = SortedTaskList(key=lambda t: t.weight)
+        a, b = make_tasks([1, 2])
+        q.add(a)
+        with pytest.raises(ValueError, match="not in queue"):
+            q.reposition(b)
+        assert list(q) == [a] and b not in q
+
     def test_resort_insertion_fixes_all_stale_keys(self):
         q = SortedTaskList(key=lambda t: t.sched.get("x", 0))
         tasks = make_tasks([1] * 5)

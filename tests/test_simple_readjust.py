@@ -158,8 +158,11 @@ def run_program(program, horizon=1.5):
 @settings(max_examples=80, deadline=None)
 @given(programs())
 def test_phi_matches_batch_oracle_after_every_hook(program):
-    sched, _ = run_program(program)
-    assert sched.checked > 0
+    sched, tasks = run_program(program)
+    # A program whose every task is killed before it arrives may run no
+    # hook at all, so there is nothing to check.
+    if any(task.arrival_time is not None for task in tasks):
+        assert sched.checked > 0
 
 
 def _nap(run, block):
