@@ -23,6 +23,7 @@ the unaudited run.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Mapping
 
 from repro.analysis.audit.checks import (
@@ -57,6 +58,11 @@ class Auditor:
             raise ValueError(
                 f"unknown audit param(s) {sorted(unknown)!r}; known: {known}"
             )
+        for name, value in sorted(self.params.items()):
+            # a NaN tolerance makes every `x > tol` test false, so the
+            # check would pass everything
+            if not math.isfinite(float(value)):
+                raise ValueError(f"audit param {name} must be finite, got {value}")
         self.max_violations = int(
             self.params.get("max_violations", DEFAULT_MAX_VIOLATIONS)
         )

@@ -364,7 +364,15 @@ _REGISTRY_DICTS = frozenset(
     {"METRICS", "COST_MODELS", "BACKENDS", "CHECKS", "ARRIVALS", "DEMANDS"}
 )
 _REGISTER_DECORATORS = frozenset(
-    {"register", "rule", "register_arrival", "register_demand"}
+    {
+        "register",
+        "rule",
+        "register_arrival",
+        "register_demand",
+        "register_behavior",
+        "register_driver",
+        "register_event",
+    }
 )
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -374,7 +382,8 @@ class RegistryHygieneRule(LintRule):
     """Every registered entry needs a docstring and a unique, sane name.
 
     Covers the ``@register``-style decorators (schedulers, lint rules,
-    audit checks) and the module-level registry dict literals
+    audit checks, arrival and demand kinds, and the behaviour, driver
+    and event spec kinds) and the module-level registry dict literals
     (``METRICS``, ``COST_MODELS``, ``BACKENDS``, ``CHECKS``): names
     must be unique across the whole scanned file set (a duplicate
     either raises at import or, in a dict literal, silently wins),

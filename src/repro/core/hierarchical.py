@@ -29,6 +29,7 @@ thread.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.core.weights import waterfill_shares
@@ -56,8 +57,8 @@ class SchedulingClass:
     )
 
     def __init__(self, name: str, weight: float, policy: str) -> None:
-        if weight <= 0:
-            raise ValueError(f"class weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"class weight must be finite and > 0, got {weight}")
         if policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
         self.name = name

@@ -5,7 +5,8 @@ is data. A :class:`FlowSpec` names *how* to draw a flow's packets
 (arrival kind, size distribution by demand-registry name, per-flow
 seed); :func:`repro.flows.scenario.flow_scenario` materializes the
 draws into a :class:`PacketFlow` behaviour spec — explicit enqueue
-times and sizes — which the runner turns into a
+times and sizes, registered as the ``packet-flow`` behaviour kind —
+whose ``build()`` returns a
 :class:`~repro.flows.transmit.FlowTransmitter`. A :class:`LinkSpec`
 maps onto the machine: ``channels`` parallel transmitters (the CPUs)
 each moving ``bytes_per_sec``, so one packet's transmission time is
@@ -19,6 +20,8 @@ from math import isfinite
 from typing import Any, Mapping
 
 from repro.flows.resources import check_resource_vector
+from repro.flows.transmit import FlowTransmitter
+from repro.scenario.spec import register_behavior
 
 __all__ = ["LinkSpec", "FlowSpec", "PacketFlow"]
 
@@ -102,6 +105,9 @@ class FlowSpec:
         )
 
 
+@register_behavior(
+    "packet-flow", bytes_per_sec={"gt": 0.0}, arrivals={"ge": 0.0}, sizes={"gt": 0.0}
+)
 @dataclass(frozen=True)
 class PacketFlow:
     """Materialized packets of one flow: the behaviour spec.
@@ -109,15 +115,14 @@ class PacketFlow:
     ``arrivals[i]`` is packet *i*'s enqueue time (nondecreasing),
     ``sizes[i]`` its size in bytes, and ``bytes_per_sec`` the channel
     rate — so packet *i* costs ``sizes[i] / bytes_per_sec`` seconds of
-    link time. Joins the scenario layer's ``BehaviorSpec`` family via
-    the runner's behaviour dispatch; being explicit data (no RNG, no
-    registry lookups at run time) it pickles to sweep workers and
-    round-trips through config files.
+    link time. Being explicit data (no RNG, no registry lookups at run
+    time) it pickles to sweep workers and round-trips through config
+    files.
     """
 
+    bytes_per_sec: float
     arrivals: tuple[float, ...]
     sizes: tuple[float, ...]
-    bytes_per_sec: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrivals", tuple(self.arrivals))
@@ -152,3 +157,6 @@ class PacketFlow:
     def total_bytes(self) -> float:
         """Sum of all packet sizes."""
         return sum(self.sizes)
+
+    def build(self) -> FlowTransmitter:
+        return FlowTransmitter(self)

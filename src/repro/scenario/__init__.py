@@ -108,6 +108,11 @@ from repro.scenario.sweep import (
     sweep_scenarios,
 )
 
+# Last: repro.flows registers the ``packet-flow`` behaviour kind (and
+# the ``flows`` family) and imports the modules above, so every config
+# resolves that kind whichever package the caller imported first.
+import repro.flows
+
 __all__ = [
     "ARRIVALS",
     "Compile",

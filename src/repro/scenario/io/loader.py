@@ -48,9 +48,11 @@ default, or ``sweep``). A scenario config sets the scalar
       - {kind: weight-churn, prefix: batch, weights: [1.0, 4.0],
          seed: 3, start: 1.0, every: 0.5, until: 9.0}
 
-``behavior``/``arrival``/``demand`` blocks are kind-dispatched:
-behaviours resolve to the spec dataclasses of
-:mod:`repro.scenario.spec`, arrivals and demands to the registries of
+``behavior``/``drivers``/``events``/``arrival``/``demand`` blocks are
+kind-dispatched: behaviours, drivers and events resolve to the spec
+kinds registered in :mod:`repro.scenario.spec` (each declares its own
+field table, ranges included, which this module walks to build and
+dump it), arrivals and demands to the registries of
 :mod:`repro.scenario.arrivals` / :mod:`repro.scenario.demands` (so
 downstream registrations are loadable by name with no loader change).
 When ``duration`` is omitted it derives from the streams: the largest
@@ -74,8 +76,8 @@ data; :func:`scenario_to_dict` refuses scenarios that carry them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -85,8 +87,8 @@ try:
 except ImportError:  # pragma: no cover - PyYAML is in the dev image
     yaml = None
 
-from repro.scenario.arrivals import make_arrival
-from repro.scenario.demands import make_demand
+from repro.scenario.arrivals import arrival_names, make_arrival
+from repro.scenario.demands import demand_names, make_demand
 from repro.scenario.io.schema import (
     CLASS_FIELDS,
     FLOW_FIELDS,
@@ -98,22 +100,16 @@ from repro.scenario.io.schema import (
     FieldSpec,
     check_mapping,
     check_sequence,
-    fields_of_dataclass,
     validate_block,
 )
 from repro.scenario.population import generated_tasks
 from repro.scenario.spec import (
-    Compile,
-    Compute,
-    Disksim,
+    BEHAVIORS,
+    DRIVERS,
+    EVENTS,
     Inf,
-    InteractiveLoop,
-    Kill,
-    LatCtxRing,
-    Mpeg,
     Scenario,
     SetWeight,
-    ShortJobs,
     TaskSpec,
 )
 from repro.scenario.sweep import Sweep
@@ -134,44 +130,6 @@ __all__ = [
 
 #: file suffixes the loader accepts, mapped to their parser
 CONFIG_SUFFIXES: tuple[str, ...] = (".yaml", ".yml", ".json")
-
-#: behaviour kind name <-> spec dataclass
-BEHAVIOR_KINDS: dict[str, type] = {
-    "inf": Inf,
-    "compute": Compute,
-    "interactive": InteractiveLoop,
-    "mpeg": Mpeg,
-    "compile": Compile,
-    "disksim": Disksim,
-}
-_BEHAVIOR_NAMES = {cls: kind for kind, cls in BEHAVIOR_KINDS.items()}
-
-#: driver kind name <-> spec dataclass
-DRIVER_KINDS: dict[str, type] = {
-    "short-jobs": ShortJobs,
-    "lat-ctx": LatCtxRing,
-}
-_DRIVER_NAMES = {cls: kind for kind, cls in DRIVER_KINDS.items()}
-
-#: event kind name <-> spec dataclass (weight-churn is a generator
-#: block, expanded to SetWeight events at load time)
-EVENT_KINDS: dict[str, type] = {
-    "set-weight": SetWeight,
-    "kill": Kill,
-}
-_EVENT_NAMES = {cls: kind for kind, cls in EVENT_KINDS.items()}
-
-# range constraints the annotation-derived table cannot express;
-# behavior and resources are structured blocks the loader handles
-_TASK_RANGES: dict[str, dict[str, float]] = {
-    "weight": {"gt": 0.0},
-    "at": {"ge": 0.0},
-    "footprint_kb": {"ge": 0.0},
-}
-TASK_FIELDS = tuple(
-    dataclasses.replace(spec, **_TASK_RANGES.get(spec.name, {}))
-    for spec in fields_of_dataclass(TaskSpec, skip=("behavior", "resources"))
-)
 
 GROUP_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("count", "int", required=True, ge=1),
@@ -197,70 +155,52 @@ def _kind_of(
     return kind
 
 
-def _build_packet_flow(block: Mapping[str, Any], path: str) -> Any:
-    """Build a materialized ``packet-flow`` behaviour spec.
+def _named_kind(
+    value: object, path: str, names: Sequence[str], what: str
+) -> tuple[str, dict[str, Any]]:
+    """A ``kind``-tagged block of a name registry: (kind, parameters)."""
+    block = check_mapping(value, path)
+    kind = _kind_of(block, dict.fromkeys(names), path, what)
+    return kind, {k: v for k, v in block.items() if k != "kind"}
 
-    Unlike the dataclass-derived kinds this one carries two parallel
-    float arrays (enqueue times, packet sizes), so it gets a custom
-    build/dump pair instead of a FieldSpec table.
-    """
-    # lazy: repro.flows imports this package, so resolving its specs at
-    # module level would race a partially initialized repro.flows
-    from repro.flows.spec import PacketFlow
 
-    accepted = ("kind", "bytes_per_sec", "arrivals", "sizes")
-    for key in block:
-        if key not in accepted:
-            raise ConfigError(
-                _join(path, key),
-                f"unknown key; accepted: {', '.join(sorted(accepted))}",
-            )
-    if "bytes_per_sec" not in block:
-        raise ConfigError(
-            _join(path, "bytes_per_sec"), "required key is missing"
-        )
-    rate = FieldSpec("bytes_per_sec", "float", gt=0.0).check(
-        block["bytes_per_sec"], _join(path, "bytes_per_sec")
-    )
-    arrays: dict[str, tuple[float, ...]] = {}
-    for key, spec in (
-        ("arrivals", FieldSpec("arrivals", "float", ge=0.0)),
-        ("sizes", FieldSpec("sizes", "float", gt=0.0)),
-    ):
-        if key not in block:
-            raise ConfigError(_join(path, key), "required key is missing")
-        key_path = _join(path, key)
-        arrays[key] = tuple(
-            spec.check(item, f"{key_path}[{i}]")
-            for i, item in enumerate(check_sequence(block[key], key_path))
-        )
+def _build_spec(
+    value: object, registry: Mapping[str, type], path: str, what: str
+) -> Any:
+    """Build one registered spec kind from its ``kind``-tagged block."""
+    block = check_mapping(value, path)
+    cls = registry[_kind_of(block, registry, path, what)]
+    fields = validate_block(block, cls.fields, path, extra_keys=("kind",))
     try:
-        return PacketFlow(
-            arrivals=arrays["arrivals"],
-            sizes=arrays["sizes"],
-            bytes_per_sec=rate,
-        )
+        return cls(**fields)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-def _build_behavior(value: object, path: str) -> Any:
-    block = check_mapping(value, path)
-    kinds: dict[str, Any] = dict(BEHAVIOR_KINDS)
-    kinds["packet-flow"] = None  # custom build below
-    kind = _kind_of(block, kinds, path, "behaviour kind")
-    if kind == "packet-flow":
-        return _build_packet_flow(block, path)
-    cls = BEHAVIOR_KINDS[kind]
-    fields = validate_block(
-        block, fields_of_dataclass(cls), path, extra_keys=("kind",)
+def _behavior_of(block: Mapping[str, Any], path: str) -> Any:
+    """A task or group block's behaviour spec (``Inf`` when absent)."""
+    if "behavior" not in block:
+        return Inf()
+    return _build_spec(
+        block["behavior"], BEHAVIORS, _join(path, "behavior"), "behaviour kind"
     )
-    return cls(**fields)
+
+
+def _strings(value: object, path: str, what: str) -> tuple[str, ...]:
+    items = check_sequence(value, path)
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise ConfigError(
+                f"{path}[{i}]", f"must be {what}, got {type(item).__name__}"
+            )
+    return tuple(items)
 
 
 def _build_resources(value: object, path: str) -> dict[str, float]:
     """Validate a per-task resource-demand vector block."""
-    from repro.flows.resources import RESOURCES  # lazy, see above
+    # lazy: repro.flows imports this package, so resolving it at
+    # module level would race a partially initialized repro.flows
+    from repro.flows.resources import RESOURCES
 
     block = check_mapping(value, path)
     out: dict[str, float] = {}
@@ -282,12 +222,9 @@ def _build_tasks(value: object, path: str) -> list[TaskSpec]:
         item_path = f"{path}[{i}]"
         block = check_mapping(item, item_path)
         fields = validate_block(
-            block, TASK_FIELDS, item_path, extra_keys=("behavior", "resources")
+            block, TaskSpec.fields, item_path, extra_keys=("behavior", "resources")
         )
-        if "behavior" in block:
-            fields["behavior"] = _build_behavior(
-                block["behavior"], _join(item_path, "behavior")
-            )
+        fields["behavior"] = _behavior_of(block, item_path)
         if "resources" in block:
             fields["resources"] = _build_resources(
                 block["resources"], _join(item_path, "resources")
@@ -304,11 +241,7 @@ def _build_groups(value: object, path: str) -> list[TaskSpec]:
         fields = validate_block(
             block, GROUP_FIELDS, item_path, extra_keys=("behavior",)
         )
-        behavior = Inf()
-        if "behavior" in block:
-            behavior = _build_behavior(
-                block["behavior"], _join(item_path, "behavior")
-            )
+        behavior = _behavior_of(block, item_path)
         out.extend(
             TaskSpec(
                 name=f"{fields['prefix']}-{j + 1}",
@@ -336,18 +269,16 @@ def _build_stream(
         if key not in block:
             raise ConfigError(_join(path, key), "required key is missing")
 
-    arrival_block = check_mapping(block["arrival"], _join(path, "arrival"))
-    arrival_kind = _kind_of(
-        arrival_block,
-        dict.fromkeys(_arrival_names()),
+    arrival_kind, arrival_params = _named_kind(
+        block["arrival"],
         _join(path, "arrival"),
+        arrival_names(),
         "registered arrival process",
     )
-    demand_block = check_mapping(block["demand"], _join(path, "demand"))
-    demand_kind = _kind_of(
-        demand_block,
-        dict.fromkeys(_demand_names()),
+    demand_kind, demand_params = _named_kind(
+        block["demand"],
         _join(path, "demand"),
+        demand_names(),
         "registered demand distribution",
     )
 
@@ -360,14 +291,12 @@ def _build_stream(
         )
         classes.append((row["name"], row["weight"], row["share"]))
 
-    params = {k: v for k, v in arrival_block.items() if k != "kind"}
     try:
-        arrival = make_arrival(arrival_kind, **params)
+        arrival = make_arrival(arrival_kind, **arrival_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(_join(path, "arrival"), str(exc)) from None
-    params = {k: v for k, v in demand_block.items() if k != "kind"}
     try:
-        demand = make_demand(demand_kind, **params)
+        demand = make_demand(demand_kind, **demand_params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(_join(path, "demand"), str(exc)) from None
 
@@ -399,18 +328,10 @@ def _expand_weight_churn(
     starts with ``prefix`` and one weight from ``weights`` — the
     sustained §3.1 weight-change storm, as data.
     """
-    fields = validate_block(
-        block, WEIGHT_CHURN_FIELDS, path, extra_keys=("kind", "weights")
-    )
-    if "weights" not in block:
-        raise ConfigError(_join(path, "weights"), "required key is missing")
-    weights_path = _join(path, "weights")
-    weights = [
-        FieldSpec("weights", "float", gt=0.0).check(w, f"{weights_path}[{i}]")
-        for i, w in enumerate(check_sequence(block["weights"], weights_path))
-    ]
+    fields = validate_block(block, WEIGHT_CHURN_FIELDS, path, extra_keys=("kind",))
+    weights = fields["weights"]
     if not weights:
-        raise ConfigError(weights_path, "needs at least one weight")
+        raise ConfigError(_join(path, "weights"), "needs at least one weight")
     if fields["until"] <= fields["start"]:
         raise ConfigError(
             _join(path, "until"), f"must be > start ({fields['start']})"
@@ -433,20 +354,6 @@ def _expand_weight_churn(
     return events
 
 
-def _build_drivers(value: object, path: str) -> list[Any]:
-    out = []
-    for i, item in enumerate(check_sequence(value, path)):
-        item_path = f"{path}[{i}]"
-        block = check_mapping(item, item_path)
-        kind = _kind_of(block, DRIVER_KINDS, item_path, "driver kind")
-        cls = DRIVER_KINDS[kind]
-        fields = validate_block(
-            block, fields_of_dataclass(cls), item_path, extra_keys=("kind",)
-        )
-        out.append(cls(**fields))
-    return out
-
-
 def _build_events(
     value: object, task_names: Sequence[str], path: str
 ) -> list[Any]:
@@ -454,17 +361,11 @@ def _build_events(
     for i, item in enumerate(check_sequence(value, path)):
         item_path = f"{path}[{i}]"
         block = check_mapping(item, item_path)
-        kinds = dict(EVENT_KINDS)
-        kinds["weight-churn"] = None
-        kind = _kind_of(block, kinds, item_path, "event kind")
-        if kind == "weight-churn":
+        if block.get("kind") == "weight-churn":
             out.extend(_expand_weight_churn(block, task_names, item_path))
-            continue
-        cls = EVENT_KINDS[kind]
-        fields = validate_block(
-            block, fields_of_dataclass(cls), item_path, extra_keys=("kind",)
-        )
-        out.append(cls(**fields))
+        else:
+            kinds = {**EVENTS, "weight-churn": None}
+            out.append(_build_spec(block, kinds, item_path, "event kind"))
     return out
 
 
@@ -480,9 +381,11 @@ def _plain_params(value: object, path: str) -> dict[str, Any]:
                 raise ConfigError(
                     item_path, f"list values must be scalars, got {bad[0]!r}"
                 )
+            for j, v in enumerate(item):
+                _check_finite(v, f"{item_path}[{j}]")
             out[key] = list(item)
         elif _is_scalar(item):
-            out[key] = item
+            out[key] = _check_finite(item, item_path)
         else:
             raise ConfigError(
                 item_path,
@@ -496,21 +399,16 @@ def _is_scalar(value: object) -> bool:
     return value is None or isinstance(value, (str, bool, int, float))
 
 
-def _arrival_names() -> list[str]:
-    from repro.scenario.arrivals import arrival_names
-
-    return arrival_names()
-
-
-def _demand_names() -> list[str]:
-    from repro.scenario.demands import demand_names
-
-    return demand_names()
+def _check_finite(value: object, path: str) -> object:
+    # NaN passes every `x > bound` test, so a NaN tolerance fails open
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"must be a finite number, got {value}")
+    return value
 
 
 def _build_flow_specs(value: object, path: str) -> list[Any]:
     """Build the declarative :class:`~repro.flows.spec.FlowSpec` rows."""
-    from repro.flows.spec import FlowSpec  # lazy, see _build_packet_flow
+    from repro.flows.spec import FlowSpec  # lazy, see _build_resources
 
     out: list[FlowSpec] = []
     for i, item in enumerate(check_sequence(value, path)):
@@ -522,32 +420,22 @@ def _build_flow_specs(value: object, path: str) -> list[Any]:
             item_path,
             extra_keys=("arrival", "size", "resources"),
         )
-        arrival = None
-        arrival_params: dict[str, Any] = {}
+        arrival, arrival_params = None, {}
         if "arrival" in block:
-            arrival_path = _join(item_path, "arrival")
-            arrival_block = check_mapping(block["arrival"], arrival_path)
-            arrival = _kind_of(
-                arrival_block,
-                dict.fromkeys(_arrival_names()),
-                arrival_path,
+            arrival, arrival_params = _named_kind(
+                block["arrival"],
+                _join(item_path, "arrival"),
+                arrival_names(),
                 "registered arrival process",
             )
-            arrival_params = {
-                k: v for k, v in arrival_block.items() if k != "kind"
-            }
-        size = "constant-mtu"
-        size_params: dict[str, Any] = {}
+        size, size_params = "constant-mtu", {}
         if "size" in block:
-            size_path = _join(item_path, "size")
-            size_block = check_mapping(block["size"], size_path)
-            size = _kind_of(
-                size_block,
-                dict.fromkeys(_demand_names()),
-                size_path,
+            size, size_params = _named_kind(
+                block["size"],
+                _join(item_path, "size"),
+                demand_names(),
                 "registered demand distribution",
             )
-            size_params = {k: v for k, v in size_block.items() if k != "kind"}
         resources: dict[str, float] = {}
         if "resources" in block:
             resources = _build_resources(
@@ -585,7 +473,7 @@ def _build_flows(
     packet transmission time is the natural quantum when the config
     does not set one.
     """
-    from repro.flows.scenario import materialize_flows  # lazy, see above
+    from repro.flows.scenario import materialize_flows  # lazy, see _build_resources
     from repro.flows.spec import LinkSpec
 
     link_block = check_mapping(link_value, _join(path, "link"))
@@ -705,7 +593,11 @@ def scenario_from_dict(
 
     drivers = []
     if "drivers" in block:
-        drivers = _build_drivers(block["drivers"], _join(path, "drivers"))
+        drivers_path = _join(path, "drivers")
+        drivers = [
+            _build_spec(item, DRIVERS, f"{drivers_path}[{i}]", "driver kind")
+            for i, item in enumerate(check_sequence(block["drivers"], drivers_path))
+        ]
     events = []
     if "events" in block:
         events = _build_events(
@@ -714,15 +606,7 @@ def scenario_from_dict(
 
     metrics: tuple[str, ...] = ()
     if "metrics" in block:
-        metrics_path = _join(path, "metrics")
-        items = check_sequence(block["metrics"], metrics_path)
-        for i, item in enumerate(items):
-            if not isinstance(item, str):
-                raise ConfigError(
-                    f"{metrics_path}[{i}]",
-                    f"must be a metric name, got {type(item).__name__}",
-                )
-        metrics = tuple(items)
+        metrics = _strings(block["metrics"], _join(path, "metrics"), "a metric name")
 
     scheduler_params: dict[str, Any] = {}
     if "scheduler_params" in block:
@@ -735,27 +619,15 @@ def scenario_from_dict(
             block["audit_params"], _join(path, "audit_params")
         )
 
+    fields.update(cpus=cpus, quantum=quantum, duration=duration)
     try:
         return Scenario(
-            name=fields["name"],
-            scheduler=fields["scheduler"],
+            **fields,
             scheduler_params=scheduler_params,
-            cpus=cpus,
-            quantum=quantum,
-            cost_model=fields["cost_model"],
-            duration=duration,
             tasks=tuple(tasks),
             drivers=tuple(drivers),
             events=tuple(events),
             metrics=metrics,
-            quantum_jitter=fields["quantum_jitter"],
-            jitter_seed=fields["jitter_seed"],
-            sample_service=fields["sample_service"],
-            service_sample_interval=fields["service_sample_interval"],
-            record_events=fields["record_events"],
-            preempt_on_wake=fields["preempt_on_wake"],
-            max_time=fields["max_time"],
-            audit=fields["audit"],
             audit_params=audit_params,
         )
     except (TypeError, ValueError) as exc:
@@ -778,38 +650,26 @@ def sweep_from_dict(data: Mapping[str, Any], path: str = "") -> Sweep:
         raise ConfigError(_join(path, "base"), "required key is missing")
     base = scenario_from_dict(block["base"], _join(path, "base"))
 
-    def str_axis(key: str) -> tuple[str, ...]:
-        axis_path = _join(path, key)
-        items = check_sequence(block[key], axis_path)
-        for i, item in enumerate(items):
-            if not isinstance(item, str):
-                raise ConfigError(
-                    f"{axis_path}[{i}]",
-                    f"must be a string, got {type(item).__name__}",
-                )
-        return tuple(items)
-
-    def num_axis(key: str, spec: FieldSpec) -> tuple[Any, ...]:
-        axis_path = _join(path, key)
-        items = check_sequence(block[key], axis_path)
-        return tuple(
-            spec.check(item, f"{axis_path}[{i}]")
-            for i, item in enumerate(items)
-        )
-
     kwargs: dict[str, Any] = {"base": base}
     if "schedulers" in block:
-        kwargs["schedulers"] = str_axis("schedulers")
+        axis_path = _join(path, "schedulers")
+        kwargs["schedulers"] = _strings(block["schedulers"], axis_path, "a string")
         for i, name in enumerate(kwargs["schedulers"]):
-            _check_scheduler(name, f"{_join(path, 'schedulers')}[{i}]")
+            _check_scheduler(name, f"{axis_path}[{i}]")
     if "cpus" in block:
-        kwargs["cpus"] = num_axis("cpus", FieldSpec("cpus", "int", ge=1))
-    if "quanta" in block:
-        kwargs["quanta"] = num_axis(
-            "quanta", FieldSpec("quanta", "float", gt=0.0)
+        axis_path = _join(path, "cpus")
+        cpus = FieldSpec("cpus", "int", ge=1)
+        kwargs["cpus"] = tuple(
+            cpus.check(item, f"{axis_path}[{i}]")
+            for i, item in enumerate(check_sequence(block["cpus"], axis_path))
         )
+    if "quanta" in block:
+        quanta = FieldSpec("quanta", "floats", gt=0.0)
+        kwargs["quanta"] = quanta.check(block["quanta"], _join(path, "quanta"))
     if "metrics" in block:
-        kwargs["metrics"] = str_axis("metrics")
+        kwargs["metrics"] = _strings(
+            block["metrics"], _join(path, "metrics"), "a string"
+        )
     try:
         return Sweep(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -898,39 +758,19 @@ def load_sweep(path: str | Path) -> Sweep:
 # ----------------------------------------------------------------------
 
 
-def _spec_to_dict(spec: Any, kind: str, fields: Sequence[FieldSpec]) -> dict:
-    out: dict[str, Any] = {"kind": kind}
-    for f in fields:
+def _spec_to_dict(spec: Any, out: dict[str, Any]) -> dict[str, Any]:
+    """Add a spec's fields to ``out``: required or non-default only."""
+    for f in type(spec).fields:
         value = getattr(spec, f.name)
         if f.required or value != f.default:
-            out[f.name] = value
+            out[f.name] = list(value) if f.kind == "floats" else value
     return out
 
 
-def _packet_flow_to_dict(behavior: Any) -> dict[str, Any]:
-    return {
-        "kind": "packet-flow",
-        "bytes_per_sec": behavior.bytes_per_sec,
-        "arrivals": list(behavior.arrivals),
-        "sizes": list(behavior.sizes),
-    }
-
-
 def _task_to_dict(spec: TaskSpec) -> dict[str, Any]:
-    from repro.flows.spec import PacketFlow  # lazy, see _build_packet_flow
-
-    out: dict[str, Any] = {}
-    for f in TASK_FIELDS:
-        value = getattr(spec, f.name)
-        if f.required or value != f.default:
-            out[f.name] = value
-    if isinstance(spec.behavior, PacketFlow):
-        out["behavior"] = _packet_flow_to_dict(spec.behavior)
-    elif spec.behavior != Inf():
-        cls = type(spec.behavior)
-        out["behavior"] = _spec_to_dict(
-            spec.behavior, _BEHAVIOR_NAMES[cls], fields_of_dataclass(cls)
-        )
+    out = _spec_to_dict(spec, {})
+    if spec.behavior != Inf():
+        out["behavior"] = _spec_to_dict(spec.behavior, {"kind": spec.behavior.kind})
     if spec.resources:
         out["resources"] = dict(spec.resources)
     return out
@@ -965,15 +805,9 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     if scenario.tasks:
         out["tasks"] = [_task_to_dict(t) for t in scenario.tasks]
     if scenario.drivers:
-        out["drivers"] = [
-            _spec_to_dict(d, _DRIVER_NAMES[type(d)], fields_of_dataclass(type(d)))
-            for d in scenario.drivers
-        ]
+        out["drivers"] = [_spec_to_dict(d, {"kind": d.kind}) for d in scenario.drivers]
     if scenario.events:
-        out["events"] = [
-            _spec_to_dict(e, _EVENT_NAMES[type(e)], fields_of_dataclass(type(e)))
-            for e in scenario.events
-        ]
+        out["events"] = [_spec_to_dict(e, {"kind": e.kind}) for e in scenario.events]
     if scenario.audit_params:
         out["audit_params"] = _plain_params(
             scenario.audit_params, "audit_params"

@@ -15,8 +15,10 @@ Two sources of truth:
   scalar :class:`Scenario` fields, :data:`STREAM_FIELDS` the generated
   ``streams`` blocks, and so on.
 - :func:`fields_of_dataclass` derives a table directly from a frozen
-  spec dataclass (behaviours, drivers, events), so the schema can
-  never drift from the dataclasses the runner actually consumes.
+  spec dataclass, so the schema can never drift from the dataclasses
+  the runner actually consumes. Each registered spec kind (see
+  :mod:`repro.scenario.spec`) carries its table as ``cls.fields``,
+  ranges included.
 """
 
 from __future__ import annotations
@@ -73,10 +75,12 @@ class FieldSpec:
 
     ``kind`` is one of ``str`` / ``int`` / ``float`` / ``bool`` (ints
     are accepted where floats are expected, as YAML writes ``2`` for
-    ``2.0``; floats must be finite, as NaN passes every bound check).
+    ``2.0``; floats must be finite, as NaN passes every bound check)
+    or ``floats``, a list of such numbers loaded as a tuple.
     ``required`` fields have no default; ``nullable`` fields
     additionally accept an explicit ``null``. ``gt``/``ge`` bound
-    numeric values; ``choices`` restricts strings to an enumerated set.
+    numeric values (each item of a ``floats`` list); ``choices``
+    restricts strings to an enumerated set.
     """
 
     name: str
@@ -90,9 +94,15 @@ class FieldSpec:
 
     def check(self, value: object, path: str) -> Any:
         """Validate ``value`` for this field; return the final value."""
+        if value is None and self.nullable:
+            return None
+        if self.kind == "floats":
+            item = dataclasses.replace(self, kind="float")
+            return tuple(
+                item.check(v, f"{path}[{i}]")
+                for i, v in enumerate(check_sequence(value, path))
+            )
         if value is None:
-            if self.nullable:
-                return None
             raise ConfigError(path, f"must be a {self.kind}, got null")
         if self.kind == "str":
             if not isinstance(value, str):
@@ -141,20 +151,30 @@ _ANNOTATION_KINDS: dict[str, tuple[str, bool]] = {
     "float": ("float", False),
     "int | None": ("int", True),
     "float | None": ("float", True),
+    "tuple[float, ...]": ("floats", False),
 }
 
 
 def fields_of_dataclass(
-    cls: type, skip: Sequence[str] = ()
+    cls: type,
+    skip: Sequence[str] = (),
+    ranges: Mapping[str, Mapping[str, Any]] | None = None,
 ) -> tuple[FieldSpec, ...]:
     """Derive a FieldSpec table from a frozen spec dataclass.
 
     Keeps the config schema in lockstep with the dataclasses the
     runner consumes: a field added to e.g. ``Compile`` is immediately
     loadable (and required/optional exactly as the dataclass says).
-    Fields named in ``skip`` are handled by the caller (``behavior``
-    on :class:`~repro.scenario.spec.TaskSpec`).
+    ``ranges`` maps a field name to extra FieldSpec keywords, such as
+    ``{"gt": 0.0}``. Fields named in ``skip`` are handled by the caller
+    (``behavior`` on :class:`~repro.scenario.spec.TaskSpec`).
     """
+    ranges = ranges or {}
+    unknown = set(ranges) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:  # pragma: no cover - table construction error
+        raise AssertionError(
+            f"{cls.__name__}: ranges for unknown fields {sorted(unknown)}"
+        )
     specs: list[FieldSpec] = []
     for f in dataclasses.fields(cls):
         if f.name in skip:
@@ -173,6 +193,7 @@ def fields_of_dataclass(
                 default=None if required else f.default,
                 required=required,
                 nullable=nullable,
+                **ranges.get(f.name, {}),
             )
         )
     return tuple(specs)
@@ -276,6 +297,7 @@ WEIGHT_CHURN_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("start", "float", required=True, ge=0.0),
     FieldSpec("every", "float", required=True, gt=0.0),
     FieldSpec("until", "float", required=True, gt=0.0),
+    FieldSpec("weights", "floats", required=True, gt=0.0),
 )
 
 #: one flow under the ``flows:`` block (packet fair-queueing domain);

@@ -9,79 +9,15 @@ settle accounting, and wrap everything in a
 
 from __future__ import annotations
 
-import random
-
 from repro.scenario.result import SimulationResult, summarize
-from repro.scenario.spec import (
-    Compile,
-    Compute,
-    Disksim,
-    Inf,
-    InteractiveLoop,
-    Kill,
-    LatCtxRing,
-    Mpeg,
-    Scenario,
-    SetWeight,
-    ShortJobs,
-)
+from repro.scenario.spec import Scenario
 from repro.schedulers.registry import make_scheduler
 from repro.sim.costs import COST_MODELS
 from repro.sim.machine import Machine
 from repro.sim.task import Task
-from repro.workloads.base import Behavior
-from repro.workloads.cpu_bound import FiniteCompute, Infinite
-from repro.workloads.disksim import DisksimBatch
-from repro.workloads.gcc_build import CompileJob
-from repro.workloads.interactive import Interactive
 from repro.workloads.lmbench import TokenRing
-from repro.workloads.mpeg import MpegDecoder
-from repro.workloads.shortjobs import ShortJobFeeder
 
 __all__ = ["run_scenario", "build_machine", "COST_MODELS"]
-
-
-def _build_behavior(spec) -> Behavior:
-    """Instantiate the workload behaviour a spec names."""
-    if isinstance(spec, Inf):
-        return Infinite()
-    if isinstance(spec, Compute):
-        return FiniteCompute(spec.cpu_seconds)
-    if isinstance(spec, InteractiveLoop):
-        rng = random.Random(spec.seed) if spec.seed is not None else None
-        return Interactive(
-            think_time=spec.think_time, burst=spec.burst, rng=rng
-        )
-    if isinstance(spec, Mpeg):
-        return MpegDecoder(
-            frame_cost=spec.frame_cost,
-            target_fps=spec.target_fps,
-            total_frames=spec.total_frames,
-        )
-    if isinstance(spec, Compile):
-        return CompileJob(
-            random.Random(spec.seed),
-            burst_mean=spec.burst_mean,
-            io_mean=spec.io_mean,
-            total_cpu=spec.total_cpu,
-        )
-    if isinstance(spec, Disksim):
-        rng = random.Random(spec.seed) if spec.seed is not None else None
-        return DisksimBatch(
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_io=spec.checkpoint_io,
-            rng=rng,
-        )
-    # Domain packages plug in behaviour specs without a scenario-layer
-    # import cycle: repro.flows imports this module's package, so its
-    # specs resolve lazily (any PacketFlow instance implies repro.flows
-    # is importable — pickle restores it through the same module).
-    from repro.flows.spec import PacketFlow
-    from repro.flows.transmit import FlowTransmitter
-
-    if isinstance(spec, PacketFlow):
-        return FlowTransmitter(spec)
-    raise TypeError(f"unknown behaviour spec {spec!r}")
 
 
 def build_machine(
@@ -117,7 +53,7 @@ def build_machine(
     tasks: dict[str, Task] = {}
     for spec in scenario.tasks:
         task = Task(
-            _build_behavior(spec.behavior),
+            spec.behavior.build(),
             weight=spec.weight,
             name=spec.name,
             footprint_kb=spec.footprint_kb,
@@ -135,35 +71,9 @@ def build_machine(
     }
     if vectors:
         machine.resource_vectors = vectors
-    drivers: dict[str, object] = {}
-    for driver in scenario.drivers:
-        if isinstance(driver, ShortJobs):
-            drivers[driver.name] = ShortJobFeeder(
-                machine,
-                weight=driver.weight,
-                job_cpu=driver.job_cpu,
-                first_arrival=driver.first_arrival,
-                gap=driver.gap,
-                name_prefix=driver.name,
-            )
-        elif isinstance(driver, LatCtxRing):
-            drivers[driver.name] = TokenRing(
-                machine,
-                nprocs=driver.nprocs,
-                passes=driver.passes,
-                work_cost=driver.work_cost,
-                footprint_kb=driver.footprint_kb,
-                start_at=driver.start_at,
-            )
-        else:
-            raise TypeError(f"unknown driver spec {driver!r}")
+    drivers = {driver.name: driver.build(machine) for driver in scenario.drivers}
     for event in scenario.events:
-        if isinstance(event, SetWeight):
-            machine.set_weight_at(tasks[event.task], event.weight, event.at)
-        elif isinstance(event, Kill):
-            machine.kill_task_at(tasks[event.task], event.at)
-        else:
-            raise TypeError(f"unknown event spec {event!r}")
+        event.apply(machine, tasks)
     return machine, tasks, drivers
 
 

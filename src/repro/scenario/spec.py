@@ -20,16 +20,41 @@ The population DSL:
   Table 1 / Fig. 7;
 - :class:`Probe` samples arbitrary mid-run state (e.g. SFQ start tags
   the instant a thread arrives, as Example 1 requires).
+
+Each behaviour, driver and event spec is registered once, on its own
+dataclass: the ``register_*`` decorator names the config ``kind`` and
+the ranges of the kind's fields, and the class builds its runtime
+object (``build()`` for a behaviour, ``build(machine)`` for a driver,
+``apply(machine, tasks)`` for an event). The config loader, the dumper
+and the runner walk these registries, so a new kind touches no other
+module; :mod:`repro.flows` registers ``packet-flow`` the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Union
 
+from repro.scenario.io.schema import fields_of_dataclass
+from repro.workloads.base import Behavior
+from repro.workloads.cpu_bound import FiniteCompute, Infinite
+from repro.workloads.disksim import DisksimBatch
+from repro.workloads.gcc_build import CompileJob
+from repro.workloads.interactive import Interactive
+from repro.workloads.lmbench import TokenRing
+from repro.workloads.mpeg import MpegDecoder
+from repro.workloads.shortjobs import ShortJobFeeder
+
 __all__ = [
+    "BEHAVIORS",
+    "DRIVERS",
+    "EVENTS",
+    "register_behavior",
+    "register_driver",
+    "register_event",
     "Inf",
     "Compute",
     "InteractiveLoop",
@@ -50,21 +75,92 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
+# the kind registries
+# ----------------------------------------------------------------------
+
+#: config ``kind`` name -> spec class, one registry per role, filled by
+#: the ``register_*`` decorators below
+BEHAVIORS: dict[str, type] = {}
+DRIVERS: dict[str, type] = {}
+EVENTS: dict[str, type] = {}
+
+
+def field_table(
+    skip: tuple[str, ...] = (), **ranges: Mapping[str, Any]
+) -> Callable[[type], type]:
+    """Attach a frozen spec dataclass's config schema as ``cls.fields``.
+
+    The table derives from the dataclass itself (types, defaults,
+    nullability, see :func:`~repro.scenario.io.schema.fields_of_dataclass`);
+    ``ranges`` bounds fields by name with FieldSpec keywords, as in
+    ``weight={"gt": 0.0}``, and ``skip`` names the structured fields
+    the loader handles itself.
+    """
+
+    def decorate(cls: type) -> type:
+        cls.fields = fields_of_dataclass(cls, skip, ranges)
+        return cls
+
+    return decorate
+
+
+def _registrar(
+    registry: dict[str, type], kind: str, ranges: Mapping[str, Any]
+) -> Callable[[type], type]:
+    def decorate(cls: type) -> type:
+        if kind in registry:
+            raise ValueError(f"spec kind {kind!r} is already registered")
+        cls.kind = kind
+        registry[kind] = field_table(**ranges)(cls)
+        return cls
+
+    return decorate
+
+
+def register_behavior(kind: str, **ranges: Mapping[str, Any]) -> Callable[[type], type]:
+    """Register a behaviour spec; its ``build()`` returns a Behavior."""
+    return _registrar(BEHAVIORS, kind, ranges)
+
+
+def register_driver(kind: str, **ranges: Mapping[str, Any]) -> Callable[[type], type]:
+    """Register a driver spec; its ``build(machine)`` returns the driver."""
+    return _registrar(DRIVERS, kind, ranges)
+
+
+def register_event(kind: str, **ranges: Mapping[str, Any]) -> Callable[[type], type]:
+    """Register an event spec; its ``apply(machine, tasks)`` schedules it."""
+    return _registrar(EVENTS, kind, ranges)
+
+
+def _seeded(seed: int | None) -> random.Random | None:
+    return random.Random(seed) if seed is not None else None
+
+
+# ----------------------------------------------------------------------
 # behaviour specs (one per workload behaviour in repro.workloads)
 # ----------------------------------------------------------------------
 
+@register_behavior("inf")
 @dataclass(frozen=True)
 class Inf:
     """Compute forever — the paper's ``Inf`` / dhrystone loop."""
 
+    def build(self) -> Behavior:
+        return Infinite()
 
+
+@register_behavior("compute", cpu_seconds={"ge": 0.0})
 @dataclass(frozen=True)
 class Compute:
     """Consume ``cpu_seconds`` of CPU, then exit."""
 
     cpu_seconds: float
 
+    def build(self) -> Behavior:
+        return FiniteCompute(self.cpu_seconds)
 
+
+@register_behavior("interactive", think_time={"ge": 0.0}, burst={"gt": 0.0})
 @dataclass(frozen=True)
 class InteractiveLoop:
     """Think/compute loop with response-time accounting (Fig. 6(c))."""
@@ -73,7 +169,15 @@ class InteractiveLoop:
     burst: float = 0.005
     seed: int | None = None
 
+    def build(self) -> Behavior:
+        return Interactive(
+            think_time=self.think_time, burst=self.burst, rng=_seeded(self.seed)
+        )
 
+
+@register_behavior(
+    "mpeg", frame_cost={"gt": 0.0}, target_fps={"gt": 0.0}, total_frames={"ge": 1}
+)
 @dataclass(frozen=True)
 class Mpeg:
     """Paced MPEG frame-decoding loop (Fig. 6(b))."""
@@ -82,7 +186,13 @@ class Mpeg:
     target_fps: float = 30.0
     total_frames: int | None = None
 
+    def build(self) -> Behavior:
+        return MpegDecoder(self.frame_cost, self.target_fps, self.total_frames)
 
+
+@register_behavior(
+    "compile", burst_mean={"gt": 0.0}, io_mean={"ge": 0.0}, total_cpu={"ge": 0.0}
+)
 @dataclass(frozen=True)
 class Compile:
     """A gcc-like compile process: CPU bursts between file I/O."""
@@ -92,7 +202,12 @@ class Compile:
     io_mean: float = 0.004
     total_cpu: float | None = None
 
+    def build(self) -> Behavior:
+        rng = random.Random(self.seed)
+        return CompileJob(rng, self.burst_mean, self.io_mean, self.total_cpu)
 
+
+@register_behavior("disksim", checkpoint_every={"gt": 0.0}, checkpoint_io={"ge": 0.0})
 @dataclass(frozen=True)
 class Disksim:
     """A disksim-like batch simulation process (Fig. 6(c))."""
@@ -100,6 +215,14 @@ class Disksim:
     checkpoint_every: float | None = None
     checkpoint_io: float = 0.002
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every is not None and self.seed is None:
+            raise ValueError("checkpoint_every needs a seed for checkpoint spacing")
+
+    def build(self) -> Behavior:
+        rng = _seeded(self.seed)
+        return DisksimBatch(self.checkpoint_every, self.checkpoint_io, rng)
 
 
 BehaviorSpec = Union[Inf, Compute, InteractiveLoop, Mpeg, Compile, Disksim]
@@ -109,6 +232,12 @@ BehaviorSpec = Union[Inf, Compute, InteractiveLoop, Mpeg, Compile, Disksim]
 # task population
 # ----------------------------------------------------------------------
 
+@field_table(
+    skip=("behavior", "resources"),
+    weight={"gt": 0.0},
+    at={"ge": 0.0},
+    footprint_kb={"ge": 0.0},
+)
 @dataclass(frozen=True)
 class TaskSpec:
     """One thread of the population: behaviour + weight + arrival.
@@ -165,6 +294,13 @@ def group(
 # drivers: arrival processes that add/steer tasks while the sim runs
 # ----------------------------------------------------------------------
 
+@register_driver(
+    "short-jobs",
+    weight={"gt": 0.0},
+    job_cpu={"gt": 0.0},
+    first_arrival={"ge": 0.0},
+    gap={"ge": 0.0},
+)
 @dataclass(frozen=True)
 class ShortJobs:
     """The Fig. 5 / Example 2 short-job sequence.
@@ -181,7 +317,25 @@ class ShortJobs:
     first_arrival: float = 0.0
     gap: float = 0.0
 
+    def build(self, machine) -> ShortJobFeeder:
+        return ShortJobFeeder(
+            machine,
+            weight=self.weight,
+            job_cpu=self.job_cpu,
+            first_arrival=self.first_arrival,
+            gap=self.gap,
+            name_prefix=self.name,
+        )
 
+
+@register_driver(
+    "lat-ctx",
+    nprocs={"ge": 2},
+    passes={"ge": 1},
+    work_cost={"ge": 0.0},
+    footprint_kb={"ge": 0.0},
+    start_at={"ge": 0.0},
+)
 @dataclass(frozen=True)
 class LatCtxRing:
     """The lmbench ``lat_ctx`` token ring of Table 1 / Fig. 7.
@@ -199,6 +353,16 @@ class LatCtxRing:
     footprint_kb: float = 0.0
     start_at: float = 0.0
 
+    def build(self, machine) -> TokenRing:
+        return TokenRing(
+            machine,
+            nprocs=self.nprocs,
+            passes=self.passes,
+            work_cost=self.work_cost,
+            footprint_kb=self.footprint_kb,
+            start_at=self.start_at,
+        )
+
 
 DriverSpec = Union[ShortJobs, LatCtxRing]
 
@@ -207,6 +371,7 @@ DriverSpec = Union[ShortJobs, LatCtxRing]
 # scheduled control events and probes
 # ----------------------------------------------------------------------
 
+@register_event("set-weight", weight={"gt": 0.0}, at={"ge": 0.0})
 @dataclass(frozen=True)
 class SetWeight:
     """``setweight()`` (§3.1): change ``task``'s weight at time ``at``."""
@@ -215,13 +380,20 @@ class SetWeight:
     weight: float
     at: float
 
+    def apply(self, machine, tasks) -> None:
+        machine.set_weight_at(tasks[self.task], self.weight, self.at)
 
+
+@register_event("kill", at={"ge": 0.0})
 @dataclass(frozen=True)
 class Kill:
     """Terminate ``task`` at time ``at`` (Fig. 4 stops T2 at t=30 s)."""
 
     task: str
     at: float
+
+    def apply(self, machine, tasks) -> None:
+        machine.kill_task_at(tasks[self.task], self.at)
 
 
 EventSpec = Union[SetWeight, Kill]
@@ -309,6 +481,15 @@ class Scenario:
             else:
                 raise TypeError(f"bad task entry {entry!r}")
         object.__setattr__(self, "tasks", tuple(flat))
+        behaviors = {type(t.behavior): t.behavior for t in self.tasks}
+        for role, registry, specs in (
+            ("behaviour", BEHAVIORS, behaviors.values()),
+            ("driver", DRIVERS, self.drivers),
+            ("event", EVENTS, self.events),
+        ):
+            for spec in specs:
+                if registry.get(getattr(spec, "kind", None)) is not type(spec):
+                    raise TypeError(f"unknown {role} spec {spec!r}")
         names = [t.name for t in self.tasks]
         counts = Counter(names)
         dupes = {n for n, c in counts.items() if c > 1}

@@ -25,6 +25,7 @@ frame rate collapsing as compilation load grows.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from repro.sim.costs import DecisionCostParams
@@ -50,8 +51,8 @@ class LinuxTimeSharingScheduler(Scheduler):
 
     def __init__(self, tick: float = TICK, wake_preempt: bool = True) -> None:
         super().__init__()
-        if tick <= 0:
-            raise ValueError(f"tick must be > 0, got {tick}")
+        if not 0 < tick < math.inf:
+            raise ValueError(f"tick must be finite and > 0, got {tick}")
         self.tick = tick
         self.wake_preempt = wake_preempt
         self._runnable: dict[int, Task] = {}

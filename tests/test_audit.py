@@ -9,6 +9,7 @@ check actually catches its target bug lives in
 """
 
 import json
+import math
 import pickle
 
 import pytest
@@ -91,6 +92,17 @@ def test_auditor_rejects_unknown_params():
     machine, _, _ = build_machine(_scenario())
     with pytest.raises(ValueError, match="unknown audit param"):
         Auditor(machine, params={"bogus_knob": 1})
+
+
+@pytest.mark.parametrize(
+    "param", ["conservation_tol", "lag_factor", "starvation_factor", "surplus_tol"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_auditor_rejects_non_finite_params(param, value):
+    # every `x > nan` test is false, so a NaN tolerance audits clean
+    machine, _, _ = build_machine(_scenario())
+    with pytest.raises(ValueError, match=f"{param} must be finite"):
+        Auditor(machine, params={param: value})
 
 
 def test_auditor_rejects_unknown_checks():

@@ -66,6 +66,12 @@ class TestClassConfiguration:
         with pytest.raises(ValueError):
             sched.add_class("y", 1, policy="cfs")
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_class_weight_rejected(self, weight):
+        _, sched = hier_machine()
+        with pytest.raises(ValueError, match="class weight must be finite"):
+            sched.add_class("x", weight)
+
     def test_assign_unknown_class_rejected(self):
         _, sched = hier_machine()
         with pytest.raises(ValueError):

@@ -108,6 +108,13 @@ class TestInteractivity:
         with pytest.raises(ValueError):
             LinuxTimeSharingScheduler(tick=0.0)
 
+    @pytest.mark.parametrize("tick", [math.nan, math.inf])
+    def test_rejects_non_finite_tick(self, tick):
+        # `tick <= 0` admits NaN, which then failed mid-run scheduling
+        # an event at a NaN time
+        with pytest.raises(ValueError, match="tick must be finite"):
+            LinuxTimeSharingScheduler(tick=tick)
+
 
 class TestSMP:
     def test_two_cpus_fully_utilized(self):

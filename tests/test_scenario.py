@@ -1,5 +1,7 @@
 """Tests for the declarative scenario layer (spec, runner, sweep)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.scenario import (
@@ -31,6 +33,16 @@ def _probe_late(machine, tasks):
 
 def _probe_none(machine, tasks):
     return None
+
+
+@dataclass(frozen=True)
+class _Unregistered:
+    """Shaped like a spec (``name``, ``task``, ``at``), but registered nowhere."""
+
+    name: str
+    at: float
+    kind = "compute"
+    task = "a"
 
 
 def _basic(scheduler: str = "sfs", **overrides) -> Scenario:
@@ -190,6 +202,19 @@ class TestValidation:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             run_scenario(_basic(scheduler="cfs"))
+
+    @pytest.mark.parametrize("role", ["behaviour", "driver", "event"])
+    def test_unregistered_spec_rejected_at_construction(self, role):
+        # An object no register_* decorator knows used to pass the spec
+        # layer and raise only when the runner built the machine.
+        bogus = _Unregistered("a", 1.0)
+        fields = {
+            "behaviour": {"tasks": (task("a", behavior=bogus),)},
+            "driver": {"tasks": (task("a"),), "drivers": (bogus,)},
+            "event": {"tasks": (task("a"),), "events": (bogus,)},
+        }[role]
+        with pytest.raises(TypeError, match=f"unknown {role} spec"):
+            Scenario(name="bogus", duration=1.0, **fields)
 
     def test_nested_task_groups_flattened(self):
         scn = Scenario(

@@ -92,6 +92,38 @@ class TestErrors:
         assert err.path == field
         assert "finite" in err.detail
 
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ({"scheduler": "linux-ts", "scheduler_params": {"tick": math.nan}}, "tick"),
+            ({"audit": True, "audit_params": {"lag_factor": math.nan}}, "lag_factor"),
+            ({"audit": True, "audit_params": {"surplus_tol": math.inf}}, "surplus_tol"),
+        ],
+    )
+    def test_non_finite_params_name_the_field(self, block, field):
+        # NaN tolerances made the auditor pass everything, and a NaN
+        # tick failed mid-run; both now stop at load
+        err = _err({**MINIMAL, **block})
+        params = "audit_params" if block.get("audit") else "scheduler_params"
+        assert err.path == f"{params}.{field}"
+        assert "finite" in err.detail
+
+    @pytest.mark.parametrize(
+        "weights, path, detail",
+        [
+            ([1.0, 0], "events[0].weights[1]", "> 0"),
+            ([1.0, math.nan], "events[0].weights[1]", "finite"),
+            ([], "events[0].weights", "at least one"),
+            (2.0, "events[0].weights", "list"),
+        ],
+    )
+    def test_weight_churn_weights_path(self, weights, path, detail):
+        churn = {"kind": "weight-churn", "prefix": "a", "weights": weights}
+        churn.update(start=0.0, every=0.5, until=1.0)
+        err = _err({**MINIMAL, "events": [churn]})
+        assert err.path == path
+        assert detail in err.detail
+
     def test_unknown_top_level_key_lists_accepted(self):
         err = _err({**MINIMAL, "qantum": 0.1})
         assert err.path == "qantum"

@@ -170,6 +170,17 @@ def test_sfs004_flags_registered_entry_without_docstring():
     assert any("no docstring" in v.message for v in found)
 
 
+def test_sfs004_flags_registered_spec_kind_without_docstring():
+    src = (
+        '@register_behavior("warp", speed={"gt": 0.0})\n'
+        "@dataclass(frozen=True)\n"
+        "class Warp:\n"
+        "    speed: float\n"
+    )
+    found = _find(src, "SFS004", scope=None)
+    assert any("'Warp' has no docstring" in v.message for v in found)
+
+
 def test_sfs004_allows_documented_entry():
     src = '@register("sfs")\ndef _sfs(**options):\n    "Surplus fair."\n    return 1\n'
     assert not _find(src, "SFS004", scope=None)
