@@ -10,6 +10,11 @@ the path that used to scan every task ever created) and records
 **events/sec** in ``benchmark.extra_info`` so CI can chart the perf
 trajectory across PRs (``--benchmark-json`` → ``BENCH_scale.json``).
 
+The simulated runs are deterministic, so every cell also asserts its
+event and context-switch counts against ``baseline_scale.json``: a
+change that alters any run fails here, in tier-1, while the wall-clock
+events/sec stay a non-blocking trend (``check_trend.py``).
+
 Reference points (this machine, PR 2, same run as the README table):
 pre-PR the N=5000 SFS run sustained ~6.0k events/sec; eliminating the
 quadratic live_count scan and the linear run-queue removals lifted it
@@ -20,9 +25,11 @@ is ±20%; treat the trajectory, not single cells, as signal.
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.trend import load_baseline
 from repro.flows import FLOW_RESOURCE_PROFILES, flow_scenario
 from repro.scenario import (
     METRICS,
@@ -53,6 +60,18 @@ CONFIGS = [
     ("round-robin-overload", "round-robin", 1.6),
 ]
 LABELS = [label for label, _, _ in CONFIGS]
+
+
+#: the committed grid, keyed by (label, N); refreshed together with its
+#: events/sec by ``check_trend.py --update-baseline``
+BASELINE = load_baseline(Path(__file__).with_name("baseline_scale.json"))
+
+
+def assert_counts_match_baseline(label, n, result):
+    """The cell simulated exactly the committed events and switches."""
+    cell = BASELINE[(label, n)]
+    counts = (result.machine.engine.events_fired, result.trace.context_switches)
+    assert counts == (cell.events, cell.context_switches), (label, n)
 
 
 #: walls per cell; the *best* of these feeds the trend gate, damping
@@ -115,6 +134,7 @@ def test_server_scale_events_per_sec(benchmark, n, label):
         benchmark.extra_info["readjust_repairs"] = frontier.repairs
         benchmark.extra_info["readjust_phi_writes"] = frontier.phi_writes
 
+    assert_counts_match_baseline(label, n, result)
     # Sanity, not speed: the run did real scheduling work and stayed
     # within machine capacity.
     assert events > n  # every task at least arrived + ran
@@ -171,7 +191,9 @@ def test_flow_scale_events_per_sec(benchmark, label):
     benchmark.extra_info["engine_build"] = build_info()["engine"]
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_sec"] = round(events / wall)
+    benchmark.extra_info["context_switches"] = result.trace.context_switches
 
+    assert_counts_match_baseline(label, FLOW_N, result)
     # Sanity, not speed: real packets moved and capacity held.
     assert events > FLOW_N
     sent = sum(t.behavior.bytes_sent for t in result.tasks.values())

@@ -4,9 +4,9 @@ Complements the simulated overheads of Table 1 / Fig. 7 with genuine
 measurements of *this* code base: the §3.2 complexity claims translate
 into pick-next cost that grows with run-queue length for exact SFS,
 stays ~constant for the bounded-scan heuristic, and a per-event
-readjustment whose cost is now *sublinear* in the runnable-set size —
-the incremental frontier repairs the §2.1 cap point in O(log n + p)
-where the batch scan pays O(n) (compare
+readjustment whose cost no longer grows with the runnable-set size —
+the incremental frontier repairs the §2.1 cap point with dict work plus
+at most p per-weight-class tests where the batch scan pays O(n) (compare
 ``test_readjustment_per_op_cost_server`` against
 ``test_weight_readjustment_batch_cost`` across the N ladder).
 """
@@ -110,8 +110,9 @@ def test_readjustment_per_op_cost_server(benchmark, n_tasks):
 
     One runnable-set delta (leave + rejoin, the block/wakeup shape)
     against a backlog that scales with N. The acceptance claim: per-op
-    cost grows *sublinearly* from N=100 to N=5000 — O(log n) queue ops
-    plus an O(p) repair, versus the old O(n) batch rescan.
+    cost stays flat from N=100 to N=5000 — dict updates in the task's
+    weight class plus at most p class tests, versus the old O(n) batch
+    rescan. The task is a member of the heaviest class.
     """
     machine = overloaded_server_machine(n_tasks)
     frontier = machine.scheduler.frontier
@@ -133,9 +134,10 @@ def test_block_wakeup_event_cost_sfs_server(benchmark, n_tasks):
     """Full scheduler-hook cost of a block + wakeup pair under SFS.
 
     Covers everything a runnable-set change triggers — tag update,
-    start-queue and surplus-queue maintenance, and the frontier repair —
+    start-queue and weight-class maintenance, and the frontier repair —
     so regressions anywhere on the event path show up, not just in the
-    readjustment term.
+    readjustment term. The task is a member of the frontier's heaviest
+    class.
     """
     machine = overloaded_server_machine(n_tasks)
     sched = machine.scheduler

@@ -15,6 +15,10 @@ Two signals per cell:
 - ``events`` — the *simulated* event count, which is deterministic for
   a given scenario. A change there is not noise but a behavior change,
   and is reported separately as drift.
+
+Each baseline cell also carries its deterministic ``context_switches``
+count; the scale benchmark asserts both counts against the baseline in
+tier-1, and ``--update-baseline`` keeps them.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class Cell:
     n_tasks: int
     events_per_sec: float
     events: int | None = None
+    context_switches: int | None = None
 
     @property
     def key(self) -> tuple[str, int]:
@@ -111,6 +116,7 @@ def extract_cells(bench_json: dict) -> dict[tuple[str, int], Cell]:
             n_tasks=int(info["n_tasks"]),
             events_per_sec=float(info["events_per_sec"]),
             events=int(info["events"]) if "events" in info else None,
+            context_switches=info.get("context_switches"),
         )
         cells[cell.key] = cell
     return cells
@@ -133,6 +139,7 @@ def load_baseline(path: str | Path) -> dict[tuple[str, int], Cell]:
             n_tasks=int(entry["n_tasks"]),
             events_per_sec=float(entry["events_per_sec"]),
             events=entry.get("events"),
+            context_switches=entry.get("context_switches"),
         )
         cells[cell.key] = cell
     return cells
@@ -152,6 +159,7 @@ def dump_baseline(
                 "n_tasks": cell.n_tasks,
                 "events_per_sec": cell.events_per_sec,
                 "events": cell.events,
+                "context_switches": cell.context_switches,
             }
             for _, cell in sorted(cells.items())
         ],

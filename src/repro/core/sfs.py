@@ -16,10 +16,11 @@ when threads block (a property the paper calls out explicitly).
 descending user weight, ascending start tag, ascending surplus — and
 recomputes every surplus and re-sorts the third queue whenever the
 virtual time moves: O(n) work per decision. This implementation keeps
-the first two (the readjustment frontier owns queue 1, the tagged base
-class queue 2) and replaces the third with a partition of the runnable
-set into **weight classes**: one start-tag-ordered queue per distinct
-user weight.
+the second (the tagged base class's start-tag queue), needs no first
+(the readjustment frontier groups the runnable set by user weight, and
+nothing here reads a descending-weight order) and replaces the third
+with a partition of the runnable set into **weight classes**: one
+start-tag-ordered queue per distinct user weight.
 
 Why that is exact: within a class every thread whose ``phi`` still
 equals its user weight shares one ``phi > 0``, and for a fixed

@@ -24,10 +24,12 @@ Readjustment is driven *incrementally*: instead of re-running the full
 descending-weight scan over the whole runnable set per event (O(n) —
 the dominant cost at high N once the runqueues went logarithmic), the
 scheduler feeds runnable-set deltas to a
-:class:`~repro.core.weights.ReadjustmentFrontier`, which repairs the
-cap point in O(log n + p) per event and produces bit-identical ``phi``
-values to the batch oracle (:meth:`TaggedScheduler.verify_readjustment`
-asserts this; so do the hypothesis model tests).
+:class:`~repro.core.weights.ReadjustmentFrontier`, which groups the
+runnable threads by user weight, repairs the cap point with dict work
+plus at most ``p`` per-class tests per event, and produces
+bit-identical ``phi`` values to the batch oracle
+(:meth:`TaggedScheduler.verify_readjustment` asserts this; so do the
+hypothesis model tests).
 """
 
 from __future__ import annotations

@@ -37,16 +37,19 @@ For ``t == p`` the paper's recursion already does the right thing
 (e.g. weights ``[10, 1]`` on two processors readjust to ``[1, 1]``).
 
 Every scheduler that readjusts runs the one production path,
-:class:`ReadjustmentFrontier`, which repairs the assignment per
-runnable-set delta in O(log n + p). :func:`readjust` is the batch
-oracle: the same map computed from scratch over a weight vector, used
-by the fluid GMS reference and by the checks that hold the frontier to
-it bit for bit. The paper-literal Fig. 2 recursion lives with the
-tests, as the oracle :func:`readjust`'s closed form is checked against.
+:class:`ReadjustmentFrontier`, which groups the runnable threads by
+user weight and repairs the assignment per runnable-set delta with dict
+work plus at most ``p`` Eq. 1 tests, one per weight class.
+:func:`readjust` is the batch oracle: the same map computed from
+scratch over a weight vector, used by the fluid GMS reference and by
+the checks that hold the frontier to it bit for bit. The paper-literal
+Fig. 2 recursion lives with the tests, as the oracle :func:`readjust`'s
+closed form is checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,31 +61,57 @@ __all__ = [
     "readjust",
     "waterfill_shares",
     "ReadjustmentFrontier",
+    "WeightClasses",
 ]
 
 #: relative slack used when testing Eq. 1 so that shares lying exactly on
 #: the boundary (as produced by readjustment itself) test as feasible.
 _REL_TOL = 1e-9
+#: the right-hand factor of every Eq. 1 test
+_SLACK = 1.0 + _REL_TOL
 
 
 def _violates(weight: float, total: float, p: int) -> bool:
     """Does ``weight`` request more than 1/p of ``total``? (Eq. 1)."""
-    return weight * p > total * (1.0 + _REL_TOL)
+    return weight * p > total * _SLACK
 
 
-class _ExactWeightSum:
-    """Exact running sum of floats, as the dyadic rational ``num / 2**shift``.
+def _exact_add(
+    num: int, shift: int, x: float, count: int = 1
+) -> tuple[int, int]:
+    """The exact ``num / 2**shift + count * x``, as a reduced ``(num, shift)``.
 
     Every finite float is a dyadic rational, so a sum of floats is
     exactly representable this way with integer arithmetic. The point of
     carrying the sum exactly is *order independence*: converting back to
-    float is correctly rounded, so two histories that reach the same
-    multiset of weights — a batch pass summing a sorted list versus an
-    incremental frontier adding and removing one weight at a time —
-    yield bit-identical totals, and therefore bit-identical adjusted
-    ``phi`` values. A naive float accumulator would drift with the event
-    history and break golden-output reproducibility.
+    float (``num / (1 << shift)``, int true division) is correctly
+    rounded, so two histories that reach the same multiset of weights —
+    a batch pass summing a sorted list versus an incremental frontier
+    adding and removing one weight at a time — yield bit-identical
+    totals, and therefore bit-identical adjusted ``phi`` values. A naive
+    float accumulator would drift with the event history and break
+    golden-output reproducibility.
     """
+    n, den = x.as_integer_ratio()
+    n *= count
+    s = den.bit_length() - 1  # den is a power of two
+    if s > shift:
+        num = (num << (s - shift)) + n
+        shift = s
+    else:
+        num += n << (shift - s)
+    if num == 0:
+        return 0, 0
+    if shift:
+        # Strip common powers of two to keep the integers small.
+        drop = min((num & -num).bit_length() - 1, shift)
+        num >>= drop
+        shift -= drop
+    return num, shift
+
+
+class _ExactWeightSum:
+    """Exact running sum of floats (see :func:`_exact_add`), for the oracle."""
 
     __slots__ = ("num", "shift")
 
@@ -90,45 +119,15 @@ class _ExactWeightSum:
         self.num = 0  #: integer numerator
         self.shift = 0  #: value is num / 2**shift
 
-    def _merge(self, n: int, s: int) -> None:
-        if s > self.shift:
-            self.num <<= s - self.shift
-            self.shift = s
-        elif s < self.shift:
-            n <<= self.shift - s
-        self.num += n
-        if self.num == 0:
-            self.shift = 0
-        elif self.shift:
-            # Strip common powers of two to keep the integers small.
-            trailing = (self.num & -self.num).bit_length() - 1
-            drop = min(trailing, self.shift)
-            if drop:
-                self.num >>= drop
-                self.shift -= drop
-
-    @staticmethod
-    def _dyadic(x: float) -> tuple[int, int]:
-        num, den = float(x).as_integer_ratio()
-        return num, den.bit_length() - 1  # den is a power of two
-
     def add(self, x: float) -> None:
-        n, s = self._dyadic(x)
-        self._merge(n, s)
+        self.num, self.shift = _exact_add(self.num, self.shift, float(x))
 
     def sub(self, x: float) -> None:
-        n, s = self._dyadic(x)
-        self._merge(-n, s)
+        self.num, self.shift = _exact_add(self.num, self.shift, -float(x))
 
     def as_float(self) -> float:
         # int / int true division is correctly rounded in Python.
         return self.num / (1 << self.shift)
-
-    def copy(self) -> "_ExactWeightSum":
-        out = _ExactWeightSum()
-        out.num = self.num
-        out.shift = self.shift
-        return out
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "_ExactWeightSum":
@@ -250,6 +249,65 @@ def waterfill_shares(
     return shares
 
 
+class WeightClasses:
+    """The frontier's members, grouped by user weight (§3.1 queue 1).
+
+    One ``tid -> task`` map per distinct weight, the distinct weights in
+    ascending order, and one ``tid -> task`` map of every member. The
+    weight list changes only when a class appears or empties, at one
+    O(log C) bisect over the ``C`` distinct weights; every other
+    membership change is dict work. Iteration runs heaviest class first
+    — the paper's descending-weight order up to ties — and within a
+    class in arrival order.
+
+    :class:`ReadjustmentFrontier` mutates the three fields directly
+    (its hot path); everything here only reads them.
+    """
+
+    __slots__ = ("members", "by_weight", "weights", "comparisons")
+
+    def __init__(self) -> None:
+        #: tid -> task, every member
+        self.members: dict[int, "Task"] = {}
+        #: user weight -> that class's members, tid -> task
+        self.by_weight: dict[float, dict[int, "Task"]] = {}
+        #: the distinct member weights, ascending (heaviest last)
+        self.weights: list[float] = []
+        #: instrumentation: bisect steps over :attr:`weights`
+        self.comparisons = 0
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, task: "Task") -> bool:
+        return task.tid in self.members
+
+    def __iter__(self) -> Iterator["Task"]:
+        by_weight = self.by_weight
+        for weight in reversed(self.weights):
+            yield from by_weight[weight].values()
+
+    def head(self) -> "Task | None":
+        """A member of the heaviest class, or None if empty."""
+        if not self.weights:
+            return None
+        return next(iter(self.by_weight[self.weights[-1]].values()))
+
+    def is_sorted(self) -> bool:
+        """Check the invariants against *fresh* weights.
+
+        Every member sits in its current weight's class, every class is
+        non-empty, and the distinct weights are strictly ascending.
+        """
+        by_weight = self.by_weight
+        if sorted(by_weight) != self.weights or not all(by_weight.values()):
+            return False
+        filed = [(w, tid, t) for w, b in by_weight.items() for tid, t in b.items()]
+        return len(filed) == len(self.members) and all(
+            t.weight == w and self.members.get(tid) is t for w, tid, t in filed
+        )
+
+
 class ReadjustmentFrontier:
     """Incrementally maintained §2.1 feasibility frontier.
 
@@ -258,20 +316,31 @@ class ReadjustmentFrontier:
     the ``k <= p - 1`` heaviest threads (the *frontier*). This object
     keeps that frontier repaired across runnable-set deltas instead:
 
-    - ``queue`` — the §3.1 descending-weight queue (O(log n) ops);
-    - an exact running total of member weights (order-independent, see
-      :class:`_ExactWeightSum`), so the cap value ``S / (p - k)`` comes
-      out bit-identical to the batch oracle's;
+    - ``queue`` — the members grouped by user weight
+      (:class:`WeightClasses`);
+    - the exact total of member weights as a dyadic ``(num, shift)``
+      pair (order-independent, see :func:`_exact_add`), so the cap
+      value ``S / (p - k)`` comes out bit-identical to the batch
+      oracle's;
     - the current capped set and whether the degenerate ``t < p``
       equal-share mode is active.
 
-    Each mutation costs one sorted-queue operation (O(log n)) plus a
-    repair that touches at most O(p) threads — the scan examines only
-    the ``min(p - 1, t)`` heaviest members, and only capped threads
-    (plus the touched one) can change ``phi``. When the assignment was
-    and remains feasible — the common case at load < 1 — the repair
-    collapses to a single head-of-queue Eq. 1 test and no ``phi``
-    write at all (``fast_skips`` counts these).
+    The repair caps whole weight classes. If one member of weight ``w``
+    violates Eq. 1 with ``k`` threads capped, so does the next with
+    ``k + 1`` capped — ``w (p - k - 1) > R - w`` follows from
+    ``w (p - k) > R`` for the remaining weight ``R``, and ``_REL_TOL``'s
+    slack dwarfs float rounding for any ``p`` below about 10^6 — and no
+    member violates with ``p - 1`` capped. So the oracle's per-member
+    scan always stops at a class boundary, and testing one weight per
+    class, heaviest first, reaches the same ``k``.
+
+    Each mutation therefore costs dict work, one exact-sum update and
+    at most ``p`` class tests; a class's first arrival or last
+    departure adds one O(log C) bisect over the ``C`` distinct weights.
+    Only capped threads (plus the touched one) can change ``phi``. When
+    the assignment was and remains feasible — the common case at
+    load < 1 — the repair collapses to one Eq. 1 test on the heaviest
+    weight and no ``phi`` write at all (``fast_skips`` counts these).
 
     Invariants (checked by the hypothesis model tests):
 
@@ -284,24 +353,24 @@ class ReadjustmentFrontier:
     __slots__ = (
         "p",
         "queue",
-        "_total",
+        "_num",
+        "_shift",
         "_capped",
         "_equalized",
         "repairs",
         "fast_skips",
         "phi_writes",
-        "scan_steps",
     )
 
     def __init__(self, p: int) -> None:
         if p < 1:
             raise ValueError(f"processor count must be >= 1, got {p}")
-        from repro.sim.runqueue import SortedTaskList
-
         self.p = p
-        #: §3.1 queue 1: members in descending user-weight order
-        self.queue = SortedTaskList(key=lambda t: -t.weight)
-        self._total = _ExactWeightSum()
+        #: §3.1 queue 1: the members, grouped by descending user weight
+        self.queue = WeightClasses()
+        #: exact total of member weights: _num / 2**_shift
+        self._num = 0
+        self._shift = 0
         #: tid -> task currently holding a capped phi
         self._capped: dict[int, "Task"] = {}
         #: degenerate t < p equal-share mode active
@@ -312,18 +381,16 @@ class ReadjustmentFrontier:
         self.fast_skips = 0
         #: instrumentation: phi values actually changed
         self.phi_writes = 0
-        #: instrumentation: violation tests consumed by frontier scans
-        self.scan_steps = 0
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.queue)
+        return len(self.queue.members)
 
     def __contains__(self, task: "Task") -> bool:
-        return task in self.queue
+        return task.tid in self.queue.members
 
     def __iter__(self) -> Iterator["Task"]:
         return iter(self.queue)
@@ -342,7 +409,7 @@ class ReadjustmentFrontier:
         next mutation: the decision path reads it once per pick.
         """
         if self._equalized:
-            return {task.tid: task for task in self.queue}
+            return self.queue.members
         return self._capped
 
     # ------------------------------------------------------------------
@@ -351,33 +418,71 @@ class ReadjustmentFrontier:
 
     def add(self, task: "Task") -> None:
         """A task joined the runnable set; assign its phi, repair caps."""
-        if task.weight <= 0:
-            raise ValueError(f"weights must be > 0, got {task.weight}")
-        self.queue.add(task)
-        self._total.add(task.weight)
+        weight = task.weight
+        if weight <= 0:
+            raise ValueError(f"weights must be > 0, got {weight}")
+        queue = self.queue
+        tid = task.tid
+        if tid in queue.members:
+            raise ValueError(f"{task!r} is already in the queue")
+        queue.members[tid] = task
+        bucket = queue.by_weight.get(weight)
+        if bucket is None:
+            queue.by_weight[weight] = {tid: task}
+            queue.comparisons += len(queue.weights).bit_length() or 1
+            insort(queue.weights, weight)
+        else:
+            bucket[tid] = task
+        self._num, self._shift = _exact_add(self._num, self._shift, weight)
         self._repair(task)
 
     def remove(self, task: "Task") -> None:
         """A task left the runnable set; release its cap, repair."""
-        self.queue.remove(task)
-        self._capped.pop(task.tid, None)
-        if not len(self.queue):
+        queue = self.queue
+        tid = task.tid
+        if queue.members.pop(tid, None) is None:
+            raise ValueError(f"{task!r} not in queue")
+        weight = task.weight
+        bucket = queue.by_weight[weight]
+        del bucket[tid]
+        if not bucket:
+            del queue.by_weight[weight]
+            queue.comparisons += len(queue.weights).bit_length() or 1
+            del queue.weights[bisect_left(queue.weights, weight)]
+        self._capped.pop(tid, None)
+        if not queue.members:
             # Reset rather than subtract down to zero: sheds any bigint
             # growth in the exact accumulator between busy periods.
-            self._total = _ExactWeightSum()
-            self._capped.clear()
+            self._num = self._shift = 0
             self._equalized = False
             return
-        self._total.sub(task.weight)
+        self._num, self._shift = _exact_add(self._num, self._shift, -weight)
         self._repair(None)
 
     def reweight(self, task: "Task", old_weight: float) -> None:
         """A member's user weight changed from ``old_weight`` in place."""
-        if task.weight <= 0:
-            raise ValueError(f"weights must be > 0, got {task.weight}")
-        self.queue.reposition(task)
-        self._total.sub(old_weight)
-        self._total.add(task.weight)
+        weight = task.weight
+        if weight <= 0:
+            raise ValueError(f"weights must be > 0, got {weight}")
+        queue = self.queue
+        tid = task.tid
+        if tid not in queue.members:
+            raise ValueError(f"{task!r} not in queue")
+        bucket = queue.by_weight[old_weight]
+        del bucket[tid]
+        if not bucket:
+            del queue.by_weight[old_weight]
+            queue.comparisons += len(queue.weights).bit_length() or 1
+            del queue.weights[bisect_left(queue.weights, old_weight)]
+        bucket = queue.by_weight.get(weight)
+        if bucket is None:
+            queue.by_weight[weight] = {tid: task}
+            queue.comparisons += len(queue.weights).bit_length() or 1
+            insort(queue.weights, weight)
+        else:
+            bucket[tid] = task
+        num, shift = _exact_add(self._num, self._shift, -old_weight)
+        self._num, self._shift = _exact_add(num, shift, weight)
         self._repair(task)
 
     def refresh(self) -> None:
@@ -386,76 +491,102 @@ class ReadjustmentFrontier:
         Maintenance is exact, so this never changes anything — tests
         call it to assert exactly that (repair idempotence).
         """
-        self._total = _ExactWeightSum.of([t.weight for t in self.queue])
-        if len(self.queue):
+        members = self.queue.members
+        total = _ExactWeightSum.of([t.weight for t in members.values()])
+        self._num, self._shift = total.num, total.shift
+        if members:
             self._repair(None, force=True)
 
     # ------------------------------------------------------------------
     # the repair
     # ------------------------------------------------------------------
 
-    def _set_phi(self, task: "Task", phi: float) -> None:
-        # sfs-lint: disable=SFS005 (bit-identity change detection: skip no-op writes)
-        if task.phi != phi:
-            task.phi = phi
-            self.phi_writes += 1
-
-    def _equalize_members(self) -> None:
+    def _equalize(self) -> None:
         """t < p: every member can hold a full processor (equal shares)."""
         self.repairs += 1
-        self._capped.clear()
+        self._capped = {}
         self._equalized = True
-        head = self.queue.head()
-        tail = self.queue.peek_tail_n(1)[0]
-        if head.weight == tail.weight:
+        queue = self.queue
+        members = queue.members
+        if len(queue.weights) == 1:
             # All equal: the batch map returns the input unchanged.
-            for task in self.queue:
-                self._set_phi(task, task.weight)
+            phi = queue.weights[0]
         else:
-            mean = self._total.as_float() / len(self.queue)
-            for task in self.queue:
-                self._set_phi(task, mean)
+            phi = self._num / (1 << self._shift) / len(members)
+        writes = 0
+        for task in members.values():
+            # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+            if task.phi != phi:
+                task.phi = phi
+                writes += 1
+        self.phi_writes += writes
 
     def _repair(self, touched: "Task | None", force: bool = False) -> None:
-        t = len(self.queue)
+        queue = self.queue
+        members = queue.members
         p = self.p
-        if t < p:
-            self._equalize_members()
+        if len(members) < p:
+            self._equalize()
             return
+        writes = 0
         if self._equalized:
             # Leaving equal-share mode: restore phi = weight everywhere
             # before re-deriving the caps (t just crossed p, so O(p)).
-            for task in self.queue:
-                self._set_phi(task, task.weight)
+            for task in members.values():
+                weight = task.weight
+                # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+                if task.phi != weight:
+                    task.phi = weight
+                    writes += 1
             self._equalized = False
-            self._capped.clear()
         elif not self._capped and not force:
             # Feasible before this delta; one Eq. 1 test on the heaviest
-            # member decides whether it stayed feasible (common case).
-            if not _violates(self.queue.head().weight, self._total.as_float(), p):
+            # weight decides whether it stayed feasible (common case).
+            if queue.weights[-1] * p <= self._num / (1 << self._shift) * _SLACK:
                 if touched is not None:
-                    self._set_phi(touched, touched.weight)
+                    weight = touched.weight
+                    # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+                    if touched.phi != weight:
+                        touched.phi = weight
+                        self.phi_writes += 1
                 self.fast_skips += 1
                 return
         self.repairs += 1
-        top = self.queue.peek_n(min(p - 1, t))
-        remaining = self._total.copy()
+        # Cap whole classes, heaviest first, while Eq. 1 fails against
+        # the exact remainder (class doc: one test per class suffices).
+        num = self._num
+        shift = self._shift
+        remaining = num / (1 << shift)
+        by_weight = queue.by_weight
+        capped: dict[int, "Task"] = {}
         k = 0
-        while k < len(top) and _violates(
-            top[k].weight, remaining.as_float(), p - k
-        ):
-            remaining.sub(top[k].weight)
-            k += 1
-            self.scan_steps += 1
-        capped = top[:k]
-        capped_ids = {task.tid for task in capped}
-        for tid in [tid for tid in self._capped if tid not in capped_ids]:
-            dropped = self._capped.pop(tid)
-            self._set_phi(dropped, dropped.weight)
+        for weight in reversed(queue.weights):
+            if weight * (p - k) <= remaining * _SLACK:
+                break
+            bucket = by_weight[weight]
+            capped.update(bucket)
+            k += len(bucket)
+            num, shift = _exact_add(num, shift, -weight, len(bucket))
+            remaining = num / (1 << shift)
+        for tid, task in self._capped.items():
+            if tid not in capped:
+                weight = task.weight
+                # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+                if task.phi != weight:
+                    task.phi = weight
+                    writes += 1
         if k:
-            adjusted = remaining.as_float() / (p - k)
-            for task in capped:
-                self._set_phi(task, adjusted)
-                self._capped[task.tid] = task
-        if touched is not None and touched.tid not in capped_ids:
-            self._set_phi(touched, touched.weight)
+            adjusted = remaining / (p - k)
+            for task in capped.values():
+                # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+                if task.phi != adjusted:
+                    task.phi = adjusted
+                    writes += 1
+        self._capped = capped
+        if touched is not None and touched.tid not in capped:
+            weight = touched.weight
+            # sfs-lint: disable=SFS005 (skip no-op phi writes, bit for bit)
+            if touched.phi != weight:
+                touched.phi = weight
+                writes += 1
+        self.phi_writes += writes

@@ -96,6 +96,7 @@ from repro.scenario.io.schema import (
     SCENARIO_FIELDS,
     STREAM_FIELDS,
     WEIGHT_CHURN_FIELDS,
+    WEIGHT_RANGE,
     ConfigError,
     FieldSpec,
     check_mapping,
@@ -133,7 +134,7 @@ CONFIG_SUFFIXES: tuple[str, ...] = (".yaml", ".yml", ".json")
 
 GROUP_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("count", "int", required=True, ge=1),
-    FieldSpec("weight", "float", default=1.0, gt=0.0),
+    FieldSpec("weight", "float", default=1.0, **WEIGHT_RANGE),
     FieldSpec("prefix", "str", default="T"),
     FieldSpec("at", "float", default=0.0, ge=0.0),
 )

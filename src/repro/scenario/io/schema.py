@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from repro.sim.task import MAX_WEIGHT, MIN_WEIGHT
+
 __all__ = [
     "ConfigError",
     "FieldSpec",
@@ -41,6 +43,7 @@ __all__ = [
     "WEIGHT_CHURN_FIELDS",
     "FLOW_FIELDS",
     "LINK_FIELDS",
+    "WEIGHT_RANGE",
 ]
 
 
@@ -78,8 +81,8 @@ class FieldSpec:
     ``2.0``; floats must be finite, as NaN passes every bound check)
     or ``floats``, a list of such numbers loaded as a tuple.
     ``required`` fields have no default; ``nullable`` fields
-    additionally accept an explicit ``null``. ``gt``/``ge`` bound
-    numeric values (each item of a ``floats`` list); ``choices``
+    additionally accept an explicit ``null``. ``gt``/``ge``/``le``
+    bound numeric values (each item of a ``floats`` list); ``choices``
     restricts strings to an enumerated set.
     """
 
@@ -90,6 +93,7 @@ class FieldSpec:
     nullable: bool = False
     gt: float | None = None
     ge: float | None = None
+    le: float | None = None
     choices: tuple[str, ...] | None = None
 
     def check(self, value: object, path: str) -> Any:
@@ -133,6 +137,8 @@ class FieldSpec:
             raise ConfigError(path, f"must be > {self.gt}, got {value}")
         if self.ge is not None and value < self.ge:
             raise ConfigError(path, f"must be >= {self.ge}, got {value}")
+        if self.le is not None and value > self.le:
+            raise ConfigError(path, f"must be <= {self.le}, got {value}")
         if self.choices is not None and value not in self.choices:
             raise ConfigError(
                 path,
@@ -252,6 +258,9 @@ def validate_block(
     return out
 
 
+#: the bounds of every field that becomes a task weight (``Task``'s own)
+WEIGHT_RANGE: Mapping[str, float] = {"ge": MIN_WEIGHT, "le": MAX_WEIGHT}
+
 #: the scalar Scenario fields a config file may set directly. tasks/
 #: groups/streams/drivers/events and the mapping-valued fields
 #: (scheduler_params, audit_params) are structured blocks handled by
@@ -285,7 +294,7 @@ STREAM_FIELDS: tuple[FieldSpec, ...] = (
 #: one ``(name, weight, share)`` row under a stream's ``classes:``
 CLASS_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("name", "str", required=True),
-    FieldSpec("weight", "float", required=True, gt=0.0),
+    FieldSpec("weight", "float", required=True, **WEIGHT_RANGE),
     FieldSpec("share", "float", required=True, ge=0.0),
 )
 
@@ -297,7 +306,7 @@ WEIGHT_CHURN_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("start", "float", required=True, ge=0.0),
     FieldSpec("every", "float", required=True, gt=0.0),
     FieldSpec("until", "float", required=True, gt=0.0),
-    FieldSpec("weights", "floats", required=True, gt=0.0),
+    FieldSpec("weights", "floats", required=True, **WEIGHT_RANGE),
 )
 
 #: one flow under the ``flows:`` block (packet fair-queueing domain);
@@ -305,7 +314,7 @@ WEIGHT_CHURN_FIELDS: tuple[FieldSpec, ...] = (
 #: loader (registry-dispatched / resource-vector mappings)
 FLOW_FIELDS: tuple[FieldSpec, ...] = (
     FieldSpec("name", "str", required=True),
-    FieldSpec("weight", "float", default=1.0, gt=0.0),
+    FieldSpec("weight", "float", default=1.0, **WEIGHT_RANGE),
     FieldSpec("packets", "int", default=100, ge=1),
     FieldSpec("at", "float", default=0.0, ge=0.0),
     FieldSpec("seed", "int", default=0),

@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Union
 
-from repro.scenario.io.schema import fields_of_dataclass
+from repro.scenario.io.schema import WEIGHT_RANGE, fields_of_dataclass
 from repro.workloads.base import Behavior
 from repro.workloads.cpu_bound import FiniteCompute, Infinite
 from repro.workloads.disksim import DisksimBatch
@@ -93,7 +93,7 @@ def field_table(
     The table derives from the dataclass itself (types, defaults,
     nullability, see :func:`~repro.scenario.io.schema.fields_of_dataclass`);
     ``ranges`` bounds fields by name with FieldSpec keywords, as in
-    ``weight={"gt": 0.0}``, and ``skip`` names the structured fields
+    ``at={"ge": 0.0}``, and ``skip`` names the structured fields
     the loader handles itself.
     """
 
@@ -234,7 +234,7 @@ BehaviorSpec = Union[Inf, Compute, InteractiveLoop, Mpeg, Compile, Disksim]
 
 @field_table(
     skip=("behavior", "resources"),
-    weight={"gt": 0.0},
+    weight=WEIGHT_RANGE,
     at={"ge": 0.0},
     footprint_kb={"ge": 0.0},
 )
@@ -296,7 +296,7 @@ def group(
 
 @register_driver(
     "short-jobs",
-    weight={"gt": 0.0},
+    weight=WEIGHT_RANGE,
     job_cpu={"gt": 0.0},
     first_arrival={"ge": 0.0},
     gap={"ge": 0.0},
@@ -371,7 +371,7 @@ DriverSpec = Union[ShortJobs, LatCtxRing]
 # scheduled control events and probes
 # ----------------------------------------------------------------------
 
-@register_event("set-weight", weight={"gt": 0.0}, at={"ge": 0.0})
+@register_event("set-weight", weight=WEIGHT_RANGE, at={"ge": 0.0})
 @dataclass(frozen=True)
 class SetWeight:
     """``setweight()`` (§3.1): change ``task``'s weight at time ``at``."""

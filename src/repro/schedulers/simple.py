@@ -5,8 +5,8 @@ Stride, lottery and round-robin only need a runnable set plus optional
 provides exactly that so each policy file contains only its policy.
 Readjustment runs through the same incremental
 :class:`~repro.core.weights.ReadjustmentFrontier` the tag-based
-schedulers use, at O(log n + p) per arrival, wakeup, block, exit and
-weight change.
+schedulers use: dict work plus at most ``p`` per-class tests per
+arrival, wakeup, block, exit and weight change.
 """
 
 from __future__ import annotations

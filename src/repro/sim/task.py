@@ -27,15 +27,25 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Behavior
 
-__all__ = ["Task", "TaskState"]
+__all__ = ["Task", "TaskState", "MIN_WEIGHT", "MAX_WEIGHT"]
 
 _tid_counter = itertools.count(1)
 
+#: Bounds on a user weight. Any 10**8 weights in range sum to far less
+#: than the float range, and one quantum ``q`` moves a finish tag by at
+#: most ``q * 1e100``. Nearer the float limits the exact readjustment
+#: total overflows a float (weights near 1e308), or one quantum turns a
+#: finish tag into inf (subnormal weights).
+MIN_WEIGHT = 1e-100
+MAX_WEIGHT = 1e100
+
 
 def _check_weight(weight: float) -> None:
-    # One comparison chain rejects <= 0, NaN and +inf alike.
-    if not 0 < weight < math.inf:
-        raise ValueError(f"weight must be finite and > 0, got {weight}")
+    # One comparison chain rejects <= 0, NaN, inf and the extremes alike.
+    if not MIN_WEIGHT <= weight <= MAX_WEIGHT:
+        raise ValueError(
+            f"weight must be in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}], got {weight}"
+        )
 
 
 class TaskState(enum.Enum):
@@ -56,7 +66,8 @@ class Task:
     behavior:
         The workload behaviour generating Run/Block/Exit segments.
     weight:
-        The user-assigned weight ``w_i`` (must be finite and > 0).
+        The user-assigned weight ``w_i``, in
+        [:data:`MIN_WEIGHT`, :data:`MAX_WEIGHT`].
         Shares are proportional to weights across runnable tasks.
     name:
         Human-readable label used in traces and rendered figures.

@@ -14,7 +14,9 @@ sublinear in membership size.
 from __future__ import annotations
 
 import itertools
+import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -25,7 +27,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.weights import ReadjustmentFrontier, readjust
+from repro.core.weights import (
+    _SLACK,
+    ReadjustmentFrontier,
+    _ExactWeightSum,
+    _violates,
+    readjust,
+)
 
 _tids = itertools.count(1)
 
@@ -164,9 +172,10 @@ def test_fast_path_skips_repairs_when_feasible():
 
 
 def test_per_op_comparisons_grow_sublinearly():
-    """Deterministic complexity evidence, no wall clocks: the sorted
-    queue's comparison counter for one leave/rejoin cycle grows like
-    O(log n), not O(n), from n=100 to n=10000."""
+    """Deterministic complexity evidence, no wall clocks: the frontier
+    queue counts bisect steps over the distinct weights, which only a
+    class's first arrival or last departure takes. A leave/rejoin cycle
+    in a class that stays non-empty costs none, from n=100 to n=10000."""
 
     def comparisons_per_op(n):
         frontier = ReadjustmentFrontier(4)
@@ -180,7 +189,7 @@ def test_per_op_comparisons_grow_sublinearly():
         return (frontier.queue.comparisons - before) / 64
 
     small, large = comparisons_per_op(100), comparisons_per_op(10_000)
-    assert large <= small * 3  # log2(10000)/log2(100) == 2; slack for rounding
+    assert small == large == 0
 
 
 def test_phi_writes_bounded_by_p_not_n():
@@ -200,3 +209,126 @@ def test_phi_writes_bounded_by_p_not_n():
         ops += 2
     per_op = (frontier.phi_writes - writes_before) / ops
     assert per_op <= 2 * p  # independent of the 2000-strong membership
+
+
+# ----------------------------------------------------------------------
+# whole-class caps at the Eq. 1 boundary
+# ----------------------------------------------------------------------
+
+
+def _first_member_violates(weight, count, light, unit, rest):
+    """Does a class of ``count`` x ``weight`` violate with ``rest`` CPUs left?
+
+    The oracle's test of the class's first member: the remainder is the
+    class plus ``light`` members of weight ``unit``, summed exactly.
+    """
+    remaining = _ExactWeightSum.of([weight] * count + [unit] * light)
+    return _violates(weight, remaining.as_float(), rest)
+
+
+def _boundary_weight(count, light, unit, rest):
+    """The least float weight whose class's first member violates Eq. 1."""
+    low = high = light * unit * _SLACK / (rest - count * _SLACK)
+    while _first_member_violates(low, count, light, unit, rest):
+        low /= 1.0 + 1e-12
+    while not _first_member_violates(high, count, light, unit, rest):
+        high *= 1.0 + 1e-12
+    # Bisect on the bit patterns: positive floats order like their bits.
+    low_bits, high_bits = _bits(low), _bits(high)
+    while high_bits - low_bits > 1:
+        mid = (low_bits + high_bits) // 2
+        if _first_member_violates(_float(mid), count, light, unit, rest):
+            high_bits = mid
+        else:
+            low_bits = mid
+    return _float(high_bits)
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@st.composite
+def boundary_cases(draw):
+    """A heavy class within a few ulps of Eq. 1, below ``capped`` heavier ones."""
+    p = draw(st.integers(min_value=2, max_value=64))
+    capped = draw(st.integers(min_value=0, max_value=p - 2))
+    rest = p - capped
+    count = draw(st.integers(min_value=1, max_value=rest - 1))
+    light = draw(st.integers(min_value=rest - count + 1, max_value=rest + 8))
+    exponent = draw(st.integers(min_value=-100, max_value=90))
+    unit = draw(st.floats(min_value=1.0, max_value=9.99)) * 10.0**exponent
+    step = draw(st.integers(min_value=-3, max_value=3))
+    order = draw(st.randoms(use_true_random=False))
+    return p, capped, count, light, unit, step, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_cases())
+def test_class_caps_at_the_eq1_boundary_match_the_oracle(case):
+    """Whole-class caps stay exact a few ulps either side of Eq. 1.
+
+    The heavy class's first member sits ``step`` ulps from the least
+    weight that violates once the ``capped`` heavier members are capped,
+    so both outcomes are exercised, at p up to 64 and weights across
+    [1e-100, 1e100]: the class is capped whole or not at all.
+    """
+    p, capped, count, light, unit, step, order = case
+    rest = p - capped
+    weight = _float(_bits(_boundary_weight(count, light, unit, rest)) + step)
+    assert weight > unit
+    # Rounding can flip the test within an ulp or two of the boundary,
+    # so the side is read off the oracle's own test, not from ``step``.
+    violates = _first_member_violates(weight, count, light, unit, rest)
+    top = 4.0 * (count * weight + light * unit)
+    members = [Member(top) for _ in range(capped)]
+    members += [Member(weight) for _ in range(count)]
+    members += [Member(unit) for _ in range(light)]
+    order.shuffle(members)
+    frontier = ReadjustmentFrontier(p)
+    for member in members:
+        frontier.add(member)
+    assert_matches_oracle(frontier, members, p)
+    assert frontier.capped_count == capped + (count if violates else 0)
+    assert frontier.capped_count <= p - 1
+    assert 1e-100 <= unit and top <= 1e100
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8, 64])
+def test_heavy_class_of_p_minus_1_is_capped_whole(p):
+    heavy = [Member(1e6) for _ in range(p - 1)]
+    light = [Member(1.0) for _ in range(2 * p)]
+    frontier = ReadjustmentFrontier(p)
+    for member in light + heavy:
+        frontier.add(member)
+    assert frontier.capped_count == p - 1
+    assert set(frontier.readjusted()) == {m.tid for m in heavy}
+    assert_matches_oracle(frontier, light + heavy, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8, 64])
+def test_heavy_class_of_p_is_feasible(p):
+    heavy = [Member(1e6) for _ in range(p)]
+    light = [Member(1.0) for _ in range(2 * p)]
+    frontier = ReadjustmentFrontier(p)
+    for member in light + heavy:
+        frontier.add(member)
+    assert frontier.capped_count == 0
+    assert not frontier.readjusted()
+    assert_matches_oracle(frontier, light + heavy, p)
+
+
+def test_caps_cascade_against_the_remainder():
+    """100 violates against the total; 10 only against what remains."""
+    members = [Member(w) for w in (100.0, 10.0, 1.0, 1.0, 1.0)]
+    frontier = ReadjustmentFrontier(4)
+    for member in members:
+        frontier.add(member)
+    assert frontier.capped_count == 2
+    # sfs-lint: disable=SFS005 (the cap (1 + 1 + 1) / 2 is exact)
+    assert members[0].phi == members[1].phi == 1.5
+    assert_matches_oracle(frontier, members, 4)

@@ -2,6 +2,7 @@
 heavy churn stress, and API misuse."""
 
 import math
+import re
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestApiMisuse:
         # NaN slips past a bare `<= 0` guard; NaN and inf would then
         # reach the exact readjustment sum as a raw error mid-run.
         for weight in (0, -1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and > 0"):
+            with pytest.raises(ValueError, match="weight must be in"):
                 Task(Infinite(), weight=weight)
         # A non-finite footprint made the switch cost NaN (or parked the
         # CPU at t = inf) instead of failing at construction.
@@ -136,9 +137,34 @@ class TestApiMisuse:
     def test_weight_setter_validation(self):
         t = Task(Infinite(), weight=1)
         for weight in (0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and > 0"):
+            with pytest.raises(ValueError, match="weight must be in"):
                 t.weight = weight
         assert t.weight == 1.0
+
+    @pytest.mark.parametrize(
+        "weight",
+        [1e308, math.nextafter(1e100, math.inf), 5e-324, math.nextafter(1e-100, 0)],
+    )
+    def test_extreme_weights_fail_at_construction(self, weight):
+        # Weights 1e308, 1e308 and 1 on 2 CPUs overflowed the exact
+        # readjustment total into a raw OverflowError at run_until(1.0);
+        # subnormal weights turned one quantum's finish tag into inf,
+        # after which SFS starved the heaviest of three tasks silently.
+        with pytest.raises(ValueError, match=re.escape(f"got {weight!r}")):
+            Task(Infinite(), weight=weight)
+        for bound in (1e-100, 1e100):
+            assert Task(Infinite(), weight=bound).weight == bound
+
+    @pytest.mark.parametrize("weight", [1e308, 5e-324])
+    def test_setweight_to_an_extreme_weight_fails(self, weight):
+        m = machine(cpus=2)
+        t = add_inf(m, 1, "t")
+        add_inf(m, 1, "u")
+        m.run_until(0.5)
+        with pytest.raises(ValueError, match=re.escape(f"got {weight!r}")):
+            m.change_weight(t, weight)
+        assert t.weight == 1.0
+        m.run_until(1.0)
 
 
 class TestDeadTaskGuards:

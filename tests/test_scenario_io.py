@@ -111,7 +111,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "weights, path, detail",
         [
-            ([1.0, 0], "events[0].weights[1]", "> 0"),
+            ([1.0, 0], "events[0].weights[1]", ">= 1e-100"),
             ([1.0, math.nan], "events[0].weights[1]", "finite"),
             ([], "events[0].weights", "at least one"),
             (2.0, "events[0].weights", "list"),
@@ -123,6 +123,58 @@ class TestErrors:
         err = _err({**MINIMAL, "events": [churn]})
         assert err.path == path
         assert detail in err.detail
+
+    @pytest.mark.parametrize("value", [1e308, 5e-324])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "tasks[0].weight",
+            "groups[0].weight",
+            "streams[0].classes[0].weight",
+            "drivers[0].weight",
+            "events[0].weight",
+            "events[0].weights[1]",
+            "flows[0].weight",
+        ],
+    )
+    def test_extreme_task_weights_fail_at_load(self, path, value):
+        # Every field that becomes a task weight shares Task's bounds.
+        # A task weight of 1e308 used to load and then crash the run
+        # with a raw OverflowError, and 5e-324 to load and run silently
+        # unfair.
+        churn = {"kind": "weight-churn", "prefix": "a", "weights": [1.0, value]}
+        churn.update(start=0.0, every=0.5, until=1.0)
+        stream = {
+            "n": 2,
+            "arrival": {"kind": "trace", "times": [0.0, 1.0]},
+            "demand": {"kind": "fixed", "value": 0.1},
+            "classes": [{"name": "c", "weight": value, "share": 1.0}],
+        }
+        flows = {
+            "link": {"bytes_per_sec": 1e6},
+            "flows": [{"name": "f", "weight": value}],
+        }
+        data = {
+            "tasks[0].weight": {**MINIMAL, "tasks": [{"name": "a", "weight": value}]},
+            "groups[0].weight": {**MINIMAL, "groups": [{"count": 2, "weight": value}]},
+            "streams[0].classes[0].weight": {**MINIMAL, "streams": [stream]},
+            "drivers[0].weight": {
+                **MINIMAL,
+                "drivers": [{"kind": "short-jobs", "weight": value}],
+            },
+            "events[0].weight": {
+                **MINIMAL,
+                "events": [
+                    {"kind": "set-weight", "task": "a", "weight": value, "at": 0.5}
+                ],
+            },
+            "events[0].weights[1]": {**MINIMAL, "events": [churn]},
+            "flows[0].weight": {"name": "t", "duration": 1.0, **flows},
+        }[path]
+        err = _err(data)
+        assert err.path == path
+        bound = ">= 1e-100" if value < 1 else "<= 1e+100"
+        assert err.detail == f"must be {bound}, got {value!r}"
 
     def test_unknown_top_level_key_lists_accepted(self):
         err = _err({**MINIMAL, "qantum": 0.1})

@@ -57,9 +57,10 @@ def _low(f) -> float:
 def _number(f) -> st.SearchStrategy:
     if f.kind == "int":
         return st.integers(min_value=_low(f), max_value=_low(f) + 100)
+    high = max(_low(f), 0.0) + 1e6
     return st.floats(
         min_value=_low(f),
-        max_value=max(_low(f), 0.0) + 1e6,
+        max_value=high if f.le is None else min(high, f.le),
         exclude_min=f.gt is not None,
         allow_nan=False,
         allow_infinity=False,
@@ -141,11 +142,31 @@ def _just_outside(f, bound: str) -> float:
     return limit - 1 if f.kind == "int" else math.nextafter(limit, -math.inf)
 
 
+def _upper_bounds():
+    for where, kind, cls in [("tasks[0]", None, TaskSpec), *KINDS]:
+        for f in cls.fields:
+            if f.le is not None:
+                yield pytest.param(
+                    where, kind, cls, f, id=f"{kind or 'task'}.{f.name}"
+                )
+
+
 @pytest.mark.parametrize("where, kind, cls, f, bound", list(_bounds()))
 @given(data=st.data())
 @settings(max_examples=5, deadline=None)
 def test_just_outside_each_bound_fails_at_load(where, kind, cls, f, bound, data):
-    outside = _just_outside(f, bound)
+    _assert_fails_at_load(where, kind, cls, f, _just_outside(f, bound), data)
+
+
+@pytest.mark.parametrize("where, kind, cls, f", list(_upper_bounds()))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_just_above_each_upper_bound_fails_at_load(where, kind, cls, f, data):
+    outside = math.nextafter(f.le, math.inf)
+    _assert_fails_at_load(where, kind, cls, f, outside, data)
+
+
+def _assert_fails_at_load(where, kind, cls, f, outside, data) -> None:
     block = data.draw(blocks(cls.fields, force=f.name))
     path = f"{where}.{f.name}"
     if f.kind == "floats":

@@ -149,6 +149,16 @@ class TestBaselineFile:
         dump_baseline(cells, path, note="test")
         assert load_baseline(path) == cells
 
+    def test_update_baseline_keeps_context_switches(self, tmp_path):
+        report = bench_json(GRID)
+        for i, bench in enumerate(report["benchmarks"]):
+            bench["extra_info"]["context_switches"] = 7 + i
+        path = tmp_path / "baseline.json"
+        dump_baseline(extract_cells(report), path)
+        assert json.loads(path.read_text())["cells"][0]["context_switches"] == 9
+        switches = {k: c.context_switches for k, c in load_baseline(path).items()}
+        assert switches == {("sfs", 100): 7, ("sfs", 5000): 8, ("sfq", 100): 9}
+
     def test_version_mismatch_raises(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"version": 99, "cells": []}))
