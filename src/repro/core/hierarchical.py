@@ -34,7 +34,7 @@ from collections import deque
 
 from repro.core.weights import waterfill_shares
 from repro.sim.costs import DecisionCostParams
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["SchedulingClass", "HierarchicalSurplusFairScheduler"]
@@ -129,7 +129,7 @@ class HierarchicalSurplusFairScheduler(Scheduler):
 
     def __init__(self, wake_preempt: bool = True) -> None:
         super().__init__()
-        self.wake_preempt = wake_preempt
+        self.wake_preempt = require_bool("wake_preempt", wake_preempt)
         self._classes: dict[str, SchedulingClass] = {}
         self._task_class: dict[int, SchedulingClass] = {}
         self._vtime = 0.0
@@ -259,6 +259,10 @@ class HierarchicalSurplusFairScheduler(Scheduler):
 
     def on_exit(self, task: Task, now: float, ran: float) -> None:
         cls = self.class_of(task)
+        if task.tid not in cls.members:
+            # Exited while blocked: it left its class when it blocked.
+            self._task_class.pop(task.tid, None)
+            return
         if ran > 0:
             self._charge(task, cls, ran)
         self._leave_member(task, cls)

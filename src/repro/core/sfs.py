@@ -15,12 +15,15 @@ when threads block (a property the paper calls out explicitly).
 §3.1's kernel keeps three sorted queues over the runnable threads —
 descending user weight, ascending start tag, ascending surplus — and
 recomputes every surplus and re-sorts the third queue whenever the
-virtual time moves: O(n) work per decision. This implementation keeps
-the second (the tagged base class's start-tag queue), needs no first
-(the readjustment frontier groups the runnable set by user weight, and
-nothing here reads a descending-weight order) and replaces the third
-with a partition of the runnable set into **weight classes**: one
-start-tag-ordered queue per distinct user weight.
+virtual time moves: O(n) work per decision. This implementation needs
+no first queue (the readjustment frontier groups the runnable set by
+user weight, and nothing here reads a descending-weight order) and
+replaces the second and third with one partition of the runnable set
+into **weight classes**: one start-tag-ordered queue per distinct user
+weight (:class:`StartTagClasses`). It is the tagged base class's
+start-tag index, so each join, departure and preemption updates one
+sorted list, and the virtual time ``v`` — the least start tag — is the
+least of the C class heads.
 
 Why that is exact: within a class every thread whose ``phi`` still
 equals its user weight shares one ``phi > 0``, and for a fixed
@@ -65,7 +68,7 @@ from repro.sim.costs import DecisionCostParams
 from repro.sim.runqueue import SortedTaskList
 from repro.sim.task import Task, TaskState
 
-__all__ = ["SurplusFairScheduler"]
+__all__ = ["SurplusFairScheduler", "StartTagClasses"]
 
 _RUNNABLE = TaskState.RUNNABLE
 #: the readjusted set when readjustment is off
@@ -74,6 +77,68 @@ _NO_TASKS: Mapping[int, Task] = MappingProxyType({})
 
 def _start_tag(task: Task):
     return task.sched["S"]
+
+
+class StartTagClasses:
+    """Exact SFS's start-tag index: one start-tag queue per user weight.
+
+    Installed as :class:`~repro.core.tags.TaggedScheduler`'s
+    ``start_queue``, whose hooks file, drop and reposition threads here
+    and read ``v`` from :meth:`head`. Classes are keyed by user weight,
+    not ``phi``, so readjustment never moves a thread between queues;
+    only a ``setweight()`` refiles it.
+    """
+
+    __slots__ = ("classes",)
+
+    def __init__(self) -> None:
+        #: user weight -> that class's runnable threads by ascending
+        #: start tag (a class is dropped when its last member leaves)
+        self.classes: dict[float, SortedTaskList] = {}
+
+    def add(self, task: Task) -> None:
+        """File a thread that joined the runnable set."""
+        queue = self.classes.get(task.weight)
+        if queue is None:
+            queue = self.classes[task.weight] = SortedTaskList(key=_start_tag)
+        queue.add(task)
+
+    def discard(self, task: Task) -> None:
+        """Drop a thread that left the runnable set (if it was filed)."""
+        self._drop(task, task.weight)
+
+    def refile(self, task: Task, old_weight: float) -> None:
+        """Move a runnable thread whose user weight changed."""
+        self._drop(task, old_weight)
+        self.add(task)
+
+    def _drop(self, task: Task, weight: float) -> None:
+        queue = self.classes.get(weight)
+        if queue is not None and queue.discard(task) and not queue:
+            del self.classes[weight]
+
+    def reposition(self, task: Task) -> None:
+        """Re-sort a thread whose start tag advanced (a preemption)."""
+        self.classes[task.weight].reposition(task)
+
+    def head(self) -> Task | None:
+        """The thread with the least ``(S, tid)``, or None: O(C)."""
+        best = best_key = None
+        for queue in self.classes.values():
+            keys, tasks = queue.sorted_view()
+            if best_key is None or keys[0] < best_key:
+                best_key = keys[0]
+                best = tasks[0]
+        return best
+
+    def resort_insertion(self) -> None:
+        """Restore every class's order after a rebase shifted all tags."""
+        for queue in self.classes.values():
+            queue.resort_insertion()
+
+    def is_sorted(self) -> bool:
+        """Check every class's order against fresh start tags."""
+        return all(queue.is_sorted() for queue in self.classes.values())
 
 
 class SurplusFairScheduler(TaggedScheduler):
@@ -125,57 +190,19 @@ class SurplusFairScheduler(TaggedScheduler):
         #: dispatches that kept the CPU's previous thread thanks to the
         #: affinity bonus (instrumentation for the ablation bench)
         self.affinity_hits = 0
-        #: user weight -> that class's runnable threads by ascending
-        #: start tag (a class is dropped when its last member leaves)
-        self._classes: dict[float, SortedTaskList] = {}
+        #: the weight classes double as the start-tag index
+        self.start_queue = StartTagClasses()
         #: instrumentation: pick_next invocations
         self.decision_count = 0
-
-    # ------------------------------------------------------------------
-    # queue maintenance via TaggedScheduler extension points
-    # ------------------------------------------------------------------
-
-    def _runnable_set_changed(self, task: Task, now: float) -> None:
-        if task.tid in self._runnable:
-            self._file(task)
-        else:
-            self._unfile(task)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
         if task.tid in self._runnable:
             self._refile(task, old_weight)
         super().on_weight_change(task, old_weight, now)
 
-    def _file(self, task: Task) -> None:
-        """Index a thread that joined the runnable set."""
-        queue = self._classes.get(task.weight)
-        if queue is None:
-            queue = SortedTaskList(key=_start_tag)
-            self._classes[task.weight] = queue
-        queue.add(task)
-
-    def _unfile(self, task: Task) -> None:
-        """Drop a thread that left the runnable set (if it was indexed)."""
-        self._drop(task, task.weight)
-
     def _refile(self, task: Task, old_weight: float) -> None:
         """Move a runnable thread whose user weight changed."""
-        self._drop(task, old_weight)
-        self._file(task)
-
-    def _drop(self, task: Task, weight: float) -> None:
-        queue = self._classes.get(weight)
-        if queue is not None and queue.discard(task) and not queue:
-            del self._classes[weight]
-
-    def _tags_updated(self, task: Task, now: float) -> None:
-        # A preemption advanced this task's start tag.
-        self._classes[task.weight].reposition(task)
-
-    def _after_rebase(self, offset) -> None:
-        # A rebase shifted every start tag: refresh the cached keys.
-        for queue in self._classes.values():
-            queue.resort_insertion()
+        self.start_queue.refile(task, old_weight)
 
     # ------------------------------------------------------------------
     # the scheduling decision
@@ -214,7 +241,7 @@ class SurplusFairScheduler(TaggedScheduler):
                     best, best_alpha, best_tid = task, alpha, task.tid
         if len(readjusted) == len(self._runnable):
             return best, best_alpha  # equal-share mode: all evaluated above
-        for queue in self._classes.values():
+        for queue in self.start_queue.classes.values():
             keys, tasks = queue.sorted_view()
             least = None
             i, n = 0, len(tasks)
@@ -244,7 +271,6 @@ class SurplusFairScheduler(TaggedScheduler):
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
         self.decision_count += 1
-        self._refresh_vtime()
         best, alpha = self._least_surplus()
         if best is None or self.affinity_bonus <= 0:
             return best

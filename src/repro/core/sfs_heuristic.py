@@ -36,9 +36,10 @@ under overload (runnable sets in the thousands):
   arbitrarily scrambled — insertion sort's quadratic case, which is
   why the §3.2 insertion re-sort is not used here.
 
-This module therefore owns §3.1's first queue, descending user weight,
-and its third, ascending surplus as of each thread's last refresh, in
-place of exact SFS's weight classes.
+This module therefore owns all three of §3.1's queues in place of
+exact SFS's weight classes: descending user weight, a single ascending
+start-tag queue (the start-tag index its window reads), and ascending
+surplus as of each thread's last refresh.
 
 Set ``track_accuracy=True`` to have every decision also compute the
 exact minimum-surplus thread and record whether the heuristic matched —
@@ -52,6 +53,7 @@ from repro.core.fixed_point import TagArithmetic
 from repro.core.sfs import SurplusFairScheduler
 from repro.sim.costs import DecisionCostParams
 from repro.sim.runqueue import SortedTaskList
+from repro.sim.scheduler import require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["HeuristicSurplusFairScheduler"]
@@ -102,7 +104,10 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         )
         self.scan_depth = scan_depth
         self.refresh_every = refresh_every
-        self.track_accuracy = track_accuracy
+        self.track_accuracy = require_bool("track_accuracy", track_accuracy)
+        #: §3.1 queue 2, in place of exact SFS's weight classes: the
+        #: window reads one start-tag order across all weights
+        self.start_queue = SortedTaskList(key=lambda t: t.sched["S"])
         #: §3.1 queue 1: runnable threads by descending user weight, in
         #: the ``(-w, tid)`` order the window's tail slice reads (the
         #: readjustment frontier groups by weight but keeps no order
@@ -137,18 +142,18 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         return self.tracked_matches / self.tracked_decisions
 
     # ------------------------------------------------------------------
-    # queue 1 and queue 3 upkeep, replacing exact SFS's weight classes;
+    # queue 1 and queue 3 upkeep (the base hooks keep queue 2);
     # structural order invalidation forces a refresh
     # ------------------------------------------------------------------
 
-    def _file(self, task: Task) -> None:
-        self.weight_queue.add(task)
-        task.sched["alpha"] = self.surplus_of(task)
-        self.surplus_queue.add(task)
-
-    def _unfile(self, task: Task) -> None:
-        self.weight_queue.discard(task)
-        self.surplus_queue.discard(task)
+    def _runnable_set_changed(self, task: Task, now: float) -> None:
+        if task.tid in self._runnable:
+            self.weight_queue.add(task)
+            task.sched["alpha"] = self.surplus_of(task)
+            self.surplus_queue.add(task)
+        else:
+            self.weight_queue.discard(task)
+            self.surplus_queue.discard(task)
 
     def _refile(self, task: Task, old_weight: float) -> None:
         self.weight_queue.reposition(task)
@@ -227,7 +232,6 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
         self.decision_count += 1
-        self._refresh_vtime()
         self._since_refresh += 1
         if self._order_stale or self._since_refresh >= self.refresh_every:
             if self._order_stale:

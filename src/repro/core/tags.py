@@ -14,11 +14,21 @@ surplus fair scheduling maintain per-thread *start tags* ``S_i`` and
   starts at zero.
 
 :class:`TaggedScheduler` implements all of this on top of the machine's
-hook points, maintains the start-tag-sorted queue (one of the paper's
-three queues, §3.1), optionally maintains the §2.1 weight readjustment
-at every runnable-set change, and optionally uses kernel-style
-fixed-point tag arithmetic with wrap-around rebasing (§3.2). Concrete
-policies (SFQ's min-start-tag rule, SFS's min-surplus rule) subclass it.
+hook points, maintains a start-tag index (one of the paper's three
+queues, §3.1: a sorted queue here, one queue per weight class in exact
+SFS), optionally maintains the §2.1 weight readjustment at every
+runnable-set change, and optionally uses kernel-style fixed-point tag
+arithmetic with wrap-around rebasing (§3.2). Concrete policies (SFQ's
+min-start-tag rule, SFS's min-surplus rule) subclass it.
+
+``v`` is kept current rather than re-derived at every read. A join
+never lowers it: an arrival starts at ``v`` and a wakeup at
+``max(F, v)``. The one join that raises it is a wakeup into an empty
+runnable set, whose start tag becomes ``v``. Otherwise only the thread
+holding ``v`` can move it, by leaving the runnable set or by a
+preemption advancing its start tag to its finish tag, so ``v`` is
+re-read from the index's head only when the thread that left or moved
+had ``S == v``. A wrap-around rebase shifts ``v`` with every tag.
 
 Readjustment is driven *incrementally*: instead of re-running the full
 descending-weight scan over the whole runnable set per event (O(n) —
@@ -39,7 +49,7 @@ from typing import Mapping
 from repro.core.fixed_point import FloatTags, TagArithmetic
 from repro.core.weights import ReadjustmentFrontier, readjust
 from repro.sim.runqueue import SortedTaskList
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["TaggedScheduler"]
@@ -72,12 +82,20 @@ class TaggedScheduler(Scheduler):
         wake_preempt: bool = True,
     ) -> None:
         super().__init__()
-        self.readjust = readjust
+        if tag_math is not None and not isinstance(tag_math, TagArithmetic):
+            raise ValueError(
+                f"tag_math must be None or a TagArithmetic, got {tag_math!r}"
+            )
+        self.readjust = require_bool("readjust", readjust)
         #: incremental §2.1 frontier (created at attach; needs num_cpus)
         self.frontier: ReadjustmentFrontier | None = None
         self.tags: TagArithmetic = tag_math if tag_math is not None else FloatTags()
-        self.wake_preempt = wake_preempt
-        #: runnable tasks (RUNNABLE + RUNNING), sorted by start tag
+        #: whether the tag arithmetic can wrap at all (``FloatTags``
+        #: never rebases), decided once so float runs skip the check
+        self._rebases = type(self.tags).needs_rebase is not TagArithmetic.needs_rebase
+        self.wake_preempt = require_bool("wake_preempt", wake_preempt)
+        #: start-tag index of the runnable tasks (RUNNABLE + RUNNING);
+        #: exact SFS installs its weight classes here instead
         self.start_queue = SortedTaskList(key=lambda t: t.sched["S"])
         self._runnable: dict[int, Task] = {}
         #: every live task this scheduler has tags for (incl. blocked) —
@@ -102,22 +120,16 @@ class TaggedScheduler(Scheduler):
         """Current virtual time ``v`` (min start tag; see module doc)."""
         return self._vtime
 
-    def _refresh_vtime(self) -> bool:
-        """Recompute ``v``; returns True if it changed."""
+    def _refresh_vtime(self) -> None:
+        """Re-derive ``v`` from the head of the start-tag index."""
         head = self.start_queue.head()
-        new_v = head.sched["S"] if head is not None else self._last_finish
-        # sfs-lint: disable=SFS005 (bit-identity change detection: did v move)
-        if new_v != self._vtime:
-            self._vtime = new_v
-            return True
-        return False
+        self._vtime = head.sched["S"] if head is not None else self._last_finish
 
     # ------------------------------------------------------------------
     # hook implementations
     # ------------------------------------------------------------------
 
     def on_arrival(self, task: Task, now: float) -> None:
-        self._refresh_vtime()
         task.sched["S"] = self._vtime
         task.sched["F"] = self._vtime
         self._runnable[task.tid] = task
@@ -130,9 +142,11 @@ class TaggedScheduler(Scheduler):
         self._runnable_set_changed(task, now)
 
     def on_wakeup(self, task: Task, now: float) -> None:
-        self._refresh_vtime()
         s = task.sched.get("F", self._vtime)
         task.sched["S"] = max(s, self._vtime)
+        if not self._runnable:
+            # Waking into an empty set: F may exceed the last finish tag.
+            self._vtime = task.sched["S"]
         self._runnable[task.tid] = task
         self.start_queue.add(task)
         if self.frontier is not None:
@@ -149,6 +163,10 @@ class TaggedScheduler(Scheduler):
         self._runnable_set_changed(task, now)
 
     def on_exit(self, task: Task, now: float, ran: float) -> None:
+        if task.tid not in self._runnable:
+            # Exited while blocked: only its tags are left to drop.
+            self._tagged.pop(task.tid, None)
+            return
         if ran > 0:
             self._finish_quantum(task, ran)
         self._remove_runnable(task)
@@ -161,9 +179,16 @@ class TaggedScheduler(Scheduler):
         self._finish_quantum(task, ran)
         # Continuously runnable: next start tag is the finish tag (Eq. 6).
         sched = task.sched
+        # sfs-lint: disable=SFS005 (bit identity: did this thread hold v)
+        held = sched["S"] == self._vtime
         sched["S"] = sched["F"]
+        # Reposition before re-reading v from the index's head, and
+        # refresh v before _tags_updated, which may read it.
         self.start_queue.reposition(task)
-        self._maybe_rebase()
+        if held:
+            self._refresh_vtime()
+        if self._rebases:
+            self._maybe_rebase()
         self._tags_updated(task, now)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
@@ -188,7 +213,11 @@ class TaggedScheduler(Scheduler):
     def _remove_runnable(self, task: Task) -> None:
         self._runnable.pop(task.tid, None)
         self.start_queue.discard(task)
-        self._maybe_rebase()
+        # sfs-lint: disable=SFS005 (bit identity: did this thread hold v)
+        if task.sched["S"] == self._vtime:
+            self._refresh_vtime()
+        if self._rebases:
+            self._maybe_rebase()
 
     def verify_readjustment(self) -> None:
         """Assert frontier phis equal the batch §2.1 oracle (test hook).
@@ -210,18 +239,17 @@ class TaggedScheduler(Scheduler):
                 )
 
     def _maybe_rebase(self) -> None:
-        """Wrap-around handling (§3.2): shift all tags down by min S."""
-        self._refresh_vtime()
-        if not self.tags.needs_rebase(self._vtime):
+        """Wrap-around handling (§3.2): shift all tags down by ``v``."""
+        offset = self._vtime
+        if not self.tags.needs_rebase(offset):
             return
-        head = self.start_queue.head()
-        offset = head.sched["S"] if head is not None else self._last_finish
+        shift = self.tags.shift
         for task in self._tagged.values():
-            task.sched["S"] = self.tags.shift(task.sched["S"], offset)
-            task.sched["F"] = self.tags.shift(task.sched["F"], offset)
-        self._last_finish = self.tags.shift(self._last_finish, offset)
+            task.sched["S"] = shift(task.sched["S"], offset)
+            task.sched["F"] = shift(task.sched["F"], offset)
+        self._last_finish = shift(self._last_finish, offset)
         self.start_queue.resort_insertion()
-        self._vtime = self.tags.shift(self._vtime, offset)
+        self._vtime = shift(offset, offset)
         self.rebase_count += 1
         self._after_rebase(offset)
 
@@ -230,11 +258,12 @@ class TaggedScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _runnable_set_changed(self, task: Task, now: float) -> None:
-        """Called after any arrival/wakeup/block/exit.
+        """Called after a runnable thread arrives, wakes, blocks or exits.
 
-        ``task.tid in self._runnable`` tells a join from a departure;
-        an exit may also report a task that was already blocked.
-        Weight changes go through :meth:`on_weight_change` instead.
+        ``task.tid in self._runnable`` tells a join from a departure.
+        The exit of a blocked thread is not reported: it left the set
+        when it blocked. Weight changes go through
+        :meth:`on_weight_change` instead.
         """
 
     def _tags_updated(self, task: Task, now: float) -> None:
@@ -280,17 +309,19 @@ class TaggedScheduler(Scheduler):
         """
         if not self.wake_preempt or not running:
             return None
-        self._refresh_vtime()
-        new_surplus = self.surplus_of(task)
+        finish_tag = self.tags.finish_tag
+        surplus = self.tags.surplus
+        processors = self.machine.processors
+        v = self._vtime
+        new_surplus = surplus(task.phi, task.sched["S"], v)
         worst_cpu: int | None = None
         worst_surplus = None
         for cpu, victim in running.items():
             # Surplus including the service consumed so far this quantum
             # (project the start tag forward by the elapsed run time).
-            projected = self.tags.finish_tag(
-                victim.sched["S"], self._running_elapsed(cpu, now), victim.phi
-            )
-            current = self.tags.surplus(victim.phi, projected, self._vtime)
+            elapsed = max(0.0, now - processors[cpu].dispatch_time)
+            projected = finish_tag(victim.sched["S"], elapsed, victim.phi)
+            current = surplus(victim.phi, projected, v)
             if worst_surplus is None or current > worst_surplus:
                 worst_surplus = current
                 worst_cpu = cpu

@@ -59,7 +59,6 @@ class BorrowedVirtualTimeScheduler(TaggedScheduler):
         return task.sched["S"] - self.warp_of(task)
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
-        self._refresh_vtime()
         best: Task | None = None
         best_key = None
         for task in self.start_queue:

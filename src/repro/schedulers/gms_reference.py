@@ -30,7 +30,7 @@ from typing import Mapping
 
 from repro.core.gms import FluidGMS
 from repro.sim.costs import DecisionCostParams
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["GMSReferenceScheduler"]
@@ -51,7 +51,7 @@ class GMSReferenceScheduler(Scheduler):
 
     def __init__(self, wake_preempt: bool = True) -> None:
         super().__init__()
-        self.wake_preempt = wake_preempt
+        self.wake_preempt = require_bool("wake_preempt", wake_preempt)
         self._runnable: dict[int, Task] = {}
         self._gms: FluidGMS | None = None
 
@@ -77,8 +77,10 @@ class GMSReferenceScheduler(Scheduler):
         self._runnable.pop(task.tid, None)
 
     def on_exit(self, task: Task, now: float, ran: float) -> None:
-        self._fluid().depart(task.tid, now)
-        self._runnable.pop(task.tid, None)
+        # A thread that exits while blocked already departed the fluid
+        # system; departing again would split its interval at ``now``.
+        if self._runnable.pop(task.tid, None) is not None:
+            self._fluid().depart(task.tid, now)
 
     def on_preempt(self, task: Task, now: float, ran: float) -> None:
         self._fluid().advance_to(now)

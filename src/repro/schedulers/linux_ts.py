@@ -29,7 +29,7 @@ import math
 from typing import Mapping
 
 from repro.sim.costs import DecisionCostParams
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["LinuxTimeSharingScheduler"]
@@ -54,7 +54,7 @@ class LinuxTimeSharingScheduler(Scheduler):
         if not 0 < tick < math.inf:
             raise ValueError(f"tick must be finite and > 0, got {tick}")
         self.tick = tick
-        self.wake_preempt = wake_preempt
+        self.wake_preempt = require_bool("wake_preempt", wake_preempt)
         self._runnable: dict[int, Task] = {}
         #: all live processes (sleepers included — epochs recharge them)
         self._all: dict[int, Task] = {}

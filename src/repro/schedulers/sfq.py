@@ -58,7 +58,6 @@ class StartTimeFairScheduler(TaggedScheduler):
             self.name = "SFQ+readjust"
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
-        self._refresh_vtime()
         return self._first_schedulable(self.start_queue)
 
     def choose_victim(

@@ -12,7 +12,7 @@ arrival, wakeup, block, exit and weight change.
 from __future__ import annotations
 
 from repro.core.weights import ReadjustmentFrontier
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, require_bool
 from repro.sim.task import Task, TaskState
 
 __all__ = ["SimpleQueueScheduler"]
@@ -23,7 +23,7 @@ class SimpleQueueScheduler(Scheduler):
 
     def __init__(self, readjust: bool = False) -> None:
         super().__init__()
-        self.readjust = readjust
+        self.readjust = require_bool("readjust", readjust)
         #: incremental §2.1 frontier (created at attach; needs num_cpus)
         self.frontier: ReadjustmentFrontier | None = None
         self._runnable: dict[int, Task] = {}
@@ -63,6 +63,8 @@ class SimpleQueueScheduler(Scheduler):
         self._account(task, now, ran)
 
     def on_exit(self, task: Task, now: float, ran: float) -> None:
+        if task.tid not in self._runnable:
+            return  # exited while blocked: it left the set when it blocked
         if ran > 0:
             self._account(task, now, ran)
         self._runnable.pop(task.tid, None)

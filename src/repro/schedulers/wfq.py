@@ -62,7 +62,6 @@ class WeightedFairQueueingScheduler(TaggedScheduler):
         return self.tags.finish_tag(task.sched["S"], self.nominal_quantum, task.phi)
 
     def pick_next(self, cpu: int, now: float) -> Task | None:
-        self._refresh_vtime()
         best: Task | None = None
         best_key = None
         for task in self.start_queue:

@@ -267,8 +267,7 @@ class Machine:
             handle = self._wake_handles.pop(task.tid, None)
             if handle is not None:
                 handle.cancel()
-            self._mark_exited(task, now)
-            self._notify_exit(task, now)
+            self._exit_blocked(task, now)
         else:  # NEW — never arrived; nothing to clean up
             self._mark_exited(task, now)
             self._notify_exit(task, now)
@@ -359,8 +358,7 @@ class Machine:
             self._schedule_wake(task, segment.duration)
             return
         if isinstance(segment, Exit):
-            self._mark_exited(task, now)
-            self._notify_exit(task, now)
+            self._exit_blocked(task, now)
             return
         if not isinstance(segment, Run):
             raise _not_a_segment(task, segment)
@@ -613,6 +611,13 @@ class Machine:
         task.state = TaskState.EXITED
         task.exit_time = now
         self._ensure_final_sample(task, now)
+
+    def _exit_blocked(self, task: Task, now: float) -> None:
+        """Mark a blocked task as exited; a scheduler that saw it drops it."""
+        self._mark_exited(task, now)
+        if task.tid in self._known:
+            self.scheduler.on_exit(task, now, 0.0)
+        self._notify_exit(task, now)
 
     def _retire(self, task: Task, now: float, ran: float) -> None:
         """Mark a runnable/running task as exited and notify the scheduler."""

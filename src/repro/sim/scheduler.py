@@ -20,7 +20,19 @@ from repro.sim.task import Task
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import Machine
 
-__all__ = ["Scheduler"]
+__all__ = ["Scheduler", "require_bool"]
+
+
+def require_bool(name: str, value: object) -> bool:
+    """Return ``value`` if it is a bool; raise ``ValueError`` naming ``name``.
+
+    Constructor flags such as ``readjust`` and ``wake_preempt`` arrive
+    from scenario configs too, where ``"no"`` or ``3`` would otherwise
+    pass as truthy and run silently with the flag on.
+    """
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 class Scheduler:
@@ -68,9 +80,13 @@ class Scheduler:
         forced preemption)."""
 
     def on_exit(self, task: Task, now: float, ran: float) -> None:
-        """The task left a CPU because it terminated.
+        """The task terminated.
 
-        ``ran`` is 0 if the task exited without ever running again.
+        ``ran`` is 0 if the task exited without ever running again. An
+        exit is reported for every task the scheduler has seen, also
+        one that ends while blocked (its behaviour ends on wakeup, or
+        it is killed); such a task is no longer runnable, so only its
+        per-task state is left to drop.
         """
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:

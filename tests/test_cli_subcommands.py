@@ -314,6 +314,29 @@ class TestConfigMode:
         err = capsys.readouterr().err
         assert "tasks[0].weight" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "scheduler, params, name",
+        [
+            ("sfs", "{tag_math: fixed}", "tag_math"),
+            ("sfs", '{wake_preempt: "no"}', "wake_preempt"),
+            ("sfq", "{readjust: 3}", "readjust"),
+            ("sfs-heuristic", "{track_accuracy: 1}", "track_accuracy"),
+        ],
+    )
+    def test_ill_typed_scheduler_params_exit_2(
+        self, tmp_path, capsys, scheduler, params, name
+    ):
+        # tag_math: fixed used to exit 1 on an AttributeError traceback,
+        # and wake_preempt: "no" to run with wake preemption on (exit 0).
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"name: bad\nscheduler: {scheduler}\nscheduler_params: {params}\n"
+            "cpus: 2\nduration: 1.0\ntasks:\n  - {name: a}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
     def test_list_names_arrivals_and_demands(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

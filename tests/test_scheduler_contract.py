@@ -11,7 +11,11 @@ import random
 
 import pytest
 
-from repro.schedulers.registry import make_scheduler, scheduler_names
+from repro.schedulers.registry import (
+    make_scheduler,
+    scheduler_names,
+    scheduler_params_for,
+)
 from repro.sim.events import Block, Run
 from repro.sim.machine import Machine
 from repro.sim.task import Task, TaskState
@@ -133,3 +137,67 @@ def test_proportional_policies_track_weights_uniprocessor(name):
     share_b = b.service / 30.0
     tol = 0.10 if "lottery" in name else 0.06
     assert share_b == pytest.approx(0.75, abs=tol), name
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_tasks_that_exit_while_blocked_leave_the_books(name):
+    """A thread that ends on wakeup, or is killed asleep, exits BLOCKED.
+
+    The scheduler must still hear of it: otherwise every such thread
+    stays in its per-task books (tags, counters, class maps) for the
+    rest of the run.
+    """
+    sched = make_scheduler(name)
+    machine = Machine(sched, cpus=2, quantum=0.1, record_events=False)
+    tasks = [
+        machine.add_task(
+            Task(
+                GeneratorBehavior(iter([Run(0.01), Block(0.05)])),
+                weight=1,
+                name=f"t{i}",
+            ),
+            at=i * 0.01,
+        )
+        for i in range(1000)
+    ]
+    sleepers = [
+        machine.add_task(
+            Task(
+                GeneratorBehavior(iter([Run(0.01), Block(100.0)])),
+                weight=2,
+                name=f"s{i}",
+            )
+        )
+        for i in range(3)
+    ]
+    for sleeper in sleepers:
+        machine.kill_task_at(sleeper, 20.0)
+    machine.run_until(30.0)
+    gone = {t.tid for t in tasks + sleepers}
+    assert all(t.state is TaskState.EXITED for t in tasks + sleepers)
+    for attr, books in vars(sched).items():
+        if isinstance(books, dict):
+            kept = gone & books.keys()
+            assert not kept, f"{name}: {attr} still holds {len(kept)} exited tasks"
+
+
+#: (scheduler, parameter, ill-typed value) for every built-in that takes it
+ILL_TYPED = [
+    (name, param, value)
+    for name in ALL
+    for param, value in (
+        ("tag_math", "fixed"),
+        ("readjust", 3),
+        ("wake_preempt", "no"),
+        ("track_accuracy", 1),
+    )
+    if param in (scheduler_params_for(name) or ())
+]
+
+
+@pytest.mark.parametrize("name, param, value", ILL_TYPED)
+def test_ill_typed_params_fail_at_construction(name, param, value):
+    # "no" and 3 used to pass as truthy; tag_math="fixed" crashed later
+    # with an AttributeError naming no parameter.
+    with pytest.raises(ValueError, match=param):
+        make_scheduler(name, **{param: value})

@@ -61,17 +61,19 @@ class TestSurplusInvariants:
             yield Block(10.0)
             yield Run(math.inf)
 
+        classes = sched.start_queue.classes
+
         def filed():
-            return sorted(t.tid for q in sched._classes.values() for t in q)
+            return sorted(t.tid for q in classes.values() for t in q)
 
         t = m.add_task(Task(GeneratorBehavior(gen()), weight=1, name="b"))
         add_inf(m, 1, "bg")
         m.run_until(1.0)
-        assert t not in sched._classes[1.0]
+        assert t not in classes[1.0]
         assert t not in sched.frontier.queue
         assert filed() == sorted(sched._runnable)
         m.run_until(11.0)
-        assert t in sched._classes[1.0]
+        assert t in classes[1.0]
         assert t in sched.frontier.queue
         assert filed() == sorted(sched._runnable)
 

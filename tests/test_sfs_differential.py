@@ -1,4 +1,4 @@
-"""Differential tests: the weight-class pick against the brute-force oracle.
+"""Differential tests: the weight-class pick and the kept-current ``v``.
 
 Exact SFS picks from per-weight-class heads (``repro.core.sfs``); the
 O(n) scan :meth:`SurplusFairScheduler.exact_minimum_surplus_task` is the
@@ -9,6 +9,12 @@ on and off, float and fixed-point tags, same-instant arrival bursts —
 run on a real :class:`~repro.sim.machine.Machine`, and every decision
 must return the very thread the oracle names. A hand-built case pins
 the rounding tie the class walk must resolve by tid.
+
+The tag layer keeps the virtual time current instead of re-deriving it
+at each read (``repro.core.tags``). The same programs run under every
+tag-based scheduler with :class:`VtimeChecks`, which compares ``v`` on
+entry to each hook that reads it with a brute-force minimum, and a
+hand-built empty-set wakeup pins the one join that raises ``v``.
 """
 
 from __future__ import annotations
@@ -21,15 +27,57 @@ from hypothesis import strategies as st
 
 from repro.core.fixed_point import FixedTags, FloatTags
 from repro.core.sfs import SurplusFairScheduler
+from repro.core.sfs_heuristic import HeuristicSurplusFairScheduler
+from repro.schedulers.bvt import BorrowedVirtualTimeScheduler
+from repro.schedulers.sfq import StartTimeFairScheduler
+from repro.schedulers.wfq import WeightedFairQueueingScheduler
 from repro.sim.events import Block, Run
 from repro.sim.machine import Machine
 from repro.sim.task import Task, TaskState
 from repro.workloads.base import GeneratorBehavior
-from repro.workloads.cpu_bound import Infinite
+from repro.workloads.cpu_bound import FiniteCompute, Infinite
 
 
-class CheckedSFS(SurplusFairScheduler):
-    """Exact SFS that checks every pick against the oracle."""
+class VtimeChecks:
+    """Asserts ``v`` is current on entry to every hook that reads it.
+
+    The expected value is the least start tag over the runnable set, or
+    the last finish tag when the set is empty, computed here from the
+    scheduler's books rather than through ``_refresh_vtime``.
+    """
+
+    v_checks = 0
+
+    def _assert_v_current(self, hook):
+        runnable = self._runnable
+        if runnable:
+            expected = min(t.sched["S"] for t in runnable.values())
+        else:
+            expected = self._last_finish
+        assert self.virtual_time == expected, (
+            f"stale v on entry to {hook}: {self.virtual_time!r} != {expected!r}"
+        )
+        self.v_checks += 1
+
+    def on_arrival(self, task, now):
+        self._assert_v_current("on_arrival")
+        super().on_arrival(task, now)
+
+    def on_wakeup(self, task, now):
+        self._assert_v_current("on_wakeup")
+        super().on_wakeup(task, now)
+
+    def pick_next(self, cpu, now):
+        self._assert_v_current("pick_next")
+        return super().pick_next(cpu, now)
+
+    def choose_victim(self, task, running, now):
+        self._assert_v_current("choose_victim")
+        return super().choose_victim(task, running, now)
+
+
+class CheckedSFS(VtimeChecks, SurplusFairScheduler):
+    """Exact SFS that checks ``v`` and every pick against the oracle."""
 
     def __init__(self, **kw) -> None:
         super().__init__(**kw)
@@ -41,10 +89,25 @@ class CheckedSFS(SurplusFairScheduler):
         assert pick is oracle, (
             f"class pick {pick and pick.name} != oracle {oracle and oracle.name}"
         )
-        filed = sorted(t.tid for q in self._classes.values() for t in q)
+        classes = self.start_queue.classes
+        filed = sorted(t.tid for q in classes.values() for t in q)
         assert filed == sorted(self._runnable)
         self.checked += 1
         return pick
+
+
+def _vtime_checked(base):
+    return type(f"Checked{base.__name__}", (VtimeChecks, base), {})
+
+
+#: every tag-based scheduler, with the ``v`` entry check
+CHECKED = {
+    "sfs": CheckedSFS,
+    "sfs-heuristic": _vtime_checked(HeuristicSurplusFairScheduler),
+    "sfq": _vtime_checked(StartTimeFairScheduler),
+    "wfq": _vtime_checked(WeightedFairQueueingScheduler),
+    "bvt": _vtime_checked(BorrowedVirtualTimeScheduler),
+}
 
 
 TAG_MATHS = {
@@ -111,8 +174,8 @@ def _cycle(segments):
             yield Block(block)
 
 
-def run_program(program, horizon=1.5):
-    sched = CheckedSFS(
+def run_program(program, horizon=1.5, scheduler="sfs"):
+    sched = CHECKED[scheduler](
         tag_math=TAG_MATHS[program["tags"]](), readjust=program["readjust"]
     )
     machine = Machine(
@@ -137,6 +200,57 @@ def run_program(program, horizon=1.5):
 def test_every_pick_is_the_oracle_pick(program):
     sched, _ = run_program(program)
     assert sched.checked > 0
+
+
+@pytest.mark.parametrize("scheduler", sorted(CHECKED))
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_v_is_current_at_every_read(scheduler, program):
+    sched, _ = run_program(program, scheduler=scheduler)
+    assert sched.v_checks > 0
+
+
+def _empty_set_wakeup(cls):
+    """A thread wakes into an empty runnable set with ``F`` above ``v``.
+
+    The sleeper runs 0.2 s and blocks for 1.0 s with ``F = 0.2``; the
+    weight-100 job exits last at 0.3 s with ``F = 0.003``, so ``v``
+    holds at 0.003 until the sleeper wakes at 1.2 s and raises it to
+    0.2. It then runs alone, three 0.25 s quanta by 1.95 s, and the
+    newcomer arriving at 2.0 s must start at ``v = 0.95``.
+    """
+    sched = cls(readjust=False)
+    machine = Machine(sched, cpus=2, quantum=0.25, record_events=False)
+    sleeper = machine.add_task(
+        Task(
+            GeneratorBehavior(iter([Run(0.2), Block(1.0), Run(math.inf)])),
+            weight=1.0,
+            name="sleeper",
+        )
+    )
+    machine.add_task(Task(FiniteCompute(0.3), weight=100.0, name="job"))
+    newcomer = machine.add_task(
+        Task(Infinite(), weight=1.0, name="newcomer"), at=2.0
+    )
+    machine.run_until(1.2)
+    return sched, machine, sleeper, newcomer
+
+
+@pytest.mark.parametrize("scheduler", sorted(CHECKED))
+def test_wakeup_into_an_empty_set_raises_v(scheduler):
+    sched, machine, sleeper, newcomer = _empty_set_wakeup(CHECKED[scheduler])
+    assert sleeper.sched["S"] == 0.2
+    assert sched.virtual_time == 0.2
+    machine.run_until(2.0)
+    assert newcomer.sched["S"] == pytest.approx(0.95)
+    assert sched.v_checks > 0
+
+
+def test_heuristic_files_a_waking_thread_against_the_raised_v():
+    # The heuristic stores alpha when a thread joins; against the last
+    # finish tag (0.003) the sleeper's would be 0.197 instead of 0.
+    _, _, sleeper, _ = _empty_set_wakeup(HeuristicSurplusFairScheduler)
+    assert sleeper.sched["alpha"] == 0.0
 
 
 @pytest.mark.parametrize("tags", sorted(TAG_MATHS))
@@ -210,6 +324,6 @@ def test_rounding_tie_goes_to_the_lower_tid_with_the_larger_start_tag():
     assert first.sched["S"] > second.sched["S"]
     # sfs-lint: disable=SFS005 (the surpluses must tie bit for bit)
     assert sched.surplus_of(first) == sched.surplus_of(second)
-    assert list(sched._classes[phi]) == [anchor, second, first]
+    assert list(sched.start_queue.classes[phi]) == [anchor, second, first]
     assert sched.pick_next(0, 0.0) is first
     assert sched.exact_minimum_surplus_task() is first
