@@ -30,11 +30,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.trend import load_baseline
+from repro.exec import run_cells
 from repro.flows import FLOW_RESOURCE_PROFILES, flow_scenario
 from repro.scenario import (
     METRICS,
     class_shares,
-    run_cells,
     run_scenario,
     server_scenario,
 )
@@ -202,18 +202,17 @@ def test_flow_scale_events_per_sec(benchmark, label):
 
 
 def test_server_grid_per_cell_walls(tmp_path):
-    """Run a small server grid through an execution backend and record
-    per-cell worker-side wall clocks.
+    """Run a small server grid on a process pool and record per-cell
+    worker-side wall clocks.
 
-    The backend is selected by ``SFS_BENCH_BACKEND`` (default
-    ``chunked``, exercising the streaming/checkpoint path CI relies
-    on); when ``SFS_BENCH_CELLS`` names a file, the per-cell ``wall_s``
-    rows are dumped there as JSON so CI can upload them alongside
+    The grid runs with a checkpoint, exercising the path CI relies on;
+    when ``SFS_BENCH_CELLS`` names a file, the per-cell ``wall_s`` rows
+    are dumped there as JSON so CI can upload them alongside
     ``BENCH_scale.json`` — the raw material for spotting a *single*
     slow cell that the aggregate events/sec rows would average away.
     """
-    backend = os.environ.get("SFS_BENCH_BACKEND", "chunked")
     grid = CONFIGS[:4]
+    workers = min(len(grid), os.cpu_count() or 1)
     scenarios = [
         server_scenario(
             100,
@@ -228,10 +227,8 @@ def test_server_grid_per_cell_walls(tmp_path):
     cells = run_cells(
         scenarios,
         ("events_fired",),
-        backend=backend,
-        checkpoint=(
-            str(tmp_path / "bench_ck.jsonl") if backend == "chunked" else None
-        ),
+        workers=workers,
+        checkpoint=str(tmp_path / "bench_ck.jsonl"),
     )
     assert len(cells) == len(grid)
     rows = []
@@ -243,7 +240,7 @@ def test_server_grid_per_cell_walls(tmp_path):
                 "label": label,
                 "n_tasks": 100,
                 "load": load,
-                "backend": backend,
+                "workers": workers,
                 "wall_s": cell.wall_s,
                 "events": cell.metrics["events_fired"],
                 "events_per_sec": round(

@@ -6,11 +6,10 @@ re-plotted outside the sandbox. Files go to ``results/`` by default.
 Besides the one-shot :func:`write_rows` / :func:`write_series`, the
 module ships two **streaming** writers — :class:`RowStream` (CSV) and
 :class:`JsonArrayStream` — that flush each row to disk the moment it
-is appended. They exist for the execution-backend pipeline: a
-10^4-cell sweep iterated via
-:func:`repro.scenario.sweep.stream_cells` exports incrementally, cell
-by cell, instead of materialising the whole grid in memory first (and
-a killed run leaves every finished row on disk).
+is appended. They exist for grid runs: a 10^4-cell sweep iterated via
+:func:`repro.exec.stream_cells` exports incrementally, cell by cell,
+instead of materialising the whole grid in memory first (and a killed
+run leaves every finished row on disk).
 """
 
 from __future__ import annotations

@@ -8,15 +8,14 @@ reproduction depends on:
   an unseeded RNG (SFS001, SFS002) or leaks hash order into rendered
   output (SFS003);
 - the registry pattern every subsystem copies (schedulers, metrics,
-  backends, audit checks, lint rules) only stays navigable if entries
-  are documented and uniquely named (SFS004);
+  audit checks, lint rules) only stays navigable if entries are
+  documented and uniquely named (SFS004);
 - tag/surplus arithmetic is bit-exact by construction, so a float
   ``==`` outside the fixed-point modules is either a bug or a
   deliberate bit-identity check that deserves a waiver comment
   (SFS005);
-- every execution backend pickles Scenario/SweepCell across process
-  and host boundaries, which lambdas and closures silently break
-  (SFS006);
+- a grid on a process pool pickles Scenario/SweepCell across process
+  boundaries, which lambdas and closures silently break (SFS006);
 - the example scenario configs are executable documentation, so one
   that stops schema-validating is a broken promise the moment someone
   copies it (SFS007);
@@ -203,8 +202,8 @@ class WallClockRule(LintRule):
     Inside the simulator, "now" is ``machine.now`` — engine time.
     ``time.time()`` / ``datetime.now()`` smuggle host wall-clock into
     results, so identical scenarios stop producing identical output.
-    (Harness code *outside* the sim scopes — e.g. the execution
-    backends' ``wall_s`` measurement — may read clocks freely.)
+    (Harness code *outside* the sim scopes — e.g. the grid runner's
+    ``wall_s`` measurement — may read clocks freely.)
     """
 
     def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:
@@ -360,9 +359,7 @@ def _is_dict_view(node: ast.AST) -> bool:
 # ----------------------------------------------------------------------
 
 #: module-level dict literals that act as registries
-_REGISTRY_DICTS = frozenset(
-    {"METRICS", "COST_MODELS", "BACKENDS", "CHECKS", "ARRIVALS", "DEMANDS"}
-)
+_REGISTRY_DICTS = frozenset({"METRICS", "COST_MODELS", "CHECKS", "ARRIVALS", "DEMANDS"})
 _REGISTER_DECORATORS = frozenset(
     {
         "register",
@@ -384,13 +381,13 @@ class RegistryHygieneRule(LintRule):
     Covers the ``@register``-style decorators (schedulers, lint rules,
     audit checks, arrival and demand kinds, and the behaviour, driver
     and event spec kinds) and the module-level registry dict literals
-    (``METRICS``, ``COST_MODELS``, ``BACKENDS``, ``CHECKS``): names
-    must be unique across the whole scanned file set (a duplicate
-    either raises at import or, in a dict literal, silently wins),
-    contain no whitespace or exotic characters, and the registered
-    function/class must carry a docstring — the registry *is* the
-    discovery surface (``sfs-experiment list``), so an undocumented
-    entry is invisible in the place users look first.
+    (``METRICS``, ``COST_MODELS``, ``CHECKS``, ``ARRIVALS``,
+    ``DEMANDS``): names must be unique across the whole scanned file
+    set (a duplicate either raises at import or, in a dict literal,
+    silently wins), contain no whitespace or exotic characters, and the
+    registered function/class must carry a docstring — the registry
+    *is* the discovery surface (``sfs-experiment list``), so an
+    undocumented entry is invisible in the place users look first.
     """
 
     def __init__(self) -> None:
@@ -579,12 +576,12 @@ _PICKLED_CTORS = frozenset(
 class PickleSafetyRule(LintRule):
     """Scenario/SweepCell payloads must stay pickle-safe.
 
-    Every pooled execution backend ships scenarios to worker processes
-    by pickling, and the chunked checkpoint fingerprints them the same
-    way. Lambdas and nested functions pickle only by accident of never
-    being exercised serially — until the first ``--backend process``
-    run dies. Probe callables and any field of the pickled dataclasses
-    must be module-level.
+    A grid on a process pool ships scenarios to worker processes by
+    pickling, and the checkpoint fingerprints them the same way.
+    Lambdas and nested functions pickle only by accident of never being
+    exercised in-process — until the first pooled run (``--workers``
+    other than 0) dies. Probe callables and any field of the pickled
+    dataclasses must be module-level.
     """
 
     def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:

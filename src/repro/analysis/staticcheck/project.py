@@ -2,8 +2,8 @@
 
 The per-file rules SFS001-SFS003 only see direct draws and leaks;
 nondeterminism can also *reach* simulation code through the harness
-layers the linter cannot follow file by file — registries, execution
-backends, analysis helpers. This module propagates the per-function
+layers the linter cannot follow file by file — registries, the grid
+runner, analysis helpers. This module propagates the per-function
 summaries of :mod:`.callgraph` transitively and reports the boundary
 call sites:
 

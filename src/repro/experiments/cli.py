@@ -19,11 +19,10 @@ Subcommands:
 - ``sfs-experiment lint`` — the determinism/soundness linter.
 
 The grid-running subcommands (``sweep``, ``run <file.yaml>`` and the
-backend-aware experiments under ``run``) pass ``--backend
-{serial,process,chunked}``, ``--workers``, ``--checkpoint PATH`` and
-``--chunk-size`` unchanged to :func:`repro.exec.make_backend`, which
-picks the backend. Chunked runs stream results with bounded memory and
-survive kill-and-resume via the JSONL checkpoint.
+grid experiments under ``run``) pass ``--workers`` and ``--checkpoint
+PATH`` to :mod:`repro.exec`: ``--workers 0`` runs every cell
+in-process, and a checkpointed run survives kill-and-resume. ``run
+<id> --checkpoint`` on an experiment that runs no grid exits 2.
 
 For backwards compatibility, ``sfs-experiment <id|all>`` (without the
 ``run`` subcommand) still works.
@@ -44,7 +43,7 @@ from repro.analysis.csvout import (
     write_rows,
     write_series,
 )
-from repro.exec import BACKENDS, DEFAULT_CHUNK_SIZE
+from repro.exec import run_cells, stream_cells
 from repro.experiments import (
     fig1_infeasible,
     fig3_heuristic,
@@ -65,8 +64,6 @@ from repro.scenario import (
     Sweep,
     arrival_names,
     demand_names,
-    run_cells,
-    stream_cells,
     sweep_scenarios,
 )
 from repro.scenario.io import CONFIG_SUFFIXES, ConfigError, load_config
@@ -122,7 +119,7 @@ _DESCRIPTIONS = {
 }
 
 
-#: experiments whose run() accepts workers/backend/checkpoint kwargs
+#: experiments that run a grid: run() accepts workers/checkpoint/audit
 _EXEC_AWARE = frozenset({"saturation", "sensitivity", "flows"})
 
 
@@ -131,9 +128,9 @@ def _run_experiment(
 ) -> tuple[str, list[tuple[str, Any]]]:
     """Run every variant of one experiment: (rendered text, results).
 
-    ``exec_opts`` (workers/backend/checkpoint) is forwarded to the
-    experiments that run grids through an execution backend; the
-    paper-figure experiments ignore it.
+    ``exec_opts`` (workers/checkpoint/audit) is forwarded to the
+    experiments that run a grid; the paper-figure experiments ignore
+    it.
     """
     rendered: list[str] = []
     results: list[tuple[str, Any]] = []
@@ -285,13 +282,9 @@ def _exec_opts(
     """The execution flags as ``run_cells`` kwargs, passed on unchanged.
 
     ``--workers`` is left out when not given, so each experiment keeps
-    its own default (sensitivity runs serially unless asked).
+    its own default (sensitivity runs in-process unless asked).
     """
-    opts: dict[str, Any] = {
-        "backend": args.backend,
-        "checkpoint": checkpoint,
-        "chunk_size": args.chunk_size,
-    }
+    opts: dict[str, Any] = {"checkpoint": checkpoint}
     if args.workers is not None:
         opts["workers"] = args.workers
     return opts
@@ -299,9 +292,19 @@ def _exec_opts(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if args.checkpoint is not None and _EXEC_AWARE.isdisjoint(names):
+        # A run the user asked to be resumable must not silently run
+        # without a checkpoint.
+        print(
+            f"sfs-experiment run: error: {args.experiment} runs no grid, so "
+            "--checkpoint has nothing to resume; it applies to "
+            f"{', '.join(sorted(_EXEC_AWARE))}",
+            file=sys.stderr,
+        )
+        return 2
     exported: list[str] = []
     for name in names:
-        # Each backend-aware experiment runs a *different* grid, so a
+        # Each grid experiment runs a *different* grid, so a
         # shared checkpoint file would be rejected by the fingerprint
         # check; with several experiments in one invocation the path
         # gains a per-experiment suffix.
@@ -390,9 +393,8 @@ def _cmd_run_config(args: argparse.Namespace) -> int:
         scenario = scenario.with_(audit=True)
         if "audit" not in metrics:
             metrics += ("audit",)
-    # The scenario travels through the selected execution backend as
-    # one cell (the same pickle path sweeps use), so configs work
-    # unchanged under serial, pooled and chunked execution.
+    # The scenario runs as a one-cell grid, the path sweeps take, so
+    # --checkpoint records and resumes it like any sweep cell.
     scenario = scenario.with_(metrics=())
     cell = run_cells([scenario], metrics, **_exec_opts(args, args.checkpoint))[0]
     duration = (
@@ -523,7 +525,7 @@ def _cmd_sweep_config(args: argparse.Namespace) -> int:
             if json_stream is not None:
                 # JSON rows carry the cell's wall clock, as `run
                 # <file.yaml>` JSON does; the table and CSV stay free of
-                # it, so they are byte-identical across backends.
+                # it, so they are byte-identical at any worker count.
                 payload = dict(zip(headers[:3], row[:3]))
                 payload["wall_s"] = cell.wall_s
                 payload["metrics"] = _jsonable(cell.metrics)
@@ -655,15 +657,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
-    """Execution-backend options shared by the grid-running commands."""
+    """Execution options shared by the grid-running commands."""
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker-process count (0 forces serial execution)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend: serial, process (local pool), or chunked "
-        "(bounded-memory streaming + resumable checkpoint)",
+        help="worker-process count (0 runs every cell in-process)",
     )
     parser.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -672,16 +669,12 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         "skipping them",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N",
-        help="cells in flight per chunk for the chunked backend",
-    )
-    parser.add_argument(
         "--audit", action="store_true",
         help="run cells under the online invariant auditor "
         "(service conservation, bounded lag, no starvation, surplus "
         "order, monotone virtual time); violations are reported and "
         "make the command exit non-zero. For `run <id>` this applies to "
-        f"the backend-aware experiments ({', '.join(sorted(_EXEC_AWARE))}).",
+        f"the grid experiments ({', '.join(sorted(_EXEC_AWARE))}).",
     )
 
 
@@ -727,7 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--build-info",
         action="store_true",
         help="report which engine build is active (compiled C extension "
-        "vs pure Python, and which event queue) instead of the registries",
+        "vs pure Python) instead of the registries",
     )
     p_list.set_defaults(handler=_cmd_list)
     # `lint` is dispatched before parsing (it owns its own argparse in

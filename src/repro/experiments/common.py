@@ -1,30 +1,14 @@
-"""Imperative helpers for ad-hoc simulation scripts.
+"""Helpers shared by the experiment modules.
 
-The experiment modules themselves are declarative now — each defines a
-:class:`repro.scenario.Scenario` and feeds it through
-:func:`repro.scenario.run_scenario` (see any ``figN_*.py``). These
-helpers remain for quick interactive exploration where constructing a
-:class:`~repro.sim.machine.Machine` by hand reads better than a spec;
-they build machines and standard task populations matching the paper's
-§4.1 testbed.
+Each experiment module defines its figure as a declarative
+:class:`repro.scenario.Scenario` and restricts itself to the
+schedulers that figure compares; :func:`resolve_scheduler` maps its
+scheduler aliases to registry names with one uniform error.
 """
 
 from __future__ import annotations
 
-from repro.sim.costs import CostModel, ZERO_COST
-from repro.sim.machine import Machine
-from repro.sim.scheduler import Scheduler
-from repro.sim.task import Task
-from repro.workloads.cpu_bound import Infinite
-
-__all__ = [
-    "make_machine",
-    "add_inf",
-    "add_inf_group",
-    "resolve_scheduler",
-    "PAPER_QUANTUM",
-    "PAPER_CPUS",
-]
+__all__ = ["resolve_scheduler"]
 
 
 def resolve_scheduler(mapping: dict, name: str):
@@ -39,50 +23,3 @@ def resolve_scheduler(mapping: dict, name: str):
         return mapping[name]
     except KeyError:
         raise ValueError(f"unsupported scheduler {name!r}") from None
-
-#: the paper's testbed parameters (§4.1)
-PAPER_QUANTUM = 0.2
-PAPER_CPUS = 2
-
-
-def make_machine(
-    scheduler: Scheduler,
-    cpus: int = PAPER_CPUS,
-    quantum: float = PAPER_QUANTUM,
-    cost_model: CostModel = ZERO_COST,
-    **kwargs,
-) -> Machine:
-    """A machine configured like the paper's testbed by default."""
-    return Machine(
-        scheduler,
-        cpus=cpus,
-        quantum=quantum,
-        cost_model=cost_model,
-        **kwargs,
-    )
-
-
-def add_inf(
-    machine: Machine,
-    weight: float,
-    name: str,
-    at: float = 0.0,
-    ts_priority: int = 20,
-) -> Task:
-    """Add one Inf (compute-bound) application."""
-    task = Task(Infinite(), weight=weight, name=name, ts_priority=ts_priority)
-    return machine.add_task(task, at=at)
-
-
-def add_inf_group(
-    machine: Machine,
-    count: int,
-    weight: float,
-    prefix: str,
-    at: float = 0.0,
-) -> list[Task]:
-    """Add ``count`` identical Inf applications named ``prefix-i``."""
-    return [
-        add_inf(machine, weight, f"{prefix}-{i + 1}", at=at)
-        for i in range(count)
-    ]

@@ -9,8 +9,7 @@ drives the very same tagged schedulers with packet flows sharing a
 link, so the CPU results and the network results come from one
 simulator core.
 
-``run()`` measures two grids through
-:func:`~repro.scenario.sweep.run_cells`:
+``run()`` measures two grids through :func:`repro.exec.run_cells`:
 
 - a **single-link** policy x load grid (``sfs``, ``wfq``, ``sfq`` by
   default): per-flow throughput, Jain's fairness index over
@@ -34,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.charts import line_chart
-from repro.exec import DEFAULT_CHUNK_SIZE
+from repro.exec import run_cells
 from repro.flows import FLOW_RESOURCE_PROFILES, flow_scenario
-from repro.scenario import run_cells
 
 __all__ = ["FlowsResult", "run", "render"]
 
@@ -100,18 +98,15 @@ def run(
     policies: tuple[str, ...] = ("sfs", "wfq", "sfq"),
     seed: int = 42,
     workers: int | None = None,
-    backend=None,
     checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> FlowsResult:
     """Run the single-link grid and the multi-resource cells.
 
     Every cell is one :func:`~repro.flows.scenario.flow_scenario` —
     the same seeded flow population under each policy, so rows differ
-    only by scheduling. ``workers``/``backend``/``checkpoint``/
-    ``chunk_size`` are forwarded to
-    :func:`repro.scenario.run_cells`; ``audit=True`` runs every cell
+    only by scheduling. ``workers`` and ``checkpoint`` are forwarded
+    to :func:`repro.exec.run_cells`; ``audit=True`` runs every cell
     under the online invariant auditor (the multi-resource cells
     exercise the ``resource_conservation`` check, the single-link
     cells record it as skipped).
@@ -154,14 +149,7 @@ def run(
     metrics = CELL_METRICS + ("audit",) if audit else CELL_METRICS
     if audit:
         scenarios = [s.with_(audit=True) for s in scenarios]
-    cells = run_cells(
-        scenarios,
-        metrics,
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    cells = run_cells(scenarios, metrics, workers=workers, checkpoint=checkpoint)
     for (kind, policy, load), cell in zip(grid, cells):
         if audit:
             result.audit[(policy, load, kind)] = cell.metrics["audit"]

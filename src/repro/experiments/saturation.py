@@ -12,11 +12,10 @@ scan give up at a given ``k``?
 ``run()`` answers both on the high-N server workload:
 
 - an N x load x policy grid (``sfs``, ``sfs-heuristic``, ``sfq`` by
-  default) executed through a pluggable
-  :class:`~repro.exec.ExecutionBackend` (process pool by default; pass
-  ``backend="chunked"`` plus a ``checkpoint`` path to make big grids
-  resumable), each cell reporting simulator events/sec and the
-  ``sojourn_p50/p95/p99`` canned metrics that workers ship back —
+  default) run by :func:`repro.exec.run_cells` (a process pool by
+  default; a ``checkpoint`` path makes the grid resumable), each cell
+  reporting simulator events/sec and the ``sojourn_p50/p95/p99``
+  canned metrics that workers ship back —
   now paired with the **censored-tail** ``sojourn_p95_censored``,
   where jobs still in the system contribute their age as a lower
   bound, so overload rows can't be flattered by completion truncation;
@@ -35,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.charts import line_chart
-from repro.exec import DEFAULT_CHUNK_SIZE
-from repro.scenario import run_cells, run_scenario, server_scenario
+from repro.exec import run_cells
+from repro.scenario import run_scenario, server_scenario
 
 __all__ = ["SaturationResult", "run", "render"]
 
@@ -100,9 +99,7 @@ def run(
     accuracy_n: int = 400,
     seed: int = 42,
     workers: int | None = None,
-    backend=None,
     checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> SaturationResult:
     """Run the saturation grid and the accuracy-vs-k curve.
@@ -112,12 +109,10 @@ def run(
     in ``result.audit`` and travel back from workers as the canned
     ``"audit"`` metric.
 
-    ``workers``/``backend``/``checkpoint``/``chunk_size`` are
-    forwarded to :func:`repro.scenario.run_cells` (``workers=0``
-    forces serial, ``backend`` names any execution backend,
+    ``workers`` and ``checkpoint`` are forwarded to
+    :func:`repro.exec.run_cells` (``workers=0`` runs in-process,
     ``checkpoint`` makes the grid resumable). The accuracy cells
-    always run serially
-    in-process: they need the finished scheduler object
+    always run in-process: they need the finished scheduler object
     (``track_accuracy`` counters), which summaries shipped back from a
     worker cannot carry.
     """
@@ -146,14 +141,7 @@ def run(
     metrics = CELL_METRICS + ("audit",) if audit else CELL_METRICS
     if audit:
         scenarios = [s.with_(audit=True) for s in scenarios]
-    cells = run_cells(
-        scenarios,
-        metrics,
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    cells = run_cells(scenarios, metrics, workers=workers, checkpoint=checkpoint)
     for (policy, load), cell in zip(grid, cells):
         events = cell.metrics["events_fired"]
         wall = cell.wall_s

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exec import DEFAULT_CHUNK_SIZE
+from repro.exec import run_cells
 from repro.experiments.common import resolve_scheduler
-from repro.scenario import Scenario, ShortJobs, group, run_cells, task
+from repro.scenario import Scenario, ShortJobs, group, task
 
 __all__ = ["SensitivityResult", "run", "render", "scenario", "IDEAL_SHORT_SHARE"]
 
@@ -70,20 +70,17 @@ def run(
     seeds: tuple[int, ...] = (1, 2, 3),
     schedulers: tuple[str, ...] = ("sfs", "gms-reference"),
     workers: int | None = 0,
-    backend=None,
     checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = False,
 ) -> SensitivityResult:
     """Sweep jitter x seed for each scheduler.
 
-    Cells run through :func:`repro.scenario.run_cells` using the
+    Cells run through :func:`repro.exec.run_cells` using the
     ``driver_shares`` canned metric (the T_short feeder's machine
     share — identical arithmetic to the in-process path, so the golden
-    output is byte-stable across backends). ``workers=0`` (the
-    default) keeps the historical serial execution; pass
-    ``workers=None`` / ``backend`` / ``checkpoint`` to fan the grid
-    out like any other sweep.
+    output is byte-stable at any worker count). ``workers=0`` (the
+    default) runs the grid in-process; pass ``workers=None`` to fan it
+    out and ``checkpoint`` to make it resumable, like any other grid.
     """
     result = SensitivityResult()
     grid = [
@@ -96,14 +93,7 @@ def run(
     metrics = ("driver_shares", "audit") if audit else ("driver_shares",)
     if audit:
         scenarios = [s.with_(audit=True) for s in scenarios]
-    cells = run_cells(
-        scenarios,
-        metrics,
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
+    cells = run_cells(scenarios, metrics, workers=workers, checkpoint=checkpoint)
     for (name, jitter, seed), cell in zip(grid, cells):
         result.shares.setdefault((name, jitter), []).append(
             cell.metrics["driver_shares"]["T_short"]

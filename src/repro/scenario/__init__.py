@@ -7,10 +7,8 @@ weight changes), a duration and the metrics to collect. Feeding it to
 :func:`~repro.scenario.runner.run_scenario` yields a
 :class:`~repro.scenario.result.SimulationResult` that wraps per-task
 CPU shares, fairness/lag metrics from :mod:`repro.analysis` and raw
-trace access. :class:`~repro.scenario.sweep.Sweep` /
-:func:`~repro.scenario.sweep.run_sweep` execute cartesian
-policy x machine grids across a process pool with deterministic result
-ordering.
+trace access. A :class:`~repro.scenario.sweep.Sweep` describes a
+cartesian policy x machine grid over one base scenario.
 
 Every figure of the paper's evaluation (§4) is defined this way in
 :mod:`repro.experiments`; a new workload is a ~30-line scenario, not a
@@ -36,8 +34,9 @@ distribution through the :data:`ARRIVALS` / :data:`DEMANDS` registries
 (``register_arrival`` / ``register_demand`` add kinds that every
 config file and ``sfs-experiment list`` then knows). For
 thousands-of-tasks populations use
-:func:`~repro.scenario.server.server_scenario`; grid execution is
-delegated to the pluggable backends of :mod:`repro.exec`.
+:func:`~repro.scenario.server.server_scenario`. This layer is data
+plus :func:`run_scenario`: grids run through :mod:`repro.exec`, which
+sits above it and which it never imports.
 """
 
 from repro.scenario.arrivals import (
@@ -98,15 +97,7 @@ from repro.scenario.spec import (
     group,
     task,
 )
-from repro.scenario.sweep import (
-    Sweep,
-    SweepCell,
-    cells_in_grid_order,
-    run_cells,
-    run_sweep,
-    stream_cells,
-    sweep_scenarios,
-)
+from repro.scenario.sweep import Sweep, SweepCell, sweep_scenarios
 
 # Last: repro.flows registers the ``packet-flow`` behaviour kind (and
 # the ``flows`` family) and imports the modules above, so every config
@@ -156,12 +147,8 @@ __all__ = [
     "Sweep",
     "SweepCell",
     "TaskSpec",
-    "cells_in_grid_order",
     "group",
-    "run_cells",
     "run_scenario",
-    "run_sweep",
-    "stream_cells",
     "summarize",
     "sweep_scenarios",
     "task",

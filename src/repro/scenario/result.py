@@ -406,7 +406,7 @@ def _metric_in_system(result: SimulationResult) -> int:
 def _metric_class_shares(result: SimulationResult) -> dict[str, float]:
     """Busy-window machine share per server weight class (std/pro/ent).
 
-    Flat and picklable, so backend workers can ship it back for the
+    Flat and picklable, so pool workers can ship it back for the
     ``server`` CLI and the scale bench without returning the tasks.
     """
     from repro.scenario.server import class_shares
@@ -419,9 +419,9 @@ def _metric_driver_shares(result: SimulationResult) -> dict[str, float]:
 
     ``total_service / capacity`` per driver that tracks its service
     (currently the ShortJobs feeder); drivers without the accessor are
-    skipped. This is what lets the sensitivity study run its cells
-    through an execution backend: the finished driver object cannot
-    cross a process boundary, but its share can.
+    skipped. This is what lets the sensitivity study run its cells on
+    a process pool: the finished driver object cannot cross a process
+    boundary, but its share can.
     """
     capacity = result.capacity()
     out: dict[str, float] = {}

@@ -2,43 +2,22 @@
 
 A :class:`Sweep` expands a base :class:`~repro.scenario.spec.Scenario`
 into the cartesian product of scheduler names, CPU counts and quantum
-lengths, runs every cell through
-:func:`~repro.scenario.runner.run_scenario`, and returns one
-:class:`SweepCell` per grid point **in deterministic grid order**
-(scheduler-major, then cpus, then quantum) regardless of how many
-worker processes executed them.
-
-Execution is delegated to a pluggable
-:class:`~repro.exec.ExecutionBackend` (serial, process pool, or chunked
-streaming with a resume checkpoint), chosen by
-:func:`repro.exec.make_backend`; this module is the thin
-deterministic-reordering wrapper over the backend's completion-order
-iterator. :func:`run_sweep` / :func:`run_cells` keep their historical
-signatures — ``workers=None`` auto-sizes a local pool, ``workers=0``
-forces serial execution — so existing callers and golden outputs are
-untouched; new callers pick a backend by name or instance and may
-stream cells incrementally via :func:`stream_cells`.
+lengths, in deterministic grid order (scheduler-major, then cpus, then
+quantum). A :class:`SweepCell` holds one grid point's coordinates and
+metrics. This module is data only: :func:`repro.exec.run_sweep` runs
+the grid, in-process or on a process pool.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping
 
-from repro.exec import DEFAULT_CHUNK_SIZE, CellJob, ExecutionBackend, make_backend
 from repro.scenario.result import check_metrics
 from repro.scenario.spec import Scenario
 
-__all__ = [
-    "Sweep",
-    "SweepCell",
-    "run_sweep",
-    "run_cells",
-    "stream_cells",
-    "sweep_scenarios",
-    "cells_in_grid_order",
-]
+__all__ = ["Sweep", "SweepCell", "sweep_scenarios"]
 
 
 @dataclass(frozen=True)
@@ -102,116 +81,3 @@ def sweep_scenarios(sweep: Sweep) -> list[Scenario]:
             )
         )
     return cells
-
-
-def cells_in_grid_order(cells: Iterable[SweepCell]) -> Iterator[SweepCell]:
-    """Reorder a completion-order cell stream into grid (index) order.
-
-    Yields cell ``i`` as soon as every cell ``< i`` has been yielded,
-    holding out-of-order arrivals in a small buffer — so a streaming
-    consumer (incremental CSV export, a progress table) still sees
-    deterministic order without waiting for the whole grid. The buffer
-    is bounded by the completion skew (in practice: the worker count /
-    chunk size), not the grid size.
-    """
-    pending: dict[int, SweepCell] = {}
-    next_index = 0
-    for cell in cells:
-        pending[cell.index] = cell
-        while next_index in pending:
-            yield pending.pop(next_index)
-            next_index += 1
-    # A cancelled/failed backend may leave gaps; flush what remains in
-    # index order rather than dropping it.
-    for index in sorted(pending):
-        yield pending[index]
-
-
-def stream_cells(
-    scenarios: Sequence[Scenario],
-    metrics: tuple[str, ...],
-    workers: int | None = None,
-    backend: str | ExecutionBackend | None = None,
-    checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[SweepCell]:
-    """Run scenarios through a backend; yield cells in grid order.
-
-    The streaming core of :func:`run_cells`: cells are yielded
-    incrementally (in deterministic grid order, buffering only the
-    completion skew), so a 10^4-cell grid can flush to CSV/JSONL as it
-    runs instead of materialising every result first. ``backend`` is a
-    name from :data:`repro.exec.BACKENDS`, a ready-made
-    :class:`~repro.exec.ExecutionBackend` instance (which the caller
-    keeps and closes), or ``None`` for the historical pool-or-serial
-    behaviour; ``checkpoint`` makes the run resumable and
-    ``chunk_size`` bounds the in-flight cells (both see
-    :class:`~repro.exec.ChunkedBackend`; ``chunk_size`` is ignored by
-    backends that don't chunk). :func:`repro.exec.make_backend` makes
-    the choice.
-    """
-    check_metrics(metrics)
-    jobs = [
-        CellJob(index=i, scenario=scenario, metrics=tuple(metrics))
-        for i, scenario in enumerate(scenarios)
-    ]
-    resolved = make_backend(backend, workers, checkpoint, chunk_size, len(jobs))
-    try:
-        yield from cells_in_grid_order(resolved.submit(jobs))
-    finally:
-        if resolved is not backend:
-            resolved.close()
-
-
-def run_sweep(
-    sweep: Sweep,
-    workers: int | None = None,
-    backend: str | ExecutionBackend | None = None,
-    checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> list[SweepCell]:
-    """Run every cell of the grid; results come back in grid order.
-
-    ``workers=None`` sizes the default pool to the grid (capped by the
-    OS CPU count); ``workers=0`` forces serial in-process execution.
-    ``backend``/``checkpoint``/``chunk_size`` select any other
-    execution backend — see :func:`stream_cells`.
-    """
-    return run_cells(
-        sweep_scenarios(sweep),
-        tuple(sweep.metrics),
-        workers=workers,
-        backend=backend,
-        checkpoint=checkpoint,
-        chunk_size=chunk_size,
-    )
-
-
-def run_cells(
-    scenarios: Sequence[Scenario],
-    metrics: tuple[str, ...],
-    workers: int | None = None,
-    backend: str | ExecutionBackend | None = None,
-    checkpoint: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> list[SweepCell]:
-    """Run an arbitrary list of scenarios through an execution backend.
-
-    The generalization :func:`run_sweep` is built on: grids that vary
-    more than (scheduler, cpus, quantum) — e.g. the saturation study's
-    N x load x policy lattice, where each cell is a *different*
-    ``server_scenario`` population — build their own scenario list and
-    feed it here. Results come back in input order whatever backend
-    executed them; every backend yields cell lists identical to
-    :class:`~repro.exec.SerialBackend` (modulo ``wall_s``).
-    """
-    return list(
-        stream_cells(
-            scenarios,
-            metrics,
-            workers=workers,
-            backend=backend,
-            checkpoint=checkpoint,
-            chunk_size=chunk_size,
-        )
-    )

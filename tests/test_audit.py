@@ -23,7 +23,8 @@ from repro.analysis.audit import (
 )
 from repro.analysis.audit.auditor import DEFAULT_MAX_VIOLATIONS
 from repro.analysis.audit.checks import KNOWN_PARAMS, AuditCheck, audit_check
-from repro.scenario import Scenario, group, run_cells, run_scenario, task
+from repro.exec import run_cells
+from repro.scenario import Scenario, group, run_scenario, task
 from repro.scenario.runner import build_machine
 
 EXPECTED_CHECKS = [

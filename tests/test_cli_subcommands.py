@@ -117,7 +117,7 @@ class TestSweepSubcommand:
     def test_sweep_json_rows_carry_wall_s(self, tmp_path, capsys):
         # The cell's wall clock, which `run <file.yaml>` JSON reports
         # too; the table and CSV leave it out so they stay
-        # byte-identical across backends.
+        # byte-identical at any worker count.
         outdir = tmp_path / "out"
         config = _sweep_config(tmp_path, ["sfs", "sfq"], [1])
         code = main([
@@ -154,38 +154,50 @@ class TestExecutionBackendFlags:
         ck = tmp_path / "ck.jsonl"
         argv = [
             "sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1, 2]),
-            "--backend", "chunked", "--chunk-size", "2", "--workers", "0",
             "--checkpoint", str(ck),
         ]
-        assert main(argv) == 0
+        assert main(argv + ["--workers", "2"]) == 0
         first = capsys.readouterr().out
         assert len(ck.read_text().splitlines()) == 4
-        # Second run resumes: same table, no new checkpoint lines.
-        assert main(argv) == 0
+        # Second run resumes, at any worker count: same table, no new
+        # checkpoint lines.
+        assert main(argv + ["--workers", "0"]) == 0
         second = capsys.readouterr().out
         assert second == first
         assert len(ck.read_text().splitlines()) == 4
 
     def test_sweep_csv_streams_identically(self, tmp_path, capsys):
         plain = tmp_path / "plain"
-        chunked = tmp_path / "chunked"
-        base = [
-            "sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1]),
-            "--workers", "0",
-        ]
-        assert main(base + ["--csv", str(plain)]) == 0
+        pooled = tmp_path / "pooled"
+        base = ["sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1])]
+        assert main(base + ["--csv", str(plain), "--workers", "0"]) == 0
         assert main(
-            base + ["--csv", str(chunked), "--backend", "chunked"]
+            base + [
+                "--csv", str(pooled), "--workers", "2",
+                "--checkpoint", str(tmp_path / "ck.jsonl"),
+            ]
         ) == 0
         capsys.readouterr()
         assert (plain / "sweep.csv").read_bytes() == (
-            chunked / "sweep.csv"
+            pooled / "sweep.csv"
         ).read_bytes()
 
     def test_run_accepts_backend_flags_on_paper_figures(self, capsys):
-        # Paper figures don't fan out; the flags parse and are ignored.
-        assert main(["run", "fig4", "--backend", "serial"]) == 0
+        # Paper figures don't fan out; --workers parses and is ignored.
+        assert main(["run", "fig4", "--workers", "0"]) == 0
         assert "Figure 4" in capsys.readouterr().out
+
+    def test_checkpoint_on_an_experiment_without_a_grid_exits_2(
+        self, tmp_path, capsys
+    ):
+        # A run asked to be resumable must not run without a checkpoint.
+        ck = tmp_path / "ck" / "ck.jsonl"
+        assert main(["run", "fig1", "--checkpoint", str(ck)]) == 2
+        out, err = capsys.readouterr()
+        assert "fig1 runs no grid" in err
+        assert "flows, saturation, sensitivity" in err
+        assert out == ""
+        assert not ck.parent.exists()
 
 
 class TestListSubcommand:
@@ -276,7 +288,7 @@ class TestConfigMode:
     def test_sweep_config_through_backends(self, sweep_file, capsys):
         main(["sweep", str(sweep_file), "--workers", "0"])
         serial = capsys.readouterr().out
-        main(["sweep", str(sweep_file), "--backend", "process", "--workers", "2"])
+        main(["sweep", str(sweep_file), "--workers", "2"])
         pooled = capsys.readouterr().out
         assert serial == pooled
 

@@ -6,7 +6,7 @@ the ``flows`` preset family, and the properties the domain exists to
 demonstrate — bytes served never exceed link capacity x time, and
 backlogged weighted flows converge to their weight ratio under every
 fair queueing policy. Plus the operational contracts: metrics are
-bit-identical through every execution backend, everything pickles,
+bit-identical at every worker count, everything pickles,
 the config loader round-trips flow scenarios, the multi-resource
 metrics follow their defining arithmetic, and the
 ``resource_conservation`` audit check runs clean (or skips with a
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exec import run_cells
 from repro.experiments.cli import main
 from repro.flows import (
     FLOW_RESOURCE_PROFILES,
@@ -43,7 +44,6 @@ from repro.scenario import (
     family_names,
     loads_config,
     make_demand,
-    run_cells,
     run_scenario,
 )
 from repro.sim.events import Block, Exit, Run
@@ -312,7 +312,7 @@ def test_backlogged_flows_converge_to_weight_ratio(policy, ratio):
     assert result.jains() > 0.99
 
 
-# ------------------------------------------------------------- backends
+# -------------------------------------------------------- worker counts
 
 
 class TestBackendStability:
@@ -345,18 +345,16 @@ class TestBackendStability:
     def test_metrics_identical_across_backends(self, tmp_path):
         grid = self._grid()
         serial = run_cells(grid, self.METRIC_NAMES, workers=0)
-        process = run_cells(grid, self.METRIC_NAMES, workers=2, backend="process")
-        chunked = run_cells(
+        pooled = run_cells(grid, self.METRIC_NAMES, workers=2)
+        checkpointed = run_cells(
             grid,
             self.METRIC_NAMES,
             workers=2,
-            backend="chunked",
             checkpoint=str(tmp_path / "flows.jsonl"),
-            chunk_size=2,
         )
         want = self._comparable(serial)
-        assert self._comparable(process) == want
-        assert self._comparable(chunked) == want
+        assert self._comparable(pooled) == want
+        assert self._comparable(checkpointed) == want
 
     def test_cells_pickle_round_trip(self):
         cells = run_cells(self._grid()[:1], self.METRIC_NAMES, workers=0)

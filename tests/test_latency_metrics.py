@@ -4,13 +4,13 @@ import math
 
 import pytest
 
+from repro.exec import run_sweep
 from repro.scenario import (
     Compute,
     Scenario,
     Sweep,
     percentile,
     run_scenario,
-    run_sweep,
     task,
 )
 

@@ -9,10 +9,10 @@ from repro.experiments import saturation
 
 @pytest.fixture(scope="module")
 def small_grid():
-    # CI's chunked-backend smoke step sets SFS_SATURATION_BACKEND to
-    # drive the very same grid through the streaming/checkpoint path;
-    # results must be identical to the default serial run.
-    backend = os.environ.get("SFS_SATURATION_BACKEND")
+    # CI's checkpoint smoke step sets SFS_SATURATION_CHECKPOINT to
+    # drive the very same grid through the checkpoint path; results
+    # must be identical to the default in-process run.
+    checkpoint = os.environ.get("SFS_SATURATION_CHECKPOINT")
     return saturation.run(
         n_tasks=60,
         loads=(0.8, 1.5),
@@ -20,7 +20,7 @@ def small_grid():
         scan_depths=(2, 20),
         accuracy_n=80,
         workers=0,
-        backend=backend,
+        checkpoint=checkpoint,
     )
 
 
@@ -76,8 +76,8 @@ class TestRun:
 
 
 class TestExecThreading:
-    def test_checkpoint_and_chunk_size_kwargs_accepted(self, tmp_path):
-        # The CLI forwards checkpoint/chunk_size straight into run();
+    def test_checkpoint_kwarg_accepted(self, tmp_path):
+        # The CLI forwards checkpoint straight into run();
         # `sfs-experiment run saturation --checkpoint ck.jsonl` broke
         # before run() grew the kwarg.
         ck = tmp_path / "sat.jsonl"
@@ -89,7 +89,6 @@ class TestExecThreading:
             accuracy_n=40,
             workers=0,
             checkpoint=str(ck),
-            chunk_size=1,
         )
         assert set(result.events_per_sec) == {("sfq", 0.8)}
         assert len(ck.read_text().splitlines()) == 1

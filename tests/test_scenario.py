@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.exec import run_sweep
 from repro.scenario import (
     Compute,
     Kill,
@@ -15,7 +16,6 @@ from repro.scenario import (
     Sweep,
     group,
     run_scenario,
-    run_sweep,
     summarize,
     sweep_scenarios,
     task,
@@ -243,7 +243,7 @@ class TestValidation:
             Sweep(base=_basic(), metrics=("shares", "nope"))
 
     def test_run_cells_rejects_unknown_metric(self):
-        from repro.scenario import run_cells
+        from repro.exec import run_cells
 
         with pytest.raises(ValueError, match="unknown metric"):
             run_cells([_basic()], ("nope",), workers=0)

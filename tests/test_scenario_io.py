@@ -42,7 +42,8 @@ from repro.scenario.io import (
     scenario_to_dict,
 )
 from repro.scenario.spec import InteractiveLoop, Mpeg, Probe, ShortJobs
-from repro.scenario.sweep import Sweep, run_cells
+from repro.exec import run_cells
+from repro.scenario.sweep import Sweep
 
 
 def _err(data) -> ConfigError:
@@ -507,13 +508,13 @@ class TestBackendEquivalence:
         assert loaded == python_built
 
         metrics = ("class_shares", "jains", "completed")
-        reference = run_cells([python_built], metrics, backend="serial")
-        for backend, kwargs in (
-            ("serial", {}),
-            ("process", {"workers": 2}),
-            ("chunked", {"workers": 2, "chunk_size": 1}),
+        reference = run_cells([python_built], metrics, workers=0)
+        for opts in (
+            {"workers": 0},
+            {"workers": 2},
+            {"workers": 2, "checkpoint": str(tmp_path / "server.jsonl")},
         ):
-            cells = run_cells([loaded], metrics, backend=backend, **kwargs)
+            cells = run_cells([loaded], metrics, **opts)
             assert pickle.dumps(cells[0].metrics) == pickle.dumps(
                 reference[0].metrics
-            ), backend
+            ), opts

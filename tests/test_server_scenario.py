@@ -9,12 +9,12 @@ import pickle
 
 import pytest
 
+from repro.exec import run_sweep
 from repro.scenario import (
     SERVER_WEIGHT_CLASSES,
     Sweep,
     class_shares,
     run_scenario,
-    run_sweep,
     server_scenario,
 )
 from repro.scenario.runner import build_machine
