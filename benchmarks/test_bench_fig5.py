@@ -3,8 +3,9 @@
 Paper shape: group weights 20:20:5 should yield shares 4:4:1. SFQ gives
 each *set* roughly equal bandwidth (T_short wildly over-served); SFS
 comes much closer to 4:4:1; the paper's own Eq. 3 ideal (GMS-reference)
-delivers it exactly. See EXPERIMENTS.md for the orbit-stability analysis
-of the residual SFS-vs-ideal gap.
+delivers it exactly. See the reproduction note in the
+``repro.experiments.fig5_shortjobs`` docstring for the orbit-stability
+analysis of the residual SFS-vs-ideal gap.
 """
 
 from conftest import record, run_once
@@ -32,7 +33,8 @@ def test_fig5b_sfs_close_to_4_4_1(benchmark):
             sfq.group_share[group] - IDEAL[group]
         ), group
     # And T_short is held within 2x of its entitlement (the Eq. 4
-    # zero-clamp keeps it from reaching the exact 1/9; see EXPERIMENTS.md).
+    # zero-clamp keeps it from reaching the exact 1/9; see the
+    # fig5_shortjobs reproduction note).
     assert result.group_share["T_short"] < 2.0 * IDEAL["T_short"]
 
 

@@ -3,7 +3,8 @@
 Shape asserted: the GMS-reference (Eq. 3) scheduler's T_short share is
 tight around the 1/9 ideal regardless of timer jitter, while quantum-
 granularity SFS's share is (a) above the ideal and (b) pulled toward it
-by jitter — the behaviour EXPERIMENTS.md documents.
+by jitter — the behaviour the reproduction note in
+``repro.experiments.fig5_shortjobs`` documents.
 """
 
 from conftest import record, run_once

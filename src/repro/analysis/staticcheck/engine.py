@@ -9,11 +9,9 @@ AST path (SFS007 schema-validates them; the pragma works from YAML
 comments too). Exposed as ``sfs-experiment lint`` and
 ``python -m repro.analysis.staticcheck``.
 
-Beyond the per-file rules, two whole-project analyzers hang off the
-same driver: ``--project`` runs the interprocedural determinism rules
-SFS008/SFS009 (:mod:`.project`) and ``--cboundary`` the compiled-
-boundary conformance checker SFS010/SFS011 (:mod:`.cboundary`), both
-against the repo root inferred from the linted paths. Paths in every
+Beyond the per-file rules, ``--project`` runs the interprocedural
+determinism rules SFS008/SFS009 (:mod:`.project`) against the repo
+root inferred from the linted paths. Paths in every
 finding are rendered repo-root-relative so CI annotations and
 baselines are stable across machines; ``--baseline``/
 ``--write-baseline`` let a new rule land by freezing today's findings
@@ -191,15 +189,12 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     project: bool = False,
-    cboundary: bool = False,
 ) -> tuple[list[Violation], int]:
     """Lint files/directories; returns (violations, files_checked).
 
     ``project`` additionally runs the interprocedural analyzer
-    (SFS008/SFS009) and ``cboundary`` the compiled-boundary
-    conformance checker (SFS010/SFS011), both over the repo root
-    inferred from ``paths`` — a ValueError is raised when no root can
-    be located.
+    (SFS008/SFS009) over the repo root inferred from ``paths`` — a
+    ValueError is raised when no root can be located.
     """
     rules = make_rules(select)
     files = discover_files(paths)
@@ -247,22 +242,16 @@ def lint_paths(
                 found.extend(lint_rule.check(tree, source, path_str))
     for lint_rule in rules:
         found.extend(lint_rule.finish())
-    if project or cboundary:
+    if project:
         if root is None:
             raise ValueError(
                 "cannot locate a repo root (pyproject.toml/.git) for the "
-                "project/cboundary analyzers; lint from inside the repo or "
-                "pass paths within it"
+                "project analyzer; lint from inside the repo or pass "
+                "paths within it"
             )
-        extra: list[Violation] = []
-        if project:
-            from repro.analysis.staticcheck.project import project_violations
+        from repro.analysis.staticcheck.project import project_violations
 
-            extra.extend(project_violations(root))
-        if cboundary:
-            from repro.analysis.staticcheck.cboundary import check_cboundary
-
-            extra.extend(check_cboundary(root))
+        extra = project_violations(root)
         if select is not None:
             wanted = set(select)
             extra = [v for v in extra if v.rule in wanted]
@@ -405,14 +394,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="also run the interprocedural project analyzer (SFS008/SFS009)",
     )
     parser.add_argument(
-        "--cboundary",
-        action="store_true",
-        help=(
-            "also run the compiled-boundary conformance checker "
-            "(SFS010/SFS011) against src/repro/sim/_engine.c"
-        ),
-    )
-    parser.add_argument(
         "--output",
         default=None,
         metavar="FILE",
@@ -451,7 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.paths,
             select=select,
             project=args.project,
-            cboundary=args.cboundary,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

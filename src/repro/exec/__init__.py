@@ -278,12 +278,14 @@ def stream_cells(
     """Run ``scenarios`` as one grid; yield their cells in grid order.
 
     ``workers=None`` sizes the pool to the cells left to run, capped by
-    the OS CPU count; ``workers=0`` runs every cell in-process.
-    ``checkpoint`` names a JSONL file that makes the run resumable.
-    Whatever the worker count, the cells equal the in-process ones in
-    everything but ``wall_s``.
+    the OS CPU count; ``workers=0`` runs every cell in-process, and a
+    negative count raises ``ValueError``. ``checkpoint`` names a JSONL
+    file that makes the run resumable. Whatever the worker count, the
+    cells equal the in-process ones in everything but ``wall_s``.
     """
     check_metrics(metrics)
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     jobs = [
         CellJob(index=i, scenario=scenario, metrics=tuple(metrics))
         for i, scenario in enumerate(scenarios)

@@ -22,7 +22,8 @@ The grid-running subcommands (``sweep``, ``run <file.yaml>`` and the
 grid experiments under ``run``) pass ``--workers`` and ``--checkpoint
 PATH`` to :mod:`repro.exec`: ``--workers 0`` runs every cell
 in-process, and a checkpointed run survives kill-and-resume. ``run
-<id> --checkpoint`` on an experiment that runs no grid exits 2.
+<id> --checkpoint`` or ``--audit`` on an experiment that runs no grid
+exits 2.
 
 For backwards compatibility, ``sfs-experiment <id|all>`` (without the
 ``run`` subcommand) still works.
@@ -292,12 +293,20 @@ def _exec_opts(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if args.checkpoint is not None and _EXEC_AWARE.isdisjoint(names):
-        # A run the user asked to be resumable must not silently run
-        # without a checkpoint.
+    # A run the user asked to be resumable or audited must not silently
+    # run without a checkpoint or an audit.
+    flags = [
+        flag
+        for flag, given in (
+            ("--checkpoint", args.checkpoint is not None),
+            ("--audit", args.audit),
+        )
+        if given
+    ]
+    if flags and _EXEC_AWARE.isdisjoint(names):
         print(
             f"sfs-experiment run: error: {args.experiment} runs no grid, so "
-            "--checkpoint has nothing to resume; it applies to "
+            f"it takes no {' or '.join(flags)}; the grid experiments are "
             f"{', '.join(sorted(_EXEC_AWARE))}",
             file=sys.stderr,
         )
@@ -673,8 +682,9 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
         help="run cells under the online invariant auditor "
         "(service conservation, bounded lag, no starvation, surplus "
         "order, monotone virtual time); violations are reported and "
-        "make the command exit non-zero. For `run <id>` this applies to "
-        f"the grid experiments ({', '.join(sorted(_EXEC_AWARE))}).",
+        "make the command exit non-zero. `run <id>` takes it only for "
+        f"the grid experiments ({', '.join(sorted(_EXEC_AWARE))}) and "
+        "`all`, which audits those; on any other experiment it exits 2.",
     )
 
 
@@ -729,9 +739,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         add_help=False,
         help="run the repo-specific determinism/soundness linter "
-        "(rules SFS001-SFS011; see `lint --list-rules`, `lint --project` "
-        "for the interprocedural rules, `lint --cboundary` for the "
-        "compiled-boundary conformance checker)",
+        "(rules SFS001-SFS009; see `lint --list-rules`, `lint --project` "
+        "for the interprocedural rules)",
     )
     return parser
 

@@ -12,8 +12,9 @@ receive 4/9 of the machine and the T_short sequence 1/9 — the 4:4:1
 proportion. The paper reports SFQ giving each *set* roughly equal
 shares (≈1:1:1) while SFS delivers ~4:4:1.
 
-Reproduction note (detailed in EXPERIMENTS.md): the outcome of this
-workload is **noise-sensitive**. Quantum-granularity SFS admits a
+Reproduction note (quantified by the ``sensitivity`` experiment,
+:mod:`repro.experiments.sensitivity`): the outcome of this workload is
+**noise-sensitive**. Quantum-granularity SFS admits a
 family of neutrally-stable orbits parameterized by the gap between the
 virtual-time floor and the background pack's tags; each fresh T_short
 arrival starts at the floor (Eq. 4 clamps surpluses at zero, so no

@@ -24,9 +24,10 @@ __all__ = ["Fig6aResult", "run", "render", "scenario", "WEIGHT_PAIRS"]
 
 WEIGHT_PAIRS = ((1, 1), (1, 2), (1, 4), (1, 7))
 HORIZON = 90.0
-#: tag-equilibration transient excluded from the measurement (see
-#: EXPERIMENTS.md: from a synchronized cold start, exact SFS needs a few
-#: background rounds before tags spread into their steady-state ordering)
+#: tag-equilibration transient excluded from the measurement: from a
+#: synchronized cold start, exact SFS needs a few background rounds
+#: before tags spread into their steady-state ordering (the cold-start
+#: transient of the reproduction note in repro.experiments.fig5_shortjobs)
 WARMUP = 30.0
 BACKGROUND = 20
 #: timer-tick noise of the real testbed (Linux 2.2 quanta end on 10 ms

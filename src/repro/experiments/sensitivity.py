@@ -1,6 +1,7 @@
 """Sensitivity study backing the Fig. 5 reproduction notes.
 
-EXPERIMENTS.md claims that the short-jobs outcome is *noise-sensitive*:
+The reproduction note in :mod:`repro.experiments.fig5_shortjobs`
+claims that the short-jobs outcome is *noise-sensitive*:
 quantum-granularity SFS admits a family of neutrally-stable orbits, so
 the T_short group's share depends on the timer noise present. This
 module quantifies that claim by sweeping ``quantum_jitter`` across

@@ -80,7 +80,8 @@ class Machine:
         200 ms quantum really ends on a tick boundary. A deterministic
         PRNG (``jitter_seed``) keeps runs reproducible. Zero disables.
         This matters: §4.3's short-jobs experiment is sensitive to the
-        synchronization noise of the real testbed (see EXPERIMENTS.md).
+        synchronization noise of the real testbed (see the reproduction
+        note in :mod:`repro.experiments.fig5_shortjobs`).
     service_sample_interval:
         When > 0, decimate the per-task (time, cumulative service)
         series: a new point is recorded only once at least this many

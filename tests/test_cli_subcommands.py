@@ -2,10 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 class TestRunSubcommand:
@@ -198,6 +201,27 @@ class TestExecutionBackendFlags:
         assert "flows, saturation, sensitivity" in err
         assert out == ""
         assert not ck.parent.exists()
+
+    def test_audit_on_an_experiment_without_a_grid_exits_2(self, capsys):
+        # A run asked to be audited must not run unaudited.
+        assert main(["run", "fig4", "--audit"]) == 2
+        out, err = capsys.readouterr()
+        assert "fig4 runs no grid, so it takes no --audit" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", str(EXAMPLES / "two_flows_3to1.yaml")],
+            ["sweep", str(EXAMPLES / "sweeps" / "heavy_vs_unit.yaml")],
+        ],
+        ids=["run-config", "sweep"],
+    )
+    def test_negative_workers_exits_2(self, argv, capsys):
+        assert main(argv + ["--workers", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "workers must be >= 0, got -1" in err
+        assert "Traceback" not in err
 
 
 class TestListSubcommand:

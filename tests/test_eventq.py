@@ -9,18 +9,30 @@ cancellations, reentrant scheduling from callbacks) and require
 bit-identical fire logs, clocks and counters. A divergence here means
 simulations would stop being reproducible across builds, which is the
 repository's ground rule.
+
+``PyEngine`` and ``EventHandle`` also declare the compiled surface:
+the extension's public names and error messages must equal theirs.
+``SFS_ENGINE`` must bind the build it names, and is the only flag the
+simulation reads from the environment.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 from heapq import heappop, heappush
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import PyEngine
+from repro.sim.engine import EventHandle, PyEngine
 from repro.sim.eventq import CalendarEventQueue
 
 try:
@@ -298,21 +310,49 @@ class TestClockValidation:
             assert engine.now == 0.0
 
 
+def _public_names(cls) -> set[str]:
+    return {name for name in dir(cls) if not name.startswith("_")}
+
+
+#: every error both engines raise, as (method, args) at now == 2.5;
+#: 0.1 + 0.2 prints 17 digits, so float formatting must match too
+MIRRORED_ERRORS = {
+    "schedule_at-past": ("schedule_at", (0.1 + 0.2, print)),
+    "schedule_at-nan": ("schedule_at", (math.nan, print)),
+    "schedule_after-negative": ("schedule_after", (-0.5, print)),
+    "run_until-past": ("run_until", (1.25,)),
+    "run_until-nan": ("run_until", (math.nan,)),
+}
+
+
 @needs_compiled
 class TestCompiledSurface:
-    """Pin the C engine's validation/API parity with PyEngine."""
+    """Pin the C engine's API and error parity with PyEngine.
 
-    def test_rejects_past_and_nan(self):
-        engine = compiled_engine.Engine()
-        engine.run_until(5.0)
-        with pytest.raises(ValueError, match="in the past"):
-            engine.schedule_at(1.0, lambda: None)
-        with pytest.raises(ValueError, match="in the past"):
-            engine.schedule_at(math.nan, lambda: None)
-        with pytest.raises(ValueError, match="delay must be"):
-            engine.schedule_after(-0.5, lambda: None)
-        with pytest.raises(ValueError, match="in the past"):
-            engine.run_until(1.0)
+    ``PyEngine`` and ``EventHandle`` are the only declaration of the
+    compiled surface: a name or message the C code drops, renames or
+    adds without its Python twin fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "compiled_name, reference",
+        [("Engine", PyEngine), ("EventHandle", EventHandle)],
+    )
+    def test_public_names_match_python(self, compiled_name, reference):
+        compiled = getattr(compiled_engine, compiled_name)
+        assert _public_names(compiled) == _public_names(reference)
+
+    @pytest.mark.parametrize(
+        "method, args", MIRRORED_ERRORS.values(), ids=MIRRORED_ERRORS.keys()
+    )
+    def test_error_messages_match_python(self, method, args):
+        messages = []
+        for engine in (PyEngine(), compiled_engine.Engine()):
+            engine.run_until(2.5)
+            with pytest.raises(ValueError) as raised:
+                getattr(engine, method)(*args)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     def test_takes_no_constructor_args(self):
         with pytest.raises(TypeError, match="takes no arguments"):
@@ -332,3 +372,80 @@ class TestCompiledSurface:
         assert h.cancelled
         h.cancel()  # idempotent
         assert engine.pending == 1
+
+
+# ----------------------------------------------------------------------
+# engine selection: SFS_ENGINE, read once at import
+# ----------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: prints build_info() plus whether ``Engine`` is the pure class
+_REPORT = (
+    "import json\n"
+    "from repro.sim import engine\n"
+    "info = engine.build_info()\n"
+    "info['is_pyengine'] = engine.Engine is engine.PyEngine\n"
+    "print(json.dumps(info))\n"
+)
+
+
+def _fresh_interpreter(selector: str, code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter under ``SFS_ENGINE=selector``."""
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "SFS_ENGINE": selector,
+        "PYTHONPATH": str(SRC) + (os.pathsep + path if path else ""),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestEngineSelection:
+    """``SFS_ENGINE`` binds ``Engine`` at import, on every build."""
+
+    def test_pure_binds_pyengine(self):
+        done = _fresh_interpreter("pure", _REPORT)
+        assert done.returncode == 0, done.stderr
+        info = json.loads(done.stdout)
+        assert info["is_pyengine"]
+        assert (info["engine"], info["selector"]) == ("pure", "pure")
+
+    def test_unknown_selector_fails_at_import(self):
+        done = _fresh_interpreter("bogus", "import repro.sim.engine")
+        assert done.returncode != 0
+        assert (
+            "ValueError: SFS_ENGINE must be auto, compiled or pure, got 'bogus'"
+            in done.stderr
+        )
+
+    @needs_compiled
+    def test_compiled_binds_the_extension(self):
+        done = _fresh_interpreter("compiled", _REPORT)
+        assert done.returncode == 0, done.stderr
+        info = json.loads(done.stdout)
+        assert not info["is_pyengine"]
+        assert (info["engine"], info["selector"]) == ("compiled", "compiled")
+
+    def test_sfs_engine_is_the_only_flag_sim_code_reads(self):
+        # SFS_ENGINE only picks between two identical builds; any other
+        # SFS_* read would make a run depend on the environment. Any
+        # literal spelling a flag name counts as a read.
+        flags = set()
+        for package in ("sim", "core"):
+            for path in (SRC / "repro" / package).rglob("*.py"):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(tree):
+                    if (
+                        isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and re.fullmatch(r"SFS_\w+", node.value)
+                    ):
+                        flags.add((path.relative_to(SRC).as_posix(), node.value))
+        assert flags == {("repro/sim/engine.py", "SFS_ENGINE")}

@@ -565,6 +565,24 @@ class TestMakeBackend:
         assert resumed == cells
         assert len(ck.read_text().splitlines()) == 2
 
+    def test_negative_workers_rejected_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # Even a grid the checkpoint already covers, which would run
+        # nothing, rejects the count before the file is opened.
+        scenarios = _grid(2)
+        ck = tmp_path / "full.jsonl"
+        run_cells(scenarios, ("jains",), workers=0, checkpoint=str(ck))
+        before = ck.read_bytes()
+        executed = _count_cells(monkeypatch)
+        fresh = tmp_path / "fresh" / "ck.jsonl"
+        for path in (ck, fresh):
+            with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
+                run_cells(scenarios, ("jains",), workers=-1, checkpoint=str(path))
+        assert executed == []
+        assert ck.read_bytes() == before
+        assert not fresh.parent.exists()
+
     def test_cancel_stops_serial_iteration(self, monkeypatch):
         executed = _count_cells(monkeypatch)
         stream = stream_cells(_grid(3), ("jains",), workers=0)

@@ -277,6 +277,6 @@ def test_real_repo_has_no_project_violations():
 
 def test_real_repo_clean_under_full_blocking_invocation(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    status = main(["--project", "--cboundary"])
+    status = main(["--project"])
     out = capsys.readouterr().out
     assert status == 0, out

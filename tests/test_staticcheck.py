@@ -47,8 +47,8 @@ def _rules_fired(source, rule_id, scope="sim"):
 # ----------------------------------------------------------------------
 
 
-def test_all_eleven_rules_registered():
-    assert rule_ids() == [f"SFS00{i}" for i in range(1, 10)] + ["SFS010", "SFS011"]
+def test_all_nine_rules_registered():
+    assert rule_ids() == [f"SFS00{i}" for i in range(1, 10)]
 
 
 def test_every_rule_has_title_and_scope_metadata():
