@@ -16,6 +16,8 @@ property ``tests/test_arrivals_demands.py`` pins.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Sequence
 
 from repro.scenario.arrivals import ArrivalProcess
@@ -76,8 +78,13 @@ def generated_tasks(
         raise ValueError(f"start must be >= 0, got {start}")
     check_weight_classes(weight_classes)
     names = [name for name, _, _ in weight_classes]
-    probs = [prob for _, _, prob in weight_classes]
     weights = {name: weight for name, weight, _ in weight_classes}
+    # The class draw is rng.choices(names, weights=probs)[0], with the
+    # cumulative weights it would rebuild on every call built once:
+    # the same random() draw, scaled and bisected the same way.
+    cum = list(accumulate(prob for _, _, prob in weight_classes))
+    total = cum[-1] + 0.0
+    hi = len(cum) - 1
 
     rng = random.Random(seed)
     times = arrival.times(rng)
@@ -94,7 +101,7 @@ def generated_tasks(
             raise ValueError(
                 f"demand distribution produced non-positive demand {d}"
             )
-        cls = rng.choices(names, weights=probs)[0]
+        cls = names[bisect(cum, rng.random() * total, 0, hi)]
         specs.append(
             TaskSpec(
                 name=f"{prefix}{cls}-{i:05d}",

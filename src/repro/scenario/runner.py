@@ -50,17 +50,18 @@ def build_machine(
     # per-dispatch CPU occupancy intervals (Gantt data) stay gated on
     # the scenario's own record_events.
     machine.trace.record_runs = scenario.record_events
-    tasks: dict[str, Task] = {}
-    for spec in scenario.tasks:
-        task = Task(
+    population = [
+        Task(
             spec.behavior.build(),
             weight=spec.weight,
             name=spec.name,
             footprint_kb=spec.footprint_kb,
             ts_priority=spec.ts_priority,
         )
-        machine.add_task(task, at=spec.at)
-        tasks[spec.name] = task
+        for spec in scenario.tasks
+    ]
+    machine.add_tasks(population, [spec.at for spec in scenario.tasks])
+    tasks = {spec.name: task for spec, task in zip(scenario.tasks, population)}
     # Declared multi-resource demand vectors ride along on the machine
     # so post-run accounting (and the auditor's resource-conservation
     # check) can see them without re-plumbing Task itself.

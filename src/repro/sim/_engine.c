@@ -3,7 +3,9 @@
  * This module is the optional C twin of repro/sim/engine.py: an
  * ``Engine`` type implementing the same calendar-queue event loop
  * (one bucket per exact timestamp, a C double min-heap over the
- * distinct times, whole-bucket batch dispatch).
+ * distinct times, whole-bucket batch dispatch) and the same loaded
+ * run of build-time events beside it (a C double array of times and a
+ * list of arguments, merged with the queue in engine_queue_bound).
  *
  * Behavioural contract: bit-for-bit identical event order and
  * arithmetic versus the pure-Python implementations. Every float
@@ -66,6 +68,13 @@ typedef struct {
     PyObject *head;      /* bucket being drained one event at a time, or NULL */
     Py_ssize_t head_pos;
     double head_time;
+    /* the loaded run: loaded_fn(loaded_args[i]) fires at loaded_times[i],
+     * for loaded_pos <= i < loaded_len */
+    double *loaded_times;
+    PyObject *loaded_args; /* list, or NULL before the first load */
+    PyObject *loaded_fn;
+    Py_ssize_t loaded_pos;
+    Py_ssize_t loaded_len;
 } EngineObject;
 
 static PyTypeObject Engine_Type; /* forward */
@@ -269,6 +278,11 @@ Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->head = NULL;
     self->head_pos = 0;
     self->head_time = INFINITY;
+    self->loaded_times = NULL;
+    self->loaded_args = NULL;
+    self->loaded_fn = NULL;
+    self->loaded_pos = 0;
+    self->loaded_len = 0;
     return (PyObject *)self;
 }
 
@@ -278,7 +292,10 @@ Engine_dealloc(EngineObject *self)
     PyObject_GC_UnTrack(self);
     Py_XDECREF(self->buckets);
     Py_XDECREF(self->head);
+    Py_XDECREF(self->loaded_args);
+    Py_XDECREF(self->loaded_fn);
     PyMem_Free(self->times);
+    PyMem_Free(self->loaded_times);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -287,6 +304,8 @@ Engine_traverse(EngineObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->buckets);
     Py_VISIT(self->head);
+    Py_VISIT(self->loaded_args);
+    Py_VISIT(self->loaded_fn);
     return 0;
 }
 
@@ -295,6 +314,9 @@ Engine_clear_gc(EngineObject *self)
 {
     Py_CLEAR(self->buckets);
     Py_CLEAR(self->head);
+    Py_CLEAR(self->loaded_args);
+    Py_CLEAR(self->loaded_fn);
+    self->loaded_pos = self->loaded_len = 0;
     return 0;
 }
 
@@ -417,6 +439,125 @@ Engine_schedule_after(EngineObject *self, PyObject *args)
     return engine_schedule_common(self, self->now + delay, args, 2);
 }
 
+PyDoc_STRVAR(load_sorted_doc,
+"load_sorted(times, fn, args)\n\n"
+"Schedule fn(args[i]) at times[i] for every i, at once. The run must be\n"
+"non-decreasing and nothing may be pending, so its seqs, reserved here,\n"
+"are the lowest of every event that will ever share its times: on a tie\n"
+"the run fires first, in index order. Raises ValueError if an entry is\n"
+"in the past (or NaN), out of order, or the two sequences differ in\n"
+"length.");
+
+static PyObject *
+Engine_load_sorted(EngineObject *self, PyObject *args)
+{
+    PyObject *times_in, *fn, *args_in;
+    if (!PyArg_ParseTuple(args, "OOO:load_sorted", &times_in, &fn, &args_in))
+        return NULL;
+    if (self->live) {
+        PyErr_Format(PyExc_ValueError,
+                     "cannot load a sorted run: %lld events are pending",
+                     self->live);
+        return NULL;
+    }
+    PyObject *times = PySequence_Fast(times_in, "times must be a sequence");
+    if (times == NULL)
+        return NULL;
+    PyObject *loaded = PySequence_List(args_in);
+    double *buf = NULL;
+    if (loaded == NULL)
+        goto fail;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(times);
+    if (PyList_GET_SIZE(loaded) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "need one argument per time: %zd arguments for %zd times",
+                     PyList_GET_SIZE(loaded), n);
+        goto fail;
+    }
+    buf = PyMem_Malloc((n > 0 ? n : 1) * sizeof(double));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    double prev = self->now;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double when = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(times, i));
+        if (when == -1.0 && PyErr_Occurred())
+            goto fail;
+        if (!(when >= prev)) { /* out of order, in the past or NaN */
+            if (!(when >= self->now)) {
+                raise_with_two_doubles(PyExc_ValueError,
+                                       "cannot schedule event in the past: "
+                                       "%R < now %R", when, self->now);
+                goto fail;
+            }
+            PyObject *wo = PyFloat_FromDouble(when);
+            PyObject *po = PyFloat_FromDouble(prev);
+            if (wo != NULL && po != NULL)
+                PyErr_Format(PyExc_ValueError,
+                             "times must be non-decreasing: %R at index %zd "
+                             "follows %R", wo, i, po);
+            Py_XDECREF(wo);
+            Py_XDECREF(po);
+            goto fail;
+        }
+        buf[i] = when;
+        prev = when;
+    }
+    Py_DECREF(times);
+    PyMem_Free(self->loaded_times);
+    self->loaded_times = buf;
+    Py_XSETREF(self->loaded_args, loaded);
+    Py_INCREF(fn);
+    Py_XSETREF(self->loaded_fn, fn);
+    self->loaded_pos = 0;
+    self->loaded_len = n;
+    self->seq += n;
+    self->live += n;
+    Py_RETURN_NONE;
+fail:
+    PyMem_Free(buf);
+    Py_XDECREF(loaded);
+    Py_DECREF(times);
+    return NULL;
+}
+
+/* How far the queue may fire before the loaded run's next entry:
+ * `bound` itself when no loaded entry is due by then, else the double
+ * just below that entry's time, so the queue gives up every tie to it
+ * (its seq is lower than anything queued). Below `bound` exactly when
+ * a loaded entry is due. The one place the two sources merge. */
+static double
+engine_queue_bound(EngineObject *self, double bound)
+{
+    if (self->loaded_pos < self->loaded_len) {
+        double next = self->loaded_times[self->loaded_pos];
+        if (next <= bound)
+            return nextafter(next, -INFINITY);
+    }
+    return bound;
+}
+
+/* Fire the loaded run's next entry. Returns 0, or -1 on exception. */
+static int
+engine_fire_loaded(EngineObject *self)
+{
+    Py_ssize_t pos = self->loaded_pos++;
+    self->now = self->loaded_times[pos];
+    self->fired++;
+    self->live--;
+    /* a callback may load a new run, dropping these references */
+    PyObject *fn = Py_NewRef(self->loaded_fn);
+    PyObject *arg = Py_NewRef(PyList_GET_ITEM(self->loaded_args, pos));
+    PyObject *res = PyObject_CallOneArg(fn, arg);
+    Py_DECREF(arg);
+    Py_DECREF(fn);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
 /* Pop the earliest bucket with time <= bound. Returns a NEW reference
  * to the batch list (possibly a tail slice of a partially drained
  * head), or NULL with no exception set when nothing is due, or NULL
@@ -468,16 +609,28 @@ engine_next_batch(EngineObject *self, double bound)
     return bucket;
 }
 
-/* Fire every event with time <= bound, batch by batch. On a callback
- * exception the unfired tail of the current batch becomes the new head
- * bucket, so the queue looks as if those events were never popped. */
+/* Fire every event with time <= bound, batch by batch, and the loaded
+ * run's entries in between. On a callback exception the unfired tail
+ * of the current batch becomes the new head bucket, so the queue looks
+ * as if those events were never popped. */
 static int
 engine_drain(EngineObject *self, double bound)
 {
+    double qbound = engine_queue_bound(self, bound);
     for (;;) {
-        PyObject *batch = engine_next_batch(self, bound);
-        if (batch == NULL)
-            return PyErr_Occurred() ? -1 : 0;
+        PyObject *batch = engine_next_batch(self, qbound);
+        if (batch == NULL) {
+            if (PyErr_Occurred())
+                return -1;
+            if (qbound == bound)
+                return 0;
+            /* nothing queued before the loaded run's next entry, which
+             * is due: fire it, then look for the one after */
+            if (engine_fire_loaded(self) < 0)
+                return -1;
+            qbound = engine_queue_bound(self, bound);
+            continue;
+        }
         Py_ssize_t n = PyList_GET_SIZE(batch);
         Py_ssize_t i;
         int any_live = 0;
@@ -525,10 +678,14 @@ engine_drain(EngineObject *self, double bound)
 static int
 engine_step_inner(EngineObject *self)
 {
+    double bound = engine_queue_bound(self, INFINITY);
     for (;;) {
         if (self->head == NULL) {
-            if (self->times_len == 0)
-                return 0;
+            if (self->times_len == 0 || self->times[0] > bound) {
+                if (bound == INFINITY)
+                    return 0;
+                return engine_fire_loaded(self) < 0 ? -1 : 1;
+            }
             double when = times_pop(self);
             PyObject *key = PyFloat_FromDouble(when);
             if (key == NULL)
@@ -583,7 +740,7 @@ engine_step_inner(EngineObject *self)
 
 PyDoc_STRVAR(step_doc,
 "step() -> bool\n\n"
-"Fire the next pending event. Returns False if the queue is empty.");
+"Fire the next pending event. Returns False if none is pending.");
 
 static PyObject *
 Engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
@@ -687,6 +844,8 @@ static PyMethodDef Engine_methods[] = {
      schedule_at_doc},
     {"schedule_after", (PyCFunction)Engine_schedule_after, METH_VARARGS,
      schedule_after_doc},
+    {"load_sorted", (PyCFunction)Engine_load_sorted, METH_VARARGS,
+     load_sorted_doc},
     {"step", (PyCFunction)Engine_step, METH_NOARGS, step_doc},
     {"run_until", (PyCFunction)Engine_run_until, METH_O, run_until_doc},
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS, run_doc},

@@ -7,6 +7,15 @@ keeps every simulation in this repository bit-for-bit reproducible.
 The engine knows nothing about CPUs or schedulers; the machine layer
 (:mod:`repro.sim.machine`) builds on top of it.
 
+Events live in one of two ordered sources. Everything scheduled with
+:meth:`PyEngine.schedule_at` (or ``schedule_after``) gets an
+:class:`EventHandle` in the calendar queue. A build-time population of
+arrivals, known and sorted before the run, is handed over once with
+:meth:`PyEngine.load_sorted`: a cursor over plain parallel lists, with
+no handle per entry. Its seqs are reserved at the load, before any
+other event exists, so at equal times the cursor fires ahead of the
+queue; ``_queue_bound`` is the one place the two sources merge.
+
 Two engine implementations share this contract:
 
 - :class:`PyEngine` (this module): pure Python, on the calendar queue
@@ -30,7 +39,8 @@ see which path is live.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from math import inf, nextafter
+from typing import Any, Callable, Sequence
 
 from repro.sim.eventq import CalendarEventQueue
 
@@ -82,6 +92,11 @@ class PyEngine:
         self._seq = 0
         self._fired = 0
         self._live = 0
+        # the loaded run: fn(args[i]) fires at times[i], for i >= pos
+        self._loaded_times: list[float] = []
+        self._loaded_args: list = []
+        self._loaded_fn: Callable[[Any], Any] | None = None
+        self._loaded_pos = 0
 
     @property
     def now(self) -> float:
@@ -125,11 +140,79 @@ class PyEngine:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
 
+    def load_sorted(
+        self, times: Sequence[float], fn: Callable[[Any], Any], args: Sequence
+    ) -> None:
+        """Schedule ``fn(args[i])`` at ``times[i]`` for every ``i``, at once.
+
+        The run must be non-decreasing and nothing may be pending, so
+        its seqs, reserved here, are the lowest of every event that
+        will ever share its times: on a tie the run fires first, in
+        index order. Raises ``ValueError`` if an entry is in the past
+        (or NaN), out of order, or the two sequences differ in length.
+        """
+        if self._live:
+            raise ValueError(
+                f"cannot load a sorted run: {self._live} events are pending"
+            )
+        times = list(map(float, times))
+        args = list(args)
+        if len(args) != len(times):
+            raise ValueError(
+                f"need one argument per time: {len(args)} arguments "
+                f"for {len(times)} times"
+            )
+        prev = now = self._now
+        for i, when in enumerate(times):
+            if not when >= prev:  # out of order, in the past or NaN
+                if not when >= now:
+                    raise ValueError(
+                        f"cannot schedule event in the past: {when} < now {now}"
+                    )
+                raise ValueError(
+                    f"times must be non-decreasing: {when} at index {i} "
+                    f"follows {prev}"
+                )
+            prev = when
+        self._loaded_times = times
+        self._loaded_args = args
+        self._loaded_fn = fn
+        self._loaded_pos = 0
+        self._seq += len(times)
+        self._live += len(times)
+
+    def _queue_bound(self, bound: float) -> float:
+        """How far the queue may fire before the loaded run's next entry.
+
+        ``bound`` itself when no loaded entry is due by then; else the
+        float just below that entry's time, so the queue gives up every
+        tie to it (its seq is lower than anything queued). The result
+        is below ``bound`` exactly when a loaded entry is due.
+        """
+        pos = self._loaded_pos
+        times = self._loaded_times
+        if pos < len(times) and times[pos] <= bound:
+            return nextafter(times[pos], -inf)
+        return bound
+
+    def _fire_loaded(self) -> None:
+        """Fire the loaded run's next entry."""
+        pos = self._loaded_pos
+        self._loaded_pos = pos + 1
+        self._now = self._loaded_times[pos]
+        self._fired += 1
+        self._live -= 1
+        self._loaded_fn(self._loaded_args[pos])
+
     def step(self) -> bool:
-        """Fire the next pending event. Returns False if queue is empty."""
-        handle = self._queue.pop_due(float("inf"))
+        """Fire the next pending event. Returns False if none is pending."""
+        bound = self._queue_bound(inf)
+        handle = self._queue.pop_due(bound)
         if handle is None:
-            return False
+            if bound == inf:
+                return False
+            self._fire_loaded()
+            return True
         self._now = handle.time
         self._fired += 1
         self._live -= 1
@@ -146,14 +229,23 @@ class PyEngine:
         *at the current time* land in a fresh bucket and fire in the
         next batch, which is exactly their ``(time, seq)`` slot since
         their seq is higher than everything already queued at that
-        time.
+        time. Entries of the loaded run fire one by one in between, as
+        :meth:`_queue_bound` bounds each queue pop; once the run is
+        used up the loop is the queue's alone.
         """
         queue = self._queue
         pop_batch_due = queue.pop_batch_due
+        bound = self._queue_bound(t_end)
         while True:
-            batch = pop_batch_due(t_end)
+            batch = pop_batch_due(bound)
             if batch is None:
-                return
+                if bound == t_end:
+                    return
+                # Nothing queued before the loaded run's next entry,
+                # which is due: fire it, then look for the one after.
+                self._fire_loaded()
+                bound = self._queue_bound(t_end)
+                continue
             self._now = batch[0].time
             i = 0
             try:
@@ -195,7 +287,7 @@ class PyEngine:
         """
         if max_events is None:
             before = self._fired
-            self._drain(float("inf"))
+            self._drain(inf)
             return self._fired - before
         fired = 0
         while fired < max_events and self.step():
@@ -204,7 +296,10 @@ class PyEngine:
 
 
 def _select_engine():
-    """Bind ``Engine`` per the ``SFS_ENGINE`` policy (see module doc)."""
+    """Bind ``Engine`` per the ``SFS_ENGINE`` policy (see module doc).
+
+    Returns the class, its kind and the policy applied.
+    """
     choice = os.environ.get("SFS_ENGINE", "auto")
     if choice not in ("auto", "compiled", "pure"):
         raise ValueError(
@@ -223,11 +318,11 @@ def _select_engine():
                 "--inplace` (or `SFS_BUILD_EXT=1 pip install -e .`)"
             )
     if compiled is not None:
-        return compiled.Engine, "compiled"
-    return PyEngine, "pure"
+        return compiled.Engine, "compiled", choice
+    return PyEngine, "pure", choice
 
 
-Engine, _ENGINE_KIND = _select_engine()
+Engine, _ENGINE_KIND, _ENGINE_SELECTOR = _select_engine()
 
 
 def build_info() -> dict:
@@ -236,9 +331,9 @@ def build_info() -> dict:
     Returned keys: ``engine`` (``"compiled"`` or ``"pure"``),
     ``engine_class`` (qualified class name), ``compiled_available``
     (whether the C extension imports), and ``selector`` (the
-    ``SFS_ENGINE`` policy in effect). Surfaced by ``sfs-experiment list
-    --build-info`` so sweep logs can record which hot path produced
-    them.
+    ``SFS_ENGINE`` policy applied at import, which chose ``engine``).
+    Surfaced by ``sfs-experiment list --build-info`` so sweep logs can
+    record which hot path produced them.
     """
     try:
         from repro.sim import _engine  # noqa: F401
@@ -250,5 +345,5 @@ def build_info() -> dict:
         "engine": _ENGINE_KIND,
         "engine_class": f"{Engine.__module__}.{Engine.__qualname__}",
         "compiled_available": available,
-        "selector": os.environ.get("SFS_ENGINE", "auto"),
+        "selector": _ENGINE_SELECTOR,
     }

@@ -26,6 +26,11 @@ Cancellation is cooperative: cancelled handles stay queued and are
 skipped when popped (the engine checks the ``cancelled`` flag), so
 ``cancel()`` itself stays O(1).
 
+Build-time arrivals never enter this queue. The engine keeps them as
+a sorted run beside it (``PyEngine.load_sorted``) and bounds each pop
+just below the run's next time, so the queue only ever answers
+"what is due by this bound".
+
 The compiled engine (:mod:`repro.sim._engine`, built from
 ``src/repro/sim/_engine.c`` when the optional extension is available)
 implements the same structure in C; this pure-Python class is the

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 from repro.sim.costs import ZERO_COST, CostModel
 from repro.sim.engine import Engine, EventHandle
@@ -212,12 +213,40 @@ class Machine:
         return self._prev_task[cpu]
 
     def add_task(self, task: Task, at: float = 0.0) -> Task:
-        """Register ``task`` to arrive at absolute time ``at``."""
+        """Register ``task`` to arrive at absolute time ``at``.
+
+        The path for a task created during a run; a population known
+        before the run goes through :meth:`add_tasks`.
+        """
+        self.engine.schedule_at(self._admit(task, at), self._arrive, task)
+        return task
+
+    def add_tasks(self, tasks: Sequence[Task], at: Sequence[float]) -> None:
+        """Register a population before the run: ``tasks[i]`` arrives at ``at[i]``.
+
+        Each task is checked and its time clamped as :meth:`add_task`
+        does; the arrivals then go to the engine as one sorted run
+        (:meth:`~repro.sim.engine.PyEngine.load_sorted`), without an
+        event handle per task. The sort is stable and the run's seqs
+        precede every later event, so arrivals fire in the order one
+        ``add_task`` per task would give. Call it once, before anything
+        else is scheduled; the engine refuses the run otherwise.
+        """
+        admit = self._admit
+        times = [admit(task, when) for task, when in zip(tasks, at, strict=True)]
+        order = sorted(range(len(times)), key=times.__getitem__)
+        self.engine.load_sorted(
+            [times[i] for i in order], self._arrive, [tasks[i] for i in order]
+        )
+
+    def _admit(self, task: Task, at: float) -> float:
+        """Mark ``task`` added and return its arrival time, ``max(at, now)``."""
         if task.state is not TaskState.NEW or task.tid in self._added:
             raise ValueError(f"{task.name} has already been added")
+        if math.isnan(at):
+            raise ValueError(f"{task.name} has a NaN arrival time: at={at}")
         self._added.add(task.tid)
-        self.engine.schedule_at(max(at, self.now), self._arrive, task)
-        return task
+        return max(at, self.now)
 
     def set_weight_at(self, task: Task, weight: float, at: float) -> None:
         """Schedule a setweight() call (§3.1) at absolute time ``at``."""

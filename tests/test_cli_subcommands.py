@@ -153,7 +153,7 @@ class TestSweepSubcommand:
 
 
 class TestExecutionBackendFlags:
-    def test_sweep_chunked_checkpoint_resumes(self, tmp_path, capsys):
+    def test_sweep_checkpoint_resumes_in_process(self, tmp_path, capsys):
         ck = tmp_path / "ck.jsonl"
         argv = [
             "sweep", _sweep_config(tmp_path, ["sfs", "sfq"], [1, 2]),
@@ -185,7 +185,7 @@ class TestExecutionBackendFlags:
             pooled / "sweep.csv"
         ).read_bytes()
 
-    def test_run_accepts_backend_flags_on_paper_figures(self, capsys):
+    def test_run_accepts_workers_flag_on_paper_figures(self, capsys):
         # Paper figures don't fan out; --workers parses and is ignored.
         assert main(["run", "fig4", "--workers", "0"]) == 0
         assert "Figure 4" in capsys.readouterr().out

@@ -8,7 +8,8 @@ them with the same randomized schedules (same-timestamp bursts,
 cancellations, reentrant scheduling from callbacks) and require
 bit-identical fire logs, clocks and counters. A divergence here means
 simulations would stop being reproducible across builds, which is the
-repository's ground rule.
+repository's ground rule. A sorted run loaded with ``load_sorted``
+must fire exactly as one ``schedule_at`` per entry would.
 
 ``PyEngine`` and ``EventHandle`` also declare the compiled surface:
 the extension's public names and error messages must equal theirs.
@@ -139,6 +140,8 @@ def all_engines() -> list:
 #: ("run_until", dt)               advance the clock by dt
 #: ("step",)                       fire a single event
 #: ("run", max_or_None)            drain (optionally bounded)
+#: ("at_time", t)                  schedule at max(t, now): absolute
+#:                                 times that tie with a loaded run
 _op = st.one_of(
     st.tuples(
         st.just("at"),
@@ -155,13 +158,38 @@ _op = st.one_of(
 
 programs = st.lists(_op, min_size=1, max_size=40)
 
+#: the times a loaded run and the "at_time" op draw from
+GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+loaded_runs = st.lists(st.sampled_from(GRID + (math.inf,)), max_size=12).map(sorted)
+loaded_programs = st.lists(
+    st.one_of(_op, st.tuples(st.just("at_time"), st.sampled_from(GRID))),
+    min_size=1,
+    max_size=40,
+)
+#: tag of the first loaded entry; tags stay below 900 to schedule
+#: follow-ups like any other event
+LOADED_TAG = 500
 
-def execute(engine, program):
+
+def load_each(engine, times, fn, args):
+    """The reference for ``load_sorted``: one ``schedule_at`` per entry."""
+    for when, arg in zip(times, args):
+        engine.schedule_at(when, fn, arg)
+
+
+def load_sorted(engine, times, fn, args):
+    engine.load_sorted(times, fn, args)
+
+
+def execute(engine, program, run=(), load=load_sorted, raising=None):
     """Run ``program`` against ``engine``; return the observable log.
 
     Fired events record ``(sim-time, event-tag)``; after every op the
     clock and both counters are appended too, so any divergence in
     *when* state changes — not just in the final state — fails.
+    ``run`` is a sorted list of times handed to ``load`` before the
+    program starts; the entry at index ``raising`` raises when fired,
+    and the log records where.
     """
     log: list = []
     handles: dict[int, object] = {}
@@ -174,22 +202,37 @@ def execute(engine, program):
             handles[1000 + tag] = engine.schedule_at(
                 engine.now, fire, 1000 + tag
             )
+        if raising is not None and tag == LOADED_TAG + raising:
+            raise RuntimeError(tag)
 
+    if run:
+        tags = [LOADED_TAG + i for i in range(len(run))]
+        load(engine, list(run), fire, tags)
     for idx, op in enumerate(program):
-        if op[0] == "at":
-            _, dt, cancel_idx = op
-            handles[idx] = engine.schedule_at(engine.now + dt, fire, idx)
-            if cancel_idx is not None and cancel_idx in handles:
-                handles[cancel_idx].cancel()
-        elif op[0] == "run_until":
-            engine.run_until(engine.now + op[1])
-        elif op[0] == "step":
-            log.append(("stepped", engine.step()))
-        else:
-            log.append(("ran", engine.run(op[1])))
+        try:
+            if op[0] == "at":
+                _, dt, cancel_idx = op
+                handles[idx] = engine.schedule_at(engine.now + dt, fire, idx)
+                if cancel_idx is not None and cancel_idx in handles:
+                    handles[cancel_idx].cancel()
+            elif op[0] == "at_time":
+                when = max(op[1], engine.now)
+                handles[idx] = engine.schedule_at(when, fire, idx)
+            elif op[0] == "run_until":
+                engine.run_until(engine.now + op[1])
+            elif op[0] == "step":
+                log.append(("stepped", engine.step()))
+            else:
+                log.append(("ran", engine.run(op[1])))
+        except RuntimeError as exc:
+            log.append(("raised", str(exc)))
         log.append(("state", engine.now, engine.pending, engine.events_fired))
-    log.append(("final", engine.run(), engine.now, engine.events_fired))
-    return log
+    while True:
+        try:
+            log.append(("final", engine.run(), engine.now, engine.events_fired))
+            return log
+        except RuntimeError as exc:
+            log.append(("raised", str(exc)))
 
 
 class TestQueueEquivalence:
@@ -207,6 +250,17 @@ class TestQueueEquivalence:
         pure = execute(PyEngine(), program)
         c = execute(compiled_engine.Engine(), program)
         assert c == pure
+
+    @given(
+        loaded_runs,
+        loaded_programs,
+        st.none() | st.integers(min_value=0, max_value=11),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loaded_run_matches_one_schedule_at_per_entry(self, run, program, raising):
+        reference = execute(py_engine("calendar"), program, run, load_each, raising)
+        for engine in all_engines():
+            assert execute(engine, program, run, load_sorted, raising) == reference
 
     def test_same_timestamp_burst_fires_in_seq_order(self):
         """A thousand events at one timestamp drain as one batch, FIFO."""
@@ -299,6 +353,79 @@ class TestExceptionSemantics:
             assert engine.pending == 0
 
 
+class TestLoadSorted:
+    """The loaded run's contract, on every engine and build."""
+
+    def test_entries_count_as_pending_then_fired(self):
+        for engine in all_engines():
+            fired = []
+            engine.load_sorted([1.0, 1.0, math.inf], fired.append, "abc")
+            assert engine.pending == 3
+            engine.run_until(1.0)
+            assert (fired, engine.pending, engine.events_fired) == (["a", "b"], 1, 2)
+            engine.run()
+            assert fired == ["a", "b", "c"] and engine.now == math.inf
+            assert (engine.pending, engine.events_fired) == (0, 3)
+
+    def test_seqs_are_reserved_at_the_load(self):
+        for engine in all_engines():
+            engine.load_sorted([1.0, 2.0], print, [1, 2])
+            assert engine.schedule_at(0.5, print).seq == 2
+
+    def test_later_events_lose_ties_to_the_run(self):
+        for engine in all_engines():
+            fired = []
+            engine.load_sorted([1.0, 1.0], fired.append, ["run-0", "run-1"])
+            engine.schedule_at(1.0, fired.append, "queued")
+            engine.schedule_at(0.5, fired.append, "early")
+            engine.run()
+            assert fired == ["early", "run-0", "run-1", "queued"]
+
+    def test_step_merges_the_run_with_the_queue(self):
+        for engine in all_engines():
+            fired = []
+            engine.load_sorted([1.0, 2.0], fired.append, ["run-0", "run-1"])
+            engine.schedule_at(1.0, fired.append, "queued")
+            assert engine.run(2) == 2
+            assert fired == ["run-0", "queued"] and engine.pending == 1
+            assert engine.step() and not engine.step()
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([3.0, 2.9], "times must be non-decreasing: 2.9 at index 1 follows 3.0"),
+            ([3.0, math.nan], "cannot schedule event in the past: nan < now 2.5"),
+            ([1.0], "cannot schedule event in the past: 1.0 < now 2.5"),
+        ],
+        ids=["unsorted", "nan", "past"],
+    )
+    def test_rejects_what_it_cannot_order(self, times, message):
+        for engine in all_engines():
+            engine.run_until(2.5)
+            with pytest.raises(ValueError) as raised:
+                engine.load_sorted(times, print, times)
+            assert str(raised.value) == message
+            assert engine.pending == 0
+            assert not engine.step()
+
+    def test_rejects_a_load_while_anything_is_pending(self):
+        for engine in all_engines():
+            engine.load_sorted([1.0], print, [1])
+            engine.schedule_at(0.5, print)
+            message = "cannot load a sorted run: 2 events are pending"
+            with pytest.raises(ValueError, match=message):
+                engine.load_sorted([2.0], print, [2])
+            engine.run()
+            engine.load_sorted([2.0], print, [2])  # idle again: fine
+            assert engine.pending == 1
+
+    def test_rejects_mismatched_lengths(self):
+        for engine in all_engines():
+            with pytest.raises(ValueError, match="2 arguments for 1 times"):
+                engine.load_sorted([1.0], print, [1, 2])
+            assert engine.pending == 0
+
+
 class TestClockValidation:
     """``run_until`` rejects the past and NaN on every build."""
 
@@ -322,6 +449,10 @@ MIRRORED_ERRORS = {
     "schedule_after-negative": ("schedule_after", (-0.5, print)),
     "run_until-past": ("run_until", (1.25,)),
     "run_until-nan": ("run_until", (math.nan,)),
+    "load_sorted-past": ("load_sorted", ([0.1 + 0.2], print, [1])),
+    "load_sorted-nan": ("load_sorted", ([3.0, math.nan], print, [1, 2])),
+    "load_sorted-unsorted": ("load_sorted", ([3.0, 3.0 - 1e-15], print, [1, 2])),
+    "load_sorted-length": ("load_sorted", ([3.0], print, [])),
 }
 
 
@@ -415,6 +546,16 @@ class TestEngineSelection:
         assert done.returncode == 0, done.stderr
         info = json.loads(done.stdout)
         assert info["is_pyengine"]
+        assert (info["engine"], info["selector"]) == ("pure", "pure")
+
+    def test_selector_is_the_policy_applied_at_import(self):
+        # Changing the variable after import rebinds nothing, so the
+        # report must not follow it.
+        lines = _REPORT.splitlines(keepends=True)
+        lines.insert(2, "import os; os.environ['SFS_ENGINE'] = 'compiled'\n")
+        done = _fresh_interpreter("pure", "".join(lines))
+        assert done.returncode == 0, done.stderr
+        info = json.loads(done.stdout)
         assert (info["engine"], info["selector"]) == ("pure", "pure")
 
     def test_unknown_selector_fails_at_import(self):

@@ -105,7 +105,7 @@ def _use_pool(monkeypatch, fake):
 
 
 class TestEquivalence:
-    def test_all_backends_identical_on_a_fixed_grid(self, tmp_path):
+    def test_workers_and_checkpoints_identical_on_a_fixed_grid(self, tmp_path):
         scenarios = _grid(5)
         metrics = ("jains", "shares", "context_switches")
         reference = run_cells(scenarios, metrics, workers=0)
@@ -136,7 +136,7 @@ class TestEquivalence:
         ),
         workers=st.integers(min_value=1, max_value=3),
     )
-    def test_random_grids_serial_pool_chunked_identical(self, picks, workers):
+    def test_random_grids_identical_pooled_and_checkpointed(self, picks, workers):
         scenarios = [
             _scenario(scheduler=s, cpus=c, n_tasks=n, duration=0.8)
             for s, c, n in picks

@@ -1,16 +1,22 @@
 """Tests for the simulated SMP machine: dispatch, quanta, blocking,
-service accounting, preemption, kills, signals."""
+service accounting, preemption, kills, signals, build-time arrivals."""
 
+import gc
 import math
 
 import pytest
 
 from tests.conftest import add_finite, add_inf
 from repro.core.sfs import SurplusFairScheduler
+from repro.scenario.runner import build_machine, run_scenario
+from repro.scenario.server import server_scenario
+from repro.scenario.spec import Compute, Kill, Scenario, SetWeight, TaskSpec, task
+from repro.sim.engine import Engine, EventHandle
 from repro.sim.events import Block, Exit, Run
 from repro.sim.machine import Machine
 from repro.sim.task import Task, TaskState
 from repro.workloads.base import GeneratorBehavior
+from repro.workloads.cpu_bound import Infinite
 
 
 def make_machine(cpus=2, quantum=0.2, **kw) -> Machine:
@@ -334,3 +340,107 @@ class TestWeightChange:
         m.set_weight_at(a, 3.0, 1.0)
         m.run_until(2.0)
         assert a.weight == 3.0
+
+
+class TestBuildTimeArrivals:
+    """``add_tasks``: a declared population as one sorted engine run."""
+
+    SCENARIO = Scenario(
+        name="ties",
+        quantum=0.25,
+        duration=3.0,
+        tasks=(
+            # declared out of `at` order, with duplicate `at`s
+            task("late", 1, Compute(0.4), at=1.0),
+            task("a", 2, at=0.0),
+            task("b", 1, at=0.0),
+            # arrive exactly at a and b's second quantum end
+            task("c", 3, Compute(0.3), at=0.5),
+            task("d", 1, Compute(0.2), at=0.5),
+            task("e", 1, at=1.0),
+            task("f", 2, Compute(0.5), at=1.5),
+        ),
+        # events at arrival timestamps: they fire after the arrival
+        events=(Kill("e", 1.0), SetWeight("f", 5.0, 1.5), Kill("late", 1.0)),
+    )
+
+    @staticmethod
+    def _outcome(result):
+        names = {t.tid: name for name, t in result.tasks.items()}
+        trace = result.machine.trace
+        return (
+            [(t, kind, names[tid], w) for t, kind, tid, w in trace.event_tuples()],
+            {n: (t.service, t.exit_time) for n, t in result.tasks.items()},
+            result.machine.engine.events_fired,
+        )
+
+    def test_tie_order_matches_one_add_task_per_task(self, monkeypatch):
+        loaded = self._outcome(run_scenario(self.SCENARIO))
+
+        def one_by_one(machine, tasks, at):
+            for t, when in zip(tasks, at):
+                machine.add_task(t, at=when)
+
+        monkeypatch.setattr(Machine, "add_tasks", one_by_one)
+        assert loaded == self._outcome(run_scenario(self.SCENARIO))
+        events, tasks, _ = loaded
+        # the kill at e's arrival finds e arrived, not NEW
+        assert (1.0, "arrive", "e", 1.0) in events
+        assert tasks["e"] == (0.0, 1.0)
+
+    def test_nan_arrival_names_the_task(self):
+        scenario = Scenario(
+            name="nan", duration=1.0, tasks=(TaskSpec("a", at=math.nan),)
+        )
+        with pytest.raises(ValueError, match="a has a NaN arrival time: at=nan"):
+            run_scenario(scenario)
+        m = make_machine()
+        with pytest.raises(ValueError, match="b has a NaN arrival time: at=nan"):
+            add_inf(m, 1, "b", at=math.nan)
+
+    def test_negative_arrival_arrives_at_zero(self):
+        result = run_scenario(
+            Scenario(name="neg", duration=1.0, tasks=(task("a", at=-2.0),))
+        )
+        assert result.tasks["a"].arrival_time == 0.0
+        assert result.tasks["a"].service == 1.0
+
+    def test_infinite_arrival_never_arrives(self):
+        result = run_scenario(
+            Scenario(name="inf", duration=1.0, tasks=(task("a", at=math.inf),))
+        )
+        a = result.tasks["a"]
+        assert (a.state, a.arrival_time, a.service) == (TaskState.NEW, None, 0.0)
+        assert result.machine.engine.pending == 1
+
+    def test_each_task_is_added_once(self):
+        m = make_machine()
+        t = Task(Infinite(), name="A")
+        with pytest.raises(ValueError, match="A has already been added"):
+            m.add_tasks([t, t], [0.0, 1.0])
+        with pytest.raises(ValueError, match="zip"):
+            m.add_tasks([Task(Infinite())], [0.0, 1.0])
+
+    def test_build_allocates_three_tracked_objects_per_task(self):
+        # Task, its behaviour and its service series: the arrival itself
+        # adds no handle, args tuple, bound method or bucket per task.
+        n = 2000
+        scenario = server_scenario(n, cost_model="lmbench", seed=42)
+        handle_types = (EventHandle, type(Engine().schedule_at(0.0, print)))
+        gc.collect()
+        gc.disable()
+        try:
+            objects = gc.get_objects()
+            before = len(objects)
+            handles = sum(isinstance(o, handle_types) for o in objects)
+            del objects
+            machine, tasks, _ = build_machine(scenario)
+            objects = gc.get_objects()
+            added = len(objects) - before
+            added_handles = sum(isinstance(o, handle_types) for o in objects) - handles
+            del objects
+        finally:
+            gc.enable()
+        assert machine.engine.pending == len(tasks) == n
+        assert added_handles == 0
+        assert added <= 3 * n + 100
