@@ -67,12 +67,7 @@ class Auditor:
             self.params.get("max_violations", DEFAULT_MAX_VIOLATIONS)
         )
         names = sorted(CHECKS) if checks is None else list(checks)
-        unknown_checks = [n for n in names if n not in CHECKS]
-        if unknown_checks:
-            raise ValueError(
-                f"unknown audit check(s) {unknown_checks!r}; "
-                f"known: {', '.join(sorted(CHECKS))}"
-            )
+        classes = [CHECKS.lookup(name) for name in names]
         self.counts: dict[str, int] = {}
         self.skipped: dict[str, str] = {}
         #: per-check storage, so one flooding check cannot evict the
@@ -81,8 +76,7 @@ class Auditor:
         self._truncated = 0
         self._installed = False
         self.checks: list[AuditCheck] = []
-        for name in names:
-            cls = CHECKS[name]
+        for name, cls in zip(names, classes):
             reason = cls.applies(machine)
             if reason is not None:
                 self.skipped[name] = reason

@@ -20,16 +20,17 @@ promises by construction) and watches for it continuously:
 - ``monotone_vtime`` — virtual time ``v = min S_i`` never moves
   backwards except at an explicit §3.2 wrap-around rebase.
 
-Checks register with :func:`audit_check`, mirroring the scheduler
-registry's ``@register`` pattern; :class:`~repro.analysis.audit.auditor.
-Auditor` subscribes each check only to the hooks it overrides, so a
-check that never fires costs nothing per event. The three streaming
-checks above are special-cased further: their per-dispatch work is a
-handful of comparisons and countdowns, small enough that the Python
-call into each observer would dominate it, so the auditor funnels all
-of them through the single fused observer built by
-:func:`_make_dispatch_probe` and the check classes keep only the cold
-paths (brute-force verification, sweeps, violation rendering).
+Checks register with :func:`audit_check` in :data:`CHECKS`, a
+:class:`~repro.registry.Registry` like every other name table;
+:class:`~repro.analysis.audit.auditor.Auditor` subscribes each check
+only to the hooks it overrides, so a check that never fires costs
+nothing per event. The three streaming checks above are special-cased
+further: their per-dispatch work is a handful of comparisons and
+countdowns, small enough that the Python call into each observer would
+dominate it, so the auditor funnels all of them through the single
+fused observer built by :func:`_make_dispatch_probe` and the check
+classes keep only the cold paths (brute-force verification, sweeps,
+violation rendering).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.registry import Registry
 from repro.sim.task import TaskState
 from repro.sim.tracing import WAKE
 
@@ -93,25 +95,19 @@ class AuditCheck:
 
 
 #: check name -> check class (populated by @audit_check)
-CHECKS: dict[str, type[AuditCheck]] = {}
+CHECKS = Registry("audit check")
 
 
-def audit_check(name: str):
-    """Register an :class:`AuditCheck` subclass under ``name``.
+def audit_check(name: str) -> Callable[[type[AuditCheck]], type[AuditCheck]]:
+    """Register an :class:`AuditCheck` subclass in :data:`CHECKS`.
 
-    Mirrors :func:`repro.schedulers.registry.register`: duplicate names
-    are rejected and a docstring is mandatory (the check list is user
-    documentation).
+    Also sets the class's ``name`` and its ``title``, the first line
+    of its docstring.
     """
 
     def decorator(cls: type[AuditCheck]) -> type[AuditCheck]:
-        if name in CHECKS:
-            raise ValueError(f"audit check {name!r} is already registered")
-        if not (cls.__doc__ or "").strip():
-            raise ValueError(f"audit check {name!r} needs a docstring")
-        cls.name = name
-        cls.title = cls.__doc__.strip().splitlines()[0]
-        CHECKS[name] = cls
+        CHECKS.register(name)(cls)
+        cls.name, cls.title = name, CHECKS.summary(name)
         return cls
 
     return decorator

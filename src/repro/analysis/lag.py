@@ -6,9 +6,15 @@ fine at the end). These helpers compute the **lag curve** — actual
 minus fluid-GMS service as a function of time — and its extremes, which
 is how the fairness of a practical scheduler is normally characterized
 against its fluid reference.
+
+Each helper reads one replay of the recorded runnable-set timeline,
+which samples every task it is asked about at once: a report over n
+tasks costs one replay, not n.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 from repro.core.gms import FluidGMS
 from repro.sim import tracing
@@ -19,19 +25,19 @@ from repro.sim.task import Task
 __all__ = ["lag_curve", "max_absolute_lag", "lag_report"]
 
 
-def lag_curve(
-    machine: Machine, task: Task, t0: float, t1: float, step: float = 0.1
-) -> list[tuple[float, float]]:
-    """(time, actual - GMS service) for one task, sampled every ``step``.
-
-    Requires event recording and service sampling (machine defaults).
-    Positive lag = the task is ahead of its fluid entitlement.
-    """
+def _lag_samples(
+    machine: Machine, tasks: Sequence[Task], t0: float, t1: float, step: float
+) -> Iterator[tuple[float, list[float]]]:
+    """Yield ``(t, [actual - GMS service of each task])`` every ``step``."""
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
+    if not machine.trace.record_events:
+        raise ValueError(
+            "lag replays the recorded event timeline: build the machine "
+            "with record_events=True"
+        )
     gms = FluidGMS(machine.num_cpus)
     events = sorted(machine.trace.events, key=lambda e: e.time)
-    out: list[tuple[float, float]] = []
     idx = 0
     t = t0
     while t <= t1 + 1e-9:
@@ -45,9 +51,19 @@ def lag_curve(
                 gms.set_weight(ev.tid, ev.weight, ev.time)
             idx += 1
         gms.advance_to(min(t, t1))
-        out.append((t, service_at(task, t) - gms.service_of(task.tid)))
+        yield t, [service_at(task, t) - gms.service_of(task.tid) for task in tasks]
         t += step
-    return out
+
+
+def lag_curve(
+    machine: Machine, task: Task, t0: float, t1: float, step: float = 0.1
+) -> list[tuple[float, float]]:
+    """(time, actual - GMS service) for one task, sampled every ``step``.
+
+    Requires event recording and service sampling (machine defaults).
+    Positive lag = the task is ahead of its fluid entitlement.
+    """
+    return [(t, lags[0]) for t, lags in _lag_samples(machine, [task], t0, t1, step)]
 
 
 def max_absolute_lag(
@@ -62,7 +78,7 @@ def lag_report(
     machine: Machine, t0: float, t1: float, step: float = 0.1
 ) -> dict[str, float]:
     """Max |lag| per task name over the window, for every task."""
-    return {
-        task.name: max_absolute_lag(machine, task, t0, t1, step)
-        for task in machine.tasks
-    }
+    worst = [0.0] * len(machine.tasks)
+    for _, lags in _lag_samples(machine, machine.tasks, t0, t1, step):
+        worst = [max(w, abs(lag)) for w, lag in zip(worst, lags)]
+    return {task.name: w for task, w in zip(machine.tasks, worst)}

@@ -1,8 +1,8 @@
 """Repo-specific AST linter for determinism and soundness conventions.
 
-Nine rules, registered like schedulers (``@rule`` mirrors
-``@register``), runnable as ``sfs-experiment lint`` or
-``python -m repro.analysis.staticcheck``:
+Nine rules, registered with ``@rule`` in a
+:class:`~repro.registry.Registry` like every other name table, runnable
+as ``sfs-experiment lint`` or ``python -m repro.analysis.staticcheck``:
 
 ======  ==============================================================
 SFS001  no module-level / unseeded RNG draws in simulation code

@@ -33,7 +33,6 @@ hooks are no-ops.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.analysis.staticcheck.rules import (
@@ -42,6 +41,7 @@ from repro.analysis.staticcheck.rules import (
     Violation,
     rule,
 )
+from repro.registry import NAME_RE
 
 __all__ = [
     "UnseededRandomRule",
@@ -53,8 +53,6 @@ __all__ = [
     "ScenarioConfigRule",
     "TransitiveNondeterminismRule",
     "UnorderedEscapeRule",
-    "MirrorSurfaceRule",
-    "MirrorDriftRule",
 ]
 
 
@@ -357,34 +355,43 @@ def _is_dict_view(node: ast.AST) -> bool:
 
 #: module-level dict literals that act as registries
 _REGISTRY_DICTS = frozenset({"METRICS", "COST_MODELS", "CHECKS", "ARRIVALS", "DEMANDS"})
+#: the definitions a registration decorates (or names, when made by call)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: the names a registration is made through: ``Registry.register`` and
+#: the thin bindings that add class attributes or keep an older name
 _REGISTER_DECORATORS = frozenset(
     {
         "register",
         "rule",
+        "audit_check",
         "register_arrival",
         "register_demand",
+        "register_family",
         "register_behavior",
         "register_driver",
         "register_event",
     }
 )
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 @rule("SFS004")
 class RegistryHygieneRule(LintRule):
     """Every registered entry needs a docstring and a unique, sane name.
 
-    Covers the ``@register``-style decorators (schedulers, lint rules,
-    audit checks, arrival and demand kinds, and the behaviour, driver
-    and event spec kinds) and the module-level registry dict literals
-    (``METRICS``, ``COST_MODELS``, ``CHECKS``, ``ARRIVALS``,
-    ``DEMANDS``): names must be unique across the whole scanned file
-    set (a duplicate either raises at import or, in a dict literal,
-    silently wins), contain no whitespace or exotic characters, and the
-    registered function/class must carry a docstring — the registry
-    *is* the discovery surface (``sfs-experiment list``), so an
-    undocumented entry is invisible in the place users look first.
+    Covers every :class:`~repro.registry.Registry` registration, as a
+    decorator (``@register("sfs")``, ``@METRICS.register("shares")``,
+    ``@rule``, ``@audit_check``, ``@register_family`` and the arrival,
+    demand and spec-kind decorators) or as a call
+    (``SCHEDULERS.register("sfq")(StartTimeFairScheduler)``), and
+    module-level registry dict literals (``METRICS = {...}``): names
+    must be unique across the whole scanned file set (a duplicate
+    either raises at import or, in a dict literal, silently wins) and
+    contain no whitespace or exotic characters, and the registered
+    function/class must carry a docstring — the registry *is* the
+    discovery surface (``sfs-experiment list``), so an undocumented
+    entry is invisible in the place users look first. A call
+    registering an object defined elsewhere leaves its docstring to
+    ``Registry.register``, which checks it at import.
     """
 
     def __init__(self) -> None:
@@ -395,8 +402,16 @@ class RegistryHygieneRule(LintRule):
     def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:
         module_docs = _module_level_docstrings(tree)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from self._check_decorated(node, path)
+            name = _registered_name(node)
+            if name is not None:  # a decorator, or the head of a call
+                yield from self._note_name(name, node, path)
+            elif isinstance(node, _DEFS) and not ast.get_docstring(node):
+                if any(map(_registered_name, node.decorator_list)):
+                    yield self._undocumented(path, node, node.name)
+            elif isinstance(node, ast.Call) and _registered_name(node.func):
+                target = node.args[0] if len(node.args) == 1 else None
+                if isinstance(target, ast.Name) and module_docs.get(target.id) is False:
+                    yield self._undocumented(path, node, target.id)
             elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id in _REGISTRY_DICTS:
@@ -404,31 +419,13 @@ class RegistryHygieneRule(LintRule):
                             node.value, module_docs, path
                         )
 
-    def _check_decorated(self, node, path: str) -> Iterator[Violation]:
-        names = []
-        for deco in node.decorator_list:
-            if not isinstance(deco, ast.Call):
-                continue
-            deco_name = _call_name(deco.func)
-            if deco_name not in _REGISTER_DECORATORS:
-                continue
-            if (
-                deco.args
-                and isinstance(deco.args[0], ast.Constant)
-                and isinstance(deco.args[0].value, str)
-            ):
-                names.append((deco.args[0].value, deco))
-        if not names:
-            return
-        if not ast.get_docstring(node):
-            yield self.violation(
-                path,
-                node,
-                f"registered entry {node.name!r} has no docstring; the "
-                "registry is the discovery surface",
-            )
-        for name, deco in names:
-            yield from self._note_name(name, deco, path)
+    def _undocumented(self, path: str, node: ast.AST, entry: str) -> Violation:
+        return self.violation(
+            path,
+            node,
+            f"registered entry {entry!r} has no docstring; the "
+            "registry is the discovery surface",
+        )
 
     def _check_dict_registry(
         self, dct: ast.Dict, module_docs: dict[str, bool], path: str
@@ -446,7 +443,7 @@ class RegistryHygieneRule(LintRule):
                 )
 
     def _note_name(self, name: str, node: ast.AST, path: str) -> Iterator[Violation]:
-        if not _NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             yield self.violation(
                 path,
                 node,
@@ -469,11 +466,24 @@ class RegistryHygieneRule(LintRule):
         return iter(self._dupes)
 
 
+def _registered_name(node: ast.AST) -> str | None:
+    """The name a ``register("name", ...)``-style call registers, or None."""
+    if (
+        isinstance(node, ast.Call)
+        and _call_name(node.func) in _REGISTER_DECORATORS
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        return node.args[0].value
+    return None
+
+
 def _module_level_docstrings(tree: ast.AST) -> dict[str, bool]:
-    """Module-level function name -> whether it has a docstring."""
+    """Module-level function/class name -> whether it has a docstring."""
     out: dict[str, bool] = {}
     for node in getattr(tree, "body", []):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _DEFS):
             out[node.name] = bool(ast.get_docstring(node))
     return out
 

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 from repro.analysis.staticcheck import checks  # noqa: F401  (registers rules)
 from repro.analysis.staticcheck.rules import (
+    RULES,
     LintRule,
     Violation,
     disabled_ids_by_line,
@@ -419,9 +420,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule_id, cls in sorted_rules():
-            scopes = ",".join(cls.scopes) if cls.scopes else "all files"
-            print(f"{rule_id}  [{scopes}]  {cls.title}")
+        for rule_id in rule_ids():
+            scopes = ",".join(RULES[rule_id].scopes or ["all files"])
+            print(f"{rule_id}  [{scopes}]  {RULES.summary(rule_id)}")
         return 0
 
     select = None
@@ -464,10 +465,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     render = render_json if args.format == "json" else render_text
     print(render(violations, files_checked, baselined))
     return 1 if violations else 0
-
-
-def sorted_rules():
-    """(id, class) pairs in id order — shared by --list-rules and docs."""
-    from repro.analysis.staticcheck.rules import RULES
-
-    return sorted(RULES.items())

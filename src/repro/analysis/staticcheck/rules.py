@@ -7,8 +7,8 @@ only by review. Each convention is now a registered :class:`LintRule`
 with a stable ``SFSnnn`` id, so ``sfs-experiment lint`` (and the
 blocking CI job behind it) can enforce them mechanically.
 
-Rules are registered with the :func:`rule` decorator, mirroring the
-``@register`` pattern of :mod:`repro.schedulers.registry`::
+Rules are registered with the :func:`rule` decorator in :data:`RULES`,
+a :class:`~repro.registry.Registry` like every other name table::
 
     @rule("SFS001", scopes=SIM_SCOPES)
     class UnseededRandomRule(LintRule):
@@ -31,7 +31,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from repro.registry import Registry
 
 __all__ = [
     "LintRule",
@@ -127,26 +129,22 @@ class LintRule:
 
 
 #: rule id -> rule class (populated by @rule)
-RULES: dict[str, type[LintRule]] = {}
+RULES = Registry("lint rule")
 
 
-def rule(rule_id: str, *, scopes: tuple[str, ...] | None = None):
-    """Register a :class:`LintRule` subclass under ``rule_id``.
+def rule(
+    rule_id: str, *, scopes: tuple[str, ...] | None = None
+) -> Callable[[type[LintRule]], type[LintRule]]:
+    """Register a :class:`LintRule` subclass in :data:`RULES`.
 
-    Returns the class unchanged so the registry stays invisible to the
-    rule's own tests; duplicate ids are rejected exactly like duplicate
-    scheduler names in :func:`repro.schedulers.registry.register`.
+    Also sets the class's ``id``, ``scopes`` and ``title`` (the first
+    line of its docstring), and returns the class unchanged so the
+    registry stays invisible to the rule's own tests.
     """
 
     def decorator(cls: type[LintRule]) -> type[LintRule]:
-        if rule_id in RULES:
-            raise ValueError(f"lint rule {rule_id!r} is already registered")
-        if not (cls.__doc__ or "").strip():
-            raise ValueError(f"lint rule {rule_id!r} needs a docstring")
-        cls.id = rule_id
-        cls.scopes = scopes
-        cls.title = cls.__doc__.strip().splitlines()[0]
-        RULES[rule_id] = cls
+        RULES.register(rule_id)(cls)
+        cls.id, cls.scopes, cls.title = rule_id, scopes, RULES.summary(rule_id)
         return cls
 
     return decorator
@@ -154,15 +152,8 @@ def rule(rule_id: str, *, scopes: tuple[str, ...] | None = None):
 
 def make_rules(select: Iterable[str] | None = None) -> list[LintRule]:
     """Fresh rule instances for one lint run (all, or the named subset)."""
-    if select is None:
-        picked = sorted(RULES)
-    else:
-        picked = list(select)
-        unknown = [r for r in picked if r not in RULES]
-        if unknown:
-            known = ", ".join(sorted(RULES))
-            raise ValueError(f"unknown lint rule(s) {unknown!r}; known: {known}")
-    return [RULES[rule_id]() for rule_id in picked]
+    picked = sorted(RULES) if select is None else list(select)
+    return [RULES.lookup(rule_id)() for rule_id in picked]
 
 
 def rule_ids() -> list[str]:

@@ -59,16 +59,18 @@ from repro.experiments import (
     sensitivity,
     table1_lmbench,
 )
+from repro.registry import Registry
 from repro.scenario import (
+    ARRIVALS,
+    DEMANDS,
     FAMILIES,
+    METRICS,
     Scenario,
     Sweep,
-    arrival_names,
-    demand_names,
     sweep_scenarios,
 )
 from repro.scenario.io import CONFIG_SUFFIXES, ConfigError, load_config
-from repro.schedulers.registry import scheduler_names
+from repro.schedulers.registry import SCHEDULERS
 from repro.sim.costs import COST_MODELS
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -594,17 +596,18 @@ def _registry_sections() -> list[tuple[str, list[tuple[str, str]]]]:
     One consolidated, registry-driven walk: a scheduler, scenario
     family, metric, arrival/demand kind, cost model or audit check
     registered anywhere in the package shows up in ``list`` with no
-    CLI change. Summaries come from the registries themselves (family
-    descriptions, metric/check docstring first lines).
+    CLI change. A summary is the entry's docstring first line
+    (``Registry.summary``); schedulers and cost models list names
+    only, since a preset variant or a cost-model instance shares its
+    class's docstring.
     """
     from repro.analysis.audit.checks import CHECKS
-    from repro.scenario.arrivals import ARRIVALS
-    from repro.scenario.demands import DEMANDS
-    from repro.scenario.result import METRICS
 
-    def doc_line(obj: Any) -> str:
-        doc = (getattr(obj, "__doc__", "") or "").strip()
-        return doc.splitlines()[0] if doc else ""
+    def summarized(registry: Registry) -> list[tuple[str, str]]:
+        return [(n, registry.summary(n)) for n in sorted(registry)]
+
+    def names_only(registry: Registry) -> list[tuple[str, str]]:
+        return [(n, "") for n in sorted(registry)]
 
     return [
         (
@@ -613,35 +616,23 @@ def _registry_sections() -> list[tuple[str, list[tuple[str, str]]]]:
         ),
         (
             "schedulers (`scheduler` and sweep `schedulers` in configs):",
-            [(n, "") for n in scheduler_names()],
+            names_only(SCHEDULERS),
         ),
         (
             "scenario families (python presets; configs build them with "
             "`streams:`/`flows:` blocks):",
-            [
-                (n, FAMILIES[n][1])
-                for n in sorted(FAMILIES)
-            ],
+            summarized(FAMILIES),
         ),
-        (
-            "metrics (Sweep.metrics / Scenario.metrics names):",
-            [(n, doc_line(METRICS[n])) for n in sorted(METRICS)],
-        ),
-        (
-            "arrival processes (`arrival.kind` in config files):",
-            [(n, doc_line(ARRIVALS[n])) for n in arrival_names()],
-        ),
+        ("metrics (Sweep.metrics / Scenario.metrics names):", summarized(METRICS)),
+        ("arrival processes (`arrival.kind` in config files):", summarized(ARRIVALS)),
         (
             "demand distributions (`demand.kind`/`size.kind` in configs):",
-            [(n, doc_line(DEMANDS[n])) for n in demand_names()],
+            summarized(DEMANDS),
         ),
-        (
-            "cost models (`cost_model` in configs):",
-            [(n, "") for n in sorted(COST_MODELS)],
-        ),
+        ("cost models (`cost_model` in configs):", names_only(COST_MODELS)),
         (
             "audit checks (run under `--audit`; `audit_params.checks`):",
-            [(n, CHECKS[n].title) for n in sorted(CHECKS)],
+            summarized(CHECKS),
         ),
     ]
 

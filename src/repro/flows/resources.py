@@ -48,8 +48,8 @@ def check_resource_vector(
     out: dict[str, float] = {}
     for key in vector:
         if key not in RESOURCES:
-            known = ", ".join(RESOURCES)
-            raise ValueError(f"{where}: unknown resource {key!r}; known: {known}")
+            accepted = ", ".join(RESOURCES)
+            raise ValueError(f"{where}: unknown resource {key!r}; accepted: {accepted}")
         value = vector[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(

@@ -129,7 +129,7 @@ def materialize_flows(
     return tasks, mean_size, horizon
 
 
-@register_family("flows", "packet flows sharing a link (fair-queueing domain)")
+@register_family("flows")
 def flow_scenario(
     n_flows: int = 8,
     flows: Sequence[FlowSpec] | None = None,
@@ -152,7 +152,9 @@ def flow_scenario(
     metrics: tuple[str, ...] = (),
     scheduler_params: Mapping[str, Any] | None = None,
 ) -> Scenario:
-    """Build one flow-family scenario (pure data, deterministic).
+    """Build packet flows sharing a link (fair-queueing domain) as data.
+
+    The scenario is pure data and deterministic in ``seed``.
 
     Parameters
     ----------

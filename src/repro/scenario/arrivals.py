@@ -4,9 +4,9 @@ An *arrival process* turns a seeded PRNG into a monotone stream of
 absolute arrival times; :func:`repro.scenario.population.generated_tasks`
 pairs it with a demand distribution (:mod:`repro.scenario.demands`) to
 draw an open-arrival task population as plain :class:`TaskSpec` data.
-Processes are registered by name with the :func:`register_arrival`
-decorator — mirroring :mod:`repro.schedulers.registry` — so scenario
-config files select them as data::
+Processes are registered by name in :data:`ARRIVALS`, a
+:class:`~repro.registry.Registry` like every other name table, so
+scenario config files select them as data::
 
     streams:
       - n: 400
@@ -29,16 +29,18 @@ Every process draws exclusively from the ``rng`` handed to
 :meth:`ArrivalProcess.times`, so a (process, seed) pair is bit-for-bit
 reproducible — the property the goldens and checkpoint fingerprints
 rely on. Downstream projects add processes the same way the built-ins
-do: decorate any callable returning an object with a ``times(rng)``
-generator method.
+do: decorate a documented class or factory returning an object with a
+``times(rng)`` generator method.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from random import Random
+
+from repro.registry import Registry
 
 __all__ = [
     "ArrivalProcess",
@@ -66,51 +68,10 @@ class ArrivalProcess(Protocol):
         ...
 
 
-#: name -> factory accepting keyword parameters (populated by
-#: @register_arrival)
-ARRIVALS: dict[str, Callable[..., ArrivalProcess]] = {}
-
-
-def register_arrival(
-    name: str, **preset: object
-) -> Callable[[Callable[..., ArrivalProcess]], Callable[..., ArrivalProcess]]:
-    """Register an arrival-process factory under ``name``.
-
-    Mirrors :func:`repro.schedulers.registry.register`: returns the
-    factory unchanged so decorators stack, each adding one preset
-    variant.
-    """
-
-    def decorator(
-        factory: Callable[..., ArrivalProcess],
-    ) -> Callable[..., ArrivalProcess]:
-        if name in ARRIVALS:
-            raise ValueError(f"arrival process {name!r} is already registered")
-
-        def build(**overrides: object) -> ArrivalProcess:
-            options = dict(preset)
-            options.update(overrides)
-            return factory(**options)
-
-        # registry consumers (`sfs-experiment list`) summarize kinds
-        # by docstring first line
-        build.__doc__ = factory.__doc__
-        ARRIVALS[name] = build
-        return factory
-
-    return decorator
-
-
-def make_arrival(name: str, **params: object) -> ArrivalProcess:
-    """Instantiate an arrival process by registry name."""
-    try:
-        factory = ARRIVALS[name]
-    except KeyError:
-        known = ", ".join(sorted(ARRIVALS))
-        raise ValueError(
-            f"unknown arrival process {name!r}; known: {known}"
-        ) from None
-    return factory(**params)
+#: name -> arrival-process class or factory taking keyword parameters
+ARRIVALS = Registry("arrival process")
+register_arrival = ARRIVALS.register
+make_arrival = ARRIVALS.make
 
 
 def arrival_names() -> list[str]:

@@ -4,8 +4,8 @@ A *demand distribution* draws per-task CPU service requirements (in
 seconds) from a seeded PRNG; :func:`repro.scenario.population.generated_tasks`
 pairs it with an arrival process (:mod:`repro.scenario.arrivals`) to
 build open-arrival populations as data. Distributions register by name
-with :func:`register_demand`, mirroring the scheduler registry, so
-config files can pick them::
+in :data:`DEMANDS`, a :class:`~repro.registry.Registry` like every
+other name table, so config files can pick them::
 
     demand: {kind: bounded-pareto, mean: 0.05, shape: 1.5}
 
@@ -33,9 +33,11 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from random import Random
+
+from repro.registry import Registry
 
 __all__ = [
     "DemandDistribution",
@@ -61,55 +63,10 @@ class DemandDistribution(Protocol):
         ...
 
 
-#: name -> factory accepting keyword parameters (populated by
-#: @register_demand)
-DEMANDS: dict[str, Callable[..., DemandDistribution]] = {}
-
-
-def register_demand(
-    name: str, **preset: object
-) -> Callable[
-    [Callable[..., DemandDistribution]], Callable[..., DemandDistribution]
-]:
-    """Register a demand-distribution factory under ``name``.
-
-    Mirrors :func:`repro.schedulers.registry.register`: returns the
-    factory unchanged so decorators stack, each adding one preset
-    variant.
-    """
-
-    def decorator(
-        factory: Callable[..., DemandDistribution],
-    ) -> Callable[..., DemandDistribution]:
-        if name in DEMANDS:
-            raise ValueError(
-                f"demand distribution {name!r} is already registered"
-            )
-
-        def build(**overrides: object) -> DemandDistribution:
-            options = dict(preset)
-            options.update(overrides)
-            return factory(**options)
-
-        # registry consumers (`sfs-experiment list`) summarize kinds
-        # by docstring first line
-        build.__doc__ = factory.__doc__
-        DEMANDS[name] = build
-        return factory
-
-    return decorator
-
-
-def make_demand(name: str, **params: object) -> DemandDistribution:
-    """Instantiate a demand distribution by registry name."""
-    try:
-        factory = DEMANDS[name]
-    except KeyError:
-        known = ", ".join(sorted(DEMANDS))
-        raise ValueError(
-            f"unknown demand distribution {name!r}; known: {known}"
-        ) from None
-    return factory(**params)
+#: name -> demand-distribution class or factory taking keyword parameters
+DEMANDS = Registry("demand distribution")
+register_demand = DEMANDS.register
+make_demand = DEMANDS.make
 
 
 def demand_names() -> list[str]:

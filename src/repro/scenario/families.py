@@ -3,38 +3,22 @@
 A family is a seeded builder producing whole populations as data —
 ``server_scenario`` (high-N open-arrival CPU workloads) and
 ``flow_scenario`` (packet flows over a shared link) are the built-ins.
-Families register themselves at import, mirroring the scheduler /
-arrival / demand registries, so ``sfs-experiment list`` enumerates
-every domain from one place and a new domain package shows up with no
-CLI change.
+Families register themselves at import in :data:`FAMILIES`, a
+:class:`~repro.registry.Registry` whose summary of each family is its
+builder's docstring, so ``sfs-experiment list`` enumerates every
+domain from one place and a new domain package shows up with no CLI
+change.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from repro.registry import Registry
 
 __all__ = ["FAMILIES", "register_family", "family_names"]
 
-#: family name -> (builder, one-line description)
-FAMILIES: dict[str, tuple[Callable[..., object], str]] = {}
-
-
-def register_family(
-    name: str, description: str
-) -> Callable[[Callable[..., object]], Callable[..., object]]:
-    """Register a scenario-family builder under ``name``.
-
-    Returns the builder unchanged (decorator form), like the other
-    registries; duplicate names are a programming error.
-    """
-
-    def decorator(builder: Callable[..., object]) -> Callable[..., object]:
-        if name in FAMILIES:
-            raise ValueError(f"scenario family {name!r} is already registered")
-        FAMILIES[name] = (builder, description)
-        return builder
-
-    return decorator
+#: family name -> builder returning a Scenario
+FAMILIES = Registry("scenario family")
+register_family = FAMILIES.register
 
 
 def family_names() -> list[str]:

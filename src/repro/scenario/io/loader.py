@@ -87,6 +87,7 @@ try:
 except ImportError:  # pragma: no cover - PyYAML is in the dev image
     yaml = None
 
+from repro.registry import Registry
 from repro.scenario.arrivals import arrival_names, make_arrival
 from repro.scenario.demands import demand_names, make_demand
 from repro.scenario.io.schema import (
@@ -114,6 +115,8 @@ from repro.scenario.spec import (
     TaskSpec,
 )
 from repro.scenario.sweep import Sweep
+from repro.schedulers.registry import SCHEDULERS
+from repro.sim.costs import COST_MODELS
 
 __all__ = [
     "config_from_dict",
@@ -512,18 +515,17 @@ _SCENARIO_BLOCKS = (
 )
 
 
-def _check_scheduler(name: str, path: str) -> None:
-    """Scheduler names fail at load time, not in the first sweep cell.
+def _check_registered(registry: Registry, name: str, path: str) -> None:
+    """Scheduler and cost-model names fail at load, not in the first cell.
 
-    A config file is an end-user artifact, and any downstream scheduler
+    A config file is an end-user artifact, and any downstream
     registration has necessarily happened (module import) before its
     configs load.
     """
-    from repro.schedulers.registry import SCHEDULERS
-
-    if name not in SCHEDULERS:
-        known = ", ".join(sorted(SCHEDULERS))
-        raise ConfigError(path, f"unknown scheduler {name!r}; known: {known}")
+    try:
+        registry.lookup(name)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def scenario_from_dict(
@@ -540,15 +542,8 @@ def scenario_from_dict(
         block, SCENARIO_FIELDS, path, extra_keys=_SCENARIO_BLOCKS
     )
 
-    from repro.sim.costs import COST_MODELS
-
-    _check_scheduler(fields["scheduler"], _join(path, "scheduler"))
-    if fields["cost_model"] not in COST_MODELS:
-        known = ", ".join(sorted(COST_MODELS))
-        raise ConfigError(
-            _join(path, "cost_model"),
-            f"unknown cost model {fields['cost_model']!r}; known: {known}",
-        )
+    _check_registered(SCHEDULERS, fields["scheduler"], _join(path, "scheduler"))
+    _check_registered(COST_MODELS, fields["cost_model"], _join(path, "cost_model"))
 
     tasks: list[TaskSpec] = []
     if "tasks" in block:
@@ -656,7 +651,7 @@ def sweep_from_dict(data: Mapping[str, Any], path: str = "") -> Sweep:
         axis_path = _join(path, "schedulers")
         kwargs["schedulers"] = _strings(block["schedulers"], axis_path, "a string")
         for i, name in enumerate(kwargs["schedulers"]):
-            _check_scheduler(name, f"{axis_path}[{i}]")
+            _check_registered(SCHEDULERS, name, f"{axis_path}[{i}]")
     if "cpus" in block:
         axis_path = _join(path, "cpus")
         cpus = FieldSpec("cpus", "int", ge=1)

@@ -17,6 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.fairness import jains_index, longest_starvation
 from repro.analysis.timeseries import cumulative_series, regular_times
+from repro.registry import Registry
 from repro.sim.machine import Machine
 from repro.sim.metrics import service_between, share_between
 from repro.sim.task import Task
@@ -268,41 +269,53 @@ class SimulationResult:
         return lag_report(self.machine, t0, end, step)
 
 
+#: canned metric name -> extractor (flat, picklable values only)
+METRICS = Registry("metric")
+
+
+@METRICS.register("shares")
 def _metric_shares(result: SimulationResult) -> dict[str, float]:
     """Per-task share of total delivered service."""
     return result.shares()
 
 
+@METRICS.register("jains")
 def _metric_jains(result: SimulationResult) -> float:
     """Jain's fairness index over weight-normalized service."""
     return result.jains()
 
 
+@METRICS.register("total_service")
 def _metric_total_service(result: SimulationResult) -> float:
     """Total CPU service delivered across all tasks."""
     return sum(t.service for t in result.tasks.values())
 
 
+@METRICS.register("context_switches")
 def _metric_context_switches(result: SimulationResult) -> int:
     """Context switches counted by the trace."""
     return result.trace.context_switches
 
 
+@METRICS.register("preemptions")
 def _metric_preemptions(result: SimulationResult) -> int:
     """Involuntary preemptions counted by the trace."""
     return result.trace.preemptions
 
 
+@METRICS.register("decisions")
 def _metric_decisions(result: SimulationResult) -> int:
     """Scheduler pick_next invocations counted by the trace."""
     return result.trace.decisions
 
 
+@METRICS.register("events_fired")
 def _metric_events_fired(result: SimulationResult) -> int:
     """Simulation events fired during the run."""
     return result.machine.engine.events_fired
 
 
+@METRICS.register("max_lag")
 def _metric_max_lag(result: SimulationResult) -> float:
     """Max |service - GMS ideal| over all tasks (needs events)."""
     report = result.lag_report(step=max(result.duration / 100.0, 0.05))
@@ -355,21 +368,35 @@ def _censored_sojourn_of(
     return result.duration - t.arrival_time
 
 
+def _censored_percentile(result: SimulationResult, q: float) -> dict[str, float]:
+    """Censored sojourn percentile by class (see ``censored_sojourns``).
+
+    Completed jobs report true sojourns; in-system jobs report their
+    age as a lower bound, so under overload these percentiles can't be
+    flattered by truncation the way the completed-only ones are.
+    """
+    return _percentile_by_class(result, lambda t: _censored_sojourn_of(result, t), q)
+
+
+@METRICS.register("sojourn_p50")
 def _metric_sojourn_p50(result: SimulationResult) -> dict[str, float]:
     """Median sojourn time of completed jobs, by class."""
     return _percentile_by_class(result, lambda t: t.sojourn_time, 50.0)
 
 
+@METRICS.register("sojourn_p95")
 def _metric_sojourn_p95(result: SimulationResult) -> dict[str, float]:
     """95th-percentile sojourn time of completed jobs, by class."""
     return _percentile_by_class(result, lambda t: t.sojourn_time, 95.0)
 
 
+@METRICS.register("sojourn_p99")
 def _metric_sojourn_p99(result: SimulationResult) -> dict[str, float]:
     """99th-percentile sojourn time of completed jobs, by class."""
     return _percentile_by_class(result, lambda t: t.sojourn_time, 99.0)
 
 
+@METRICS.register("dispatch_latency_p95")
 def _metric_dispatch_latency_p95(result: SimulationResult) -> dict[str, float]:
     """p95 arrival-to-first-CPU delay per weight-class prefix + ``"all"``."""
     return _percentile_by_class(
@@ -377,32 +404,37 @@ def _metric_dispatch_latency_p95(result: SimulationResult) -> dict[str, float]:
     )
 
 
+@METRICS.register("completed")
 def _metric_completed(result: SimulationResult) -> int:
     """Jobs that ran to completion (the denominator behind sojourns)."""
     return sum(1 for t in result.tasks.values() if t.exit_time is not None)
 
 
-def _make_censored_percentile(q: float) -> Callable[[SimulationResult], dict[str, float]]:
-    """Censored-tail sojourn percentile extractor (see censored_sojourns).
-
-    Completed jobs report true sojourns; in-system jobs report their
-    age as a lower bound, so under overload these percentiles can't be
-    flattered by truncation the way the completed-only ones are.
-    """
-
-    def extract(result: SimulationResult) -> dict[str, float]:
-        return _percentile_by_class(
-            result, lambda t: _censored_sojourn_of(result, t), q
-        )
-
-    return extract
+@METRICS.register("sojourn_p50_censored")
+def _metric_sojourn_p50_censored(result: SimulationResult) -> dict[str, float]:
+    """Median sojourn by class, counting in-system jobs at their age."""
+    return _censored_percentile(result, 50.0)
 
 
+@METRICS.register("sojourn_p95_censored")
+def _metric_sojourn_p95_censored(result: SimulationResult) -> dict[str, float]:
+    """95th-percentile sojourn by class, counting in-system jobs at their age."""
+    return _censored_percentile(result, 95.0)
+
+
+@METRICS.register("sojourn_p99_censored")
+def _metric_sojourn_p99_censored(result: SimulationResult) -> dict[str, float]:
+    """99th-percentile sojourn by class, counting in-system jobs at their age."""
+    return _censored_percentile(result, 99.0)
+
+
+@METRICS.register("in_system")
 def _metric_in_system(result: SimulationResult) -> int:
     """Jobs censored by the horizon (arrived, never completed)."""
     return result.in_system()
 
 
+@METRICS.register("class_shares")
 def _metric_class_shares(result: SimulationResult) -> dict[str, float]:
     """Busy-window machine share per server weight class (std/pro/ent).
 
@@ -414,6 +446,7 @@ def _metric_class_shares(result: SimulationResult) -> dict[str, float]:
     return class_shares(result)
 
 
+@METRICS.register("driver_shares")
 def _metric_driver_shares(result: SimulationResult) -> dict[str, float]:
     """Machine share of each driver's job stream (e.g. the Fig. 5 feeder).
 
@@ -432,6 +465,7 @@ def _metric_driver_shares(result: SimulationResult) -> dict[str, float]:
     return out
 
 
+@METRICS.register("flow_throughput")
 def _metric_flow_throughput(result: SimulationResult) -> dict[str, float]:
     """Goodput in bytes/sec per flow + ``"all"`` (flow populations)."""
     from repro.flows.metrics import flow_throughput
@@ -439,26 +473,31 @@ def _metric_flow_throughput(result: SimulationResult) -> dict[str, float]:
     return flow_throughput(result)
 
 
-def _make_packet_delay_percentile(
-    q: float,
-) -> Callable[[SimulationResult], dict[str, float]]:
-    """Per-flow packet-delay percentile extractor (+ ``"all"``).
+@METRICS.register("packet_delay_p50")
+def _metric_packet_delay_p50(result: SimulationResult) -> dict[str, float]:
+    """p50 enqueue-to-completion packet delay per flow + ``"all"``."""
+    from repro.flows.metrics import packet_delay_percentiles
 
-    Delay is enqueue-to-completion per packet — queueing plus
-    transmission; empty on non-flow populations.
-    """
-
-    def extract(result: SimulationResult) -> dict[str, float]:
-        from repro.flows.metrics import packet_delay_percentiles
-
-        return packet_delay_percentiles(result, q)
-
-    extract.__doc__ = (
-        f"p{q:g} enqueue-to-completion packet delay per flow + ``\"all\"``."
-    )
-    return extract
+    return packet_delay_percentiles(result, 50.0)
 
 
+@METRICS.register("packet_delay_p95")
+def _metric_packet_delay_p95(result: SimulationResult) -> dict[str, float]:
+    """p95 enqueue-to-completion packet delay per flow + ``"all"``."""
+    from repro.flows.metrics import packet_delay_percentiles
+
+    return packet_delay_percentiles(result, 95.0)
+
+
+@METRICS.register("packet_delay_p99")
+def _metric_packet_delay_p99(result: SimulationResult) -> dict[str, float]:
+    """p99 enqueue-to-completion packet delay per flow + ``"all"``."""
+    from repro.flows.metrics import packet_delay_percentiles
+
+    return packet_delay_percentiles(result, 99.0)
+
+
+@METRICS.register("resource_shares")
 def _metric_resource_shares(result: SimulationResult) -> dict[str, Any]:
     """Per-resource share of delivered {cpu, memory, bandwidth}, per task."""
     from repro.flows.resources import resource_shares
@@ -466,6 +505,7 @@ def _metric_resource_shares(result: SimulationResult) -> dict[str, Any]:
     return resource_shares(result)
 
 
+@METRICS.register("dominant_shares")
 def _metric_dominant_shares(result: SimulationResult) -> dict[str, float]:
     """DRF-style dominant resource share per task with a demand vector."""
     from repro.flows.resources import dominant_shares
@@ -473,6 +513,7 @@ def _metric_dominant_shares(result: SimulationResult) -> dict[str, float]:
     return dominant_shares(result)
 
 
+@METRICS.register("resource_jains")
 def _metric_resource_jains(result: SimulationResult) -> dict[str, float]:
     """Jain's fairness index per resource over weighted resource service."""
     from repro.flows.resources import resource_jains
@@ -480,6 +521,7 @@ def _metric_resource_jains(result: SimulationResult) -> dict[str, float]:
     return resource_jains(result)
 
 
+@METRICS.register("audit")
 def _metric_audit(result: SimulationResult) -> dict[str, Any]:
     """Flat invariant-audit summary (requires ``Scenario(audit=True)``)."""
     if result.audit_report is None:
@@ -490,62 +532,18 @@ def _metric_audit(result: SimulationResult) -> dict[str, Any]:
     return result.audit_report.summary()
 
 
-#: canned metric name -> extractor (flat, picklable values only)
-METRICS = {
-    "audit": _metric_audit,
-    "shares": _metric_shares,
-    "jains": _metric_jains,
-    "total_service": _metric_total_service,
-    "context_switches": _metric_context_switches,
-    "preemptions": _metric_preemptions,
-    "decisions": _metric_decisions,
-    "events_fired": _metric_events_fired,
-    "max_lag": _metric_max_lag,
-    "sojourn_p50": _metric_sojourn_p50,
-    "sojourn_p95": _metric_sojourn_p95,
-    "sojourn_p99": _metric_sojourn_p99,
-    "sojourn_p50_censored": _make_censored_percentile(50.0),
-    "sojourn_p95_censored": _make_censored_percentile(95.0),
-    "sojourn_p99_censored": _make_censored_percentile(99.0),
-    "in_system": _metric_in_system,
-    "dispatch_latency_p95": _metric_dispatch_latency_p95,
-    "completed": _metric_completed,
-    "class_shares": _metric_class_shares,
-    "driver_shares": _metric_driver_shares,
-    "flow_throughput": _metric_flow_throughput,
-    "packet_delay_p50": _make_packet_delay_percentile(50.0),
-    "packet_delay_p95": _make_packet_delay_percentile(95.0),
-    "packet_delay_p99": _make_packet_delay_percentile(99.0),
-    "resource_shares": _metric_resource_shares,
-    "dominant_shares": _metric_dominant_shares,
-    "resource_jains": _metric_resource_jains,
-}
-
-
 def check_metrics(metrics: Iterable[str]) -> None:
     """Raise ValueError on unknown metric names (fail fast, pre-run).
 
     The single validation used by ``Scenario``/``Sweep`` construction
     and ``run_cells``, so a typo surfaces before any cell burns CPU.
     """
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        known = ", ".join(sorted(METRICS))
-        raise ValueError(f"unknown metric(s) {unknown!r}; known: {known}")
+    for name in metrics:
+        METRICS.lookup(name)
 
 
 def summarize(
     result: SimulationResult, metrics: Iterable[str]
 ) -> dict[str, Any]:
     """Compute the named canned metrics into a flat, picklable dict."""
-    out: dict[str, Any] = {}
-    for name in metrics:
-        try:
-            extractor = METRICS[name]
-        except KeyError:
-            known = ", ".join(sorted(METRICS))
-            raise ValueError(
-                f"unknown metric {name!r}; known: {known}"
-            ) from None
-        out[name] = extractor(result)
-    return out
+    return {name: METRICS.lookup(name)(result) for name in metrics}

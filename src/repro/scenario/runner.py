@@ -24,13 +24,7 @@ def build_machine(
     scenario: Scenario,
 ) -> tuple[Machine, dict[str, Task], dict[str, object]]:
     """Construct the machine, tasks and drivers a scenario declares."""
-    try:
-        cost_model = COST_MODELS[scenario.cost_model]
-    except KeyError:
-        known = ", ".join(sorted(COST_MODELS))
-        raise ValueError(
-            f"unknown cost model {scenario.cost_model!r}; known: {known}"
-        ) from None
+    cost_model = COST_MODELS.lookup(scenario.cost_model)
     scheduler = make_scheduler(scenario.scheduler, **scenario.scheduler_params)
     machine = Machine(
         scheduler,

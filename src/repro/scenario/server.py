@@ -58,9 +58,7 @@ SERVER_WEIGHT_CLASSES: tuple[tuple[str, float, float], ...] = (
 )
 
 
-@register_family(
-    "server", "high-N open-arrival CPU workloads (Poisson x Pareto)"
-)
+@register_family("server")
 def server_scenario(
     n_tasks: int,
     cpus: int = 4,
@@ -80,7 +78,9 @@ def server_scenario(
     metrics: tuple[str, ...] = (),
     scheduler_params: Mapping[str, Any] | None = None,
 ) -> Scenario:
-    """Build one server-family scenario (pure data, deterministic).
+    """Build a high-N open-arrival CPU workload (Poisson x Pareto) as data.
+
+    The scenario is pure data and deterministic in ``seed``.
 
     Parameters
     ----------
@@ -103,7 +103,7 @@ def server_scenario(
     scheduler_params:
         Per-run constructor overrides for the scheduler (e.g.
         ``{"scan_depth": 10, "track_accuracy": True}`` for
-        ``sfs-heuristic``), forwarded to the registry factory.
+        ``sfs-heuristic``), forwarded to the registered policy class.
     """
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")

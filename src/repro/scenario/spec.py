@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Union
 
+from repro.registry import Registry
 from repro.scenario.io.schema import WEIGHT_RANGE, fields_of_dataclass
 from repro.workloads.base import Behavior
 from repro.workloads.cpu_bound import FiniteCompute, Infinite
@@ -80,9 +81,9 @@ __all__ = [
 
 #: config ``kind`` name -> spec class, one registry per role, filled by
 #: the ``register_*`` decorators below
-BEHAVIORS: dict[str, type] = {}
-DRIVERS: dict[str, type] = {}
-EVENTS: dict[str, type] = {}
+BEHAVIORS = Registry("behaviour kind")
+DRIVERS = Registry("driver kind")
+EVENTS = Registry("event kind")
 
 
 def field_table(
@@ -105,14 +106,12 @@ def field_table(
 
 
 def _registrar(
-    registry: dict[str, type], kind: str, ranges: Mapping[str, Any]
+    registry: Registry, kind: str, ranges: Mapping[str, Any]
 ) -> Callable[[type], type]:
     def decorate(cls: type) -> type:
-        if kind in registry:
-            raise ValueError(f"spec kind {kind!r} is already registered")
+        registry.register(kind)(cls)
         cls.kind = kind
-        registry[kind] = field_table(**ranges)(cls)
-        return cls
+        return field_table(**ranges)(cls)
 
     return decorate
 
@@ -550,20 +549,20 @@ class Scenario:
                     f"unknown audit param(s) {sorted(bad)!r}; known: "
                     f"{', '.join(sorted(KNOWN_PARAMS | special))}"
                 )
-            unknown = [
-                c for c in self.audit_params.get("checks", ()) if c not in CHECKS
-            ]
-            if unknown:
+            for name in self.audit_params.get("checks", ()):
+                CHECKS.lookup(name)
+        if "max_lag" in self.metrics:
+            if self.service_sample_interval > 0:
                 raise ValueError(
-                    f"unknown audit check(s) {unknown!r}; known: "
-                    f"{', '.join(sorted(CHECKS))}"
+                    "metric 'max_lag' reads mid-run service curves, which "
+                    "service_sample_interval > 0 decimates; request it on an "
+                    "undecimated run"
                 )
-        if self.service_sample_interval > 0 and "max_lag" in self.metrics:
-            raise ValueError(
-                "metric 'max_lag' reads mid-run service curves, which "
-                "service_sample_interval > 0 decimates; request it on an "
-                "undecimated run"
-            )
+            if not (self.record_events or self.audit):
+                raise ValueError(
+                    "metric 'max_lag' replays the recorded event timeline; "
+                    "request it with record_events=True (or audit=True)"
+                )
 
     def with_(self, **overrides: Any) -> "Scenario":
         """A copy of this scenario with fields replaced."""

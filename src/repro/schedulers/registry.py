@@ -1,33 +1,37 @@
-"""Name -> scheduler factory registry.
+"""Name -> scheduler registry.
 
 Used by the scenario layer, the experiment CLI and the ablation
-benchmarks to sweep the same workload across every policy. Factories
-are registered with the :func:`register` decorator; a single factory
-function can register several pre-configured *variants* by stacking
-decorators with different presets::
-
-    @register("wfq")
-    @register("wfq-readjust", readjust=True)
-    def _wfq(**options) -> Scheduler:
-        return WeightedFairQueueingScheduler(**options)
-
-:func:`make_scheduler` accepts per-call overrides, so scenarios can
-tweak policy parameters (e.g. the heuristic's scan depth) without
-registering a new name::
+benchmarks to sweep the same workload across every policy. Each
+built-in policy class is registered below under its name; a variant is
+the same class under another name, with preset constructor keywords.
+:func:`make_scheduler` applies per-call overrides on top of those
+presets, so scenarios can tweak policy parameters (e.g. the
+heuristic's scan depth) without registering a new name::
 
     make_scheduler("sfs-heuristic", scan_depth=5)
 
-Downstream projects add policies the same way: decorate any callable
-returning an attached-to-nothing :class:`~repro.sim.scheduler.Scheduler`
-and every experiment, sweep and CLI subcommand can name it.
+Downstream projects add policies with :func:`register`: decorate a
+documented class or factory that returns an attached-to-nothing
+:class:`~repro.sim.scheduler.Scheduler`, and every experiment, sweep
+and CLI subcommand can name it.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Callable
 
-from repro.sim.scheduler import Scheduler
+from repro.core.hierarchical import HierarchicalSurplusFairScheduler
+from repro.core.sfs import SurplusFairScheduler
+from repro.core.sfs_heuristic import HeuristicSurplusFairScheduler
+from repro.registry import Registry
+from repro.schedulers.bvt import BorrowedVirtualTimeScheduler
+from repro.schedulers.gms_reference import GMSReferenceScheduler
+from repro.schedulers.linux_ts import LinuxTimeSharingScheduler
+from repro.schedulers.lottery import LotteryScheduler
+from repro.schedulers.round_robin import RoundRobinScheduler
+from repro.schedulers.sfq import StartTimeFairScheduler
+from repro.schedulers.stride import StrideScheduler
+from repro.schedulers.wfq import WeightedFairQueueingScheduler
 
 __all__ = [
     "SCHEDULERS",
@@ -38,51 +42,29 @@ __all__ = [
     "check_scheduler_params",
 ]
 
-#: name -> factory accepting keyword overrides (populated by @register)
-SCHEDULERS: dict[str, Callable[..., Scheduler]] = {}
+#: name -> policy class (or downstream factory) taking keyword options
+SCHEDULERS = Registry("scheduler")
+register = SCHEDULERS.register
+make_scheduler = SCHEDULERS.make
 
-#: name -> the raw decorated factory (before preset wrapping); lets
-#: introspection reach the factory's ``param_source`` attribute
-FACTORIES: dict[str, Callable[..., Scheduler]] = {}
-
-
-def register(
-    name: str, **preset: object
-) -> Callable[[Callable[..., Scheduler]], Callable[..., Scheduler]]:
-    """Register ``factory`` under ``name`` with preset keyword options.
-
-    Returns the factory unchanged so decorators stack — each stacked
-    ``@register`` adds one named variant of the same factory.
-    """
-
-    def decorator(factory: Callable[..., Scheduler]) -> Callable[..., Scheduler]:
-        if name in SCHEDULERS:
-            raise ValueError(f"scheduler {name!r} is already registered")
-
-        def build(**overrides: object) -> Scheduler:
-            options = dict(preset)
-            options.update(overrides)
-            return factory(**options)
-
-        SCHEDULERS[name] = build
-        FACTORIES[name] = factory
-        return factory
-
-    return decorator
-
-
-def make_scheduler(name: str, **overrides: object) -> Scheduler:
-    """Instantiate a fresh scheduler by registry name.
-
-    ``overrides`` are keyword arguments forwarded to the policy's
-    constructor on top of the variant's presets.
-    """
-    try:
-        factory = SCHEDULERS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCHEDULERS))
-        raise ValueError(f"unknown scheduler {name!r}; known: {known}") from None
-    return factory(**overrides)
+register("sfs")(SurplusFairScheduler)
+register("sfs-noreadjust", readjust=False)(SurplusFairScheduler)
+register("sfs-affinity", affinity_bonus=0.05)(SurplusFairScheduler)
+register("sfs-heuristic")(HeuristicSurplusFairScheduler)
+register("hierarchical-sfs")(HierarchicalSurplusFairScheduler)
+register("sfq")(StartTimeFairScheduler)
+register("sfq-readjust", readjust=True)(StartTimeFairScheduler)
+register("gms-reference")(GMSReferenceScheduler)
+register("linux-ts")(LinuxTimeSharingScheduler)
+register("stride")(StrideScheduler)
+register("stride-readjust", readjust=True)(StrideScheduler)
+register("wfq")(WeightedFairQueueingScheduler)
+register("wfq-readjust", readjust=True)(WeightedFairQueueingScheduler)
+register("bvt")(BorrowedVirtualTimeScheduler)
+register("bvt-readjust", readjust=True)(BorrowedVirtualTimeScheduler)
+register("lottery")(LotteryScheduler)
+register("lottery-readjust", readjust=True)(LotteryScheduler)
+register("round-robin")(RoundRobinScheduler)
 
 
 def scheduler_names() -> list[str]:
@@ -91,20 +73,17 @@ def scheduler_names() -> list[str]:
 
 
 def scheduler_params_for(name: str) -> frozenset[str] | None:
-    """Keyword parameters ``name``'s scheduler constructor accepts.
+    """Keyword parameters ``name``'s registered callable accepts.
 
-    Built-in factories advertise their policy class via a
-    ``param_source`` attribute; its constructor signature is the source
-    of truth. Returns ``None`` — meaning "unknown, skip validation" —
-    for unregistered names, factories without a ``param_source``
-    (downstream registrations are unaffected by the check), and
-    constructors taking ``**kwargs``.
+    Its signature (a policy class's constructor) is the source of
+    truth. Returns ``None`` — meaning "unknown, skip validation" — for
+    unregistered names and for callables taking ``**kwargs`` (such as
+    a downstream factory forwarding its options).
     """
-    source = getattr(FACTORIES.get(name), "param_source", None)
-    if source is None:
+    if name not in SCHEDULERS:
         return None
     try:
-        signature = inspect.signature(source)
+        signature = inspect.signature(SCHEDULERS[name])
     except (TypeError, ValueError):
         return None
     params: list[str] = []
@@ -140,110 +119,3 @@ def check_scheduler_params(name: str, params: object) -> None:
             f"scheduler {name!r} does not accept scheduler_params "
             f"{shown}; accepted: {accepted}"
         )
-
-
-def _populate() -> None:
-    """Register the built-in policies.
-
-    Runs at module import time; the function only scopes the scheduler
-    imports and factory definitions so the module's public face stays
-    the registry API itself.
-    """
-    from repro.core.hierarchical import HierarchicalSurplusFairScheduler
-    from repro.core.sfs import SurplusFairScheduler
-    from repro.core.sfs_heuristic import HeuristicSurplusFairScheduler
-    from repro.schedulers.bvt import BorrowedVirtualTimeScheduler
-    from repro.schedulers.gms_reference import GMSReferenceScheduler
-    from repro.schedulers.linux_ts import LinuxTimeSharingScheduler
-    from repro.schedulers.lottery import LotteryScheduler
-    from repro.schedulers.round_robin import RoundRobinScheduler
-    from repro.schedulers.sfq import StartTimeFairScheduler
-    from repro.schedulers.stride import StrideScheduler
-    from repro.schedulers.wfq import WeightedFairQueueingScheduler
-
-    @register("sfs")
-    @register("sfs-noreadjust", readjust=False)
-    @register("sfs-affinity", affinity_bonus=0.05)
-    def _sfs(**options) -> Scheduler:
-        """Surplus fair scheduling (Eq. 4), with variants via presets."""
-        return SurplusFairScheduler(**options)
-
-    _sfs.param_source = SurplusFairScheduler
-
-    @register("sfs-heuristic")
-    def _sfs_heuristic(**options) -> Scheduler:
-        """SFS with the §3.2 production heuristic decision path."""
-        return HeuristicSurplusFairScheduler(**options)
-
-    _sfs_heuristic.param_source = HeuristicSurplusFairScheduler
-
-    @register("hierarchical-sfs")
-    def _hierarchical(**options) -> Scheduler:
-        """Two-level SFS: surplus fairness across groups, then members."""
-        return HierarchicalSurplusFairScheduler(**options)
-
-    _hierarchical.param_source = HierarchicalSurplusFairScheduler
-
-    @register("sfq")
-    @register("sfq-readjust", readjust=True)
-    def _sfq(**options) -> Scheduler:
-        """Start-time fair queueing carried over from uniprocessors (§2)."""
-        return StartTimeFairScheduler(**options)
-
-    _sfq.param_source = StartTimeFairScheduler
-
-    @register("gms-reference")
-    def _gms(**options) -> Scheduler:
-        """Discrete tracker of the generalized multiprocessor sharing ideal."""
-        return GMSReferenceScheduler(**options)
-
-    _gms.param_source = GMSReferenceScheduler
-
-    @register("linux-ts")
-    def _linux_ts(**options) -> Scheduler:
-        """Linux 2.x-style time sharing (the paper's unfair baseline)."""
-        return LinuxTimeSharingScheduler(**options)
-
-    _linux_ts.param_source = LinuxTimeSharingScheduler
-
-    @register("stride")
-    @register("stride-readjust", readjust=True)
-    def _stride(**options) -> Scheduler:
-        """Stride scheduling; deterministic pass/stride proportional share."""
-        return StrideScheduler(**options)
-
-    _stride.param_source = StrideScheduler
-
-    @register("wfq")
-    @register("wfq-readjust", readjust=True)
-    def _wfq(**options) -> Scheduler:
-        """Weighted fair queueing with finish-tag ordering."""
-        return WeightedFairQueueingScheduler(**options)
-
-    _wfq.param_source = WeightedFairQueueingScheduler
-
-    @register("bvt")
-    @register("bvt-readjust", readjust=True)
-    def _bvt(**options) -> Scheduler:
-        """Borrowed virtual time with weighted warping."""
-        return BorrowedVirtualTimeScheduler(**options)
-
-    _bvt.param_source = BorrowedVirtualTimeScheduler
-
-    @register("lottery")
-    @register("lottery-readjust", readjust=True)
-    def _lottery(**options) -> Scheduler:
-        """Lottery scheduling; randomized proportional share (seeded)."""
-        return LotteryScheduler(**options)
-
-    _lottery.param_source = LotteryScheduler
-
-    @register("round-robin")
-    def _round_robin(**options) -> Scheduler:
-        """Equal-slice round robin, ignoring weights."""
-        return RoundRobinScheduler(**options)
-
-    _round_robin.param_source = RoundRobinScheduler
-
-
-_populate()

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.registry import Registry
+
 __all__ = [
     "DecisionCostParams",
     "CostModel",
@@ -140,9 +142,8 @@ TESTBED_COST = CostModel()
 #: mostly blocked; overhead scales with the process count.
 LMBENCH_COST = CostModel(decision_count_mode="live")
 
-#: registry-name -> cost model, shared by the scenario layer and CLI
-COST_MODELS = {
-    "zero": ZERO_COST,
-    "testbed": TESTBED_COST,
-    "lmbench": LMBENCH_COST,
-}
+#: registry name -> cost model, shared by the scenario layer and CLI
+COST_MODELS = Registry("cost model")
+COST_MODELS.register("zero")(ZERO_COST)
+COST_MODELS.register("testbed")(TESTBED_COST)
+COST_MODELS.register("lmbench")(LMBENCH_COST)

@@ -119,8 +119,10 @@ class PyEngine:
         """Schedule ``fn(*args)`` to fire at absolute time ``when``.
 
         Raises ``ValueError`` if ``when`` is in the past (or NaN);
-        simultaneous events fire in scheduling order.
+        simultaneous events fire in scheduling order. ``when`` is stored
+        as a float, as the compiled engine stores it.
         """
+        when = float(when)
         if not when >= self._now:  # rejects the past and NaN in one test
             raise ValueError(
                 f"cannot schedule event in the past: {when} < now {self._now}"
@@ -136,6 +138,7 @@ class PyEngine:
         self, delay: float, fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to fire ``delay`` seconds from now."""
+        delay = float(delay)
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
@@ -273,6 +276,7 @@ class PyEngine:
         Events scheduled exactly at ``t_end`` do fire. Raises
         ``ValueError`` if ``t_end`` is in the past (or NaN).
         """
+        t_end = float(t_end)
         if not t_end >= self._now:  # rejects the past and NaN in one test
             raise ValueError(f"t_end {t_end} is in the past (now={self._now})")
         self._drain(t_end)

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+from types import ModuleType
+
 import pytest
 
+import repro
 from repro.core.sfs import SurplusFairScheduler
 from repro.sim.machine import Machine
 from repro.sim.task import Task
@@ -14,6 +19,15 @@ from repro.workloads.cpu_bound import FiniteCompute, Infinite
 def sfs_machine() -> Machine:
     """A 2-CPU machine running SFS with the paper's 200 ms quantum."""
     return Machine(SurplusFairScheduler(), cpus=2, quantum=0.2)
+
+
+def repro_modules() -> list[ModuleType]:
+    """Every ``repro`` module, imported (``__main__`` modules excluded)."""
+    return [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
 
 
 def add_inf(machine: Machine, weight: float, name: str, at: float = 0.0) -> Task:

@@ -88,6 +88,7 @@ class TestRegistries:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
+            # sfs-lint: disable=SFS004 (the duplicate under test)
             register_arrival("poisson")(PoissonArrivals)
 
     def test_registries_share_no_name(self):

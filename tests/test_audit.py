@@ -71,7 +71,7 @@ def test_every_check_has_title_and_declared_params():
 def test_duplicate_check_registration_rejected():
     with pytest.raises(ValueError, match="already registered"):
 
-        @audit_check("service_conservation")
+        @audit_check("service_conservation")  # sfs-lint: disable=SFS004 (duplicate)
         class Dup(AuditCheck):
             """Duplicate."""
 
@@ -80,7 +80,7 @@ def test_docstringless_check_registration_rejected():
     with pytest.raises(ValueError, match="needs a docstring"):
 
         @audit_check("no_doc")
-        class NoDoc(AuditCheck):
+        class NoDoc(AuditCheck):  # sfs-lint: disable=SFS004 (no docstring under test)
             pass
 
 

@@ -153,6 +153,8 @@ class TestSweepSubcommand:
 
 
 class TestExecutionBackendFlags:
+    """``--workers``, ``--checkpoint`` and ``--audit`` on the grid runner."""
+
     def test_sweep_checkpoint_resumes_in_process(self, tmp_path, capsys):
         ck = tmp_path / "ck.jsonl"
         argv = [
@@ -231,6 +233,19 @@ class TestListSubcommand:
         for name in EXPERIMENTS:
             assert name in out
         assert "sfs-heuristic" in out and "round-robin" in out
+
+    def test_every_summarized_row_has_a_summary(self, capsys):
+        # A row's summary is its entry's docstring first line, so every
+        # row has one; schedulers and cost models list names only.
+        assert main(["list"]) == 0
+        bare = {}
+        for section in capsys.readouterr().out.strip().split("\n\n"):
+            heading, *rows = section.splitlines()
+            bare[heading.split(" (")[0]] = [r.strip() for r in rows if len(r.split()) == 1]
+        assert {"sfs", "sfq-readjust", "round-robin"} <= set(bare.pop("schedulers"))
+        assert bare.pop("cost models") == ["lmbench", "testbed", "zero"]
+        assert len(bare) == 6
+        assert bare == {heading: [] for heading in bare}
 
     def test_no_arguments_is_an_error(self):
         with pytest.raises(SystemExit):

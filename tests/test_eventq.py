@@ -436,6 +436,16 @@ class TestClockValidation:
                 engine.run_until(t_end)
             assert engine.now == 0.0
 
+    def test_int_times_are_stored_as_floats(self):
+        for engine in all_engines():
+            fired = []
+            at = engine.schedule_at(3, lambda: fired.append(type(engine.now)))
+            after = engine.schedule_after(1, lambda: None)
+            engine.run_until(5)
+            assert (type(at.time), type(after.time)) == (float, float)
+            assert fired == [float]
+            assert type(engine.now) is float and engine.now == 5.0
+
 
 def _public_names(cls) -> set[str]:
     return {name for name in dir(cls) if not name.startswith("_")}
@@ -445,9 +455,12 @@ def _public_names(cls) -> set[str]:
 #: 0.1 + 0.2 prints 17 digits, so float formatting must match too
 MIRRORED_ERRORS = {
     "schedule_at-past": ("schedule_at", (0.1 + 0.2, print)),
+    "schedule_at-past-int": ("schedule_at", (1, print)),
     "schedule_at-nan": ("schedule_at", (math.nan, print)),
     "schedule_after-negative": ("schedule_after", (-0.5, print)),
+    "schedule_after-negative-int": ("schedule_after", (-1, print)),
     "run_until-past": ("run_until", (1.25,)),
+    "run_until-past-int": ("run_until", (1,)),
     "run_until-nan": ("run_until", (math.nan,)),
     "load_sorted-past": ("load_sorted", ([0.1 + 0.2], print, [1])),
     "load_sorted-nan": ("load_sorted", ([3.0, math.nan], print, [1, 2])),

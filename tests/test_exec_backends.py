@@ -410,6 +410,8 @@ class TestWindow:
 
 
 class TestChunkedCheckpoint:
+    """A JSONL checkpoint at any worker count: resume, heal and reject."""
+
     def test_kill_mid_grid_then_resume_skips_completed(
         self, tmp_path, monkeypatch
     ):
@@ -530,7 +532,9 @@ class TestChunkedCheckpoint:
 # ----------------------------------------------------------------------
 
 
-class TestMakeBackend:
+class TestRunCells:
+    """The pool rule (in-process for ``workers=0`` or one cell) and ``run_cells``."""
+
     def test_serial_for_workers_zero_or_one_cell(self, monkeypatch):
         def no_pool(max_workers):
             raise AssertionError("a pool was started")

@@ -202,9 +202,8 @@ class TestPacketDemandKinds:
 class TestFlowFamily:
     def test_registered_beside_server(self):
         assert {"flows", "server"} <= set(family_names())
-        build, summary = FAMILIES["flows"]
-        assert build is flow_scenario
-        assert "link" in summary
+        assert FAMILIES["flows"] is flow_scenario
+        assert "link" in FAMILIES.summary("flows")
 
     def test_generated_population_is_deterministic(self):
         a = flow_scenario(n_flows=5, packets_per_flow=20, seed=9)

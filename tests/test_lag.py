@@ -5,6 +5,7 @@ import pytest
 from tests.conftest import add_inf
 from repro.analysis.lag import lag_curve, lag_report, max_absolute_lag
 from repro.core.sfs import SurplusFairScheduler
+from repro.scenario import InteractiveLoop, Kill, Scenario, SetWeight, run_scenario, task
 from repro.schedulers.round_robin import RoundRobinScheduler
 from repro.schedulers.sfq import StartTimeFairScheduler
 from repro.sim.machine import Machine
@@ -57,3 +58,45 @@ class TestLagCurve:
         m.run_until(1.0)
         with pytest.raises(ValueError):
             lag_curve(m, a, 0.0, 1.0, step=0.0)
+
+    def test_refuses_a_run_without_recorded_events(self):
+        # The replay would see no arrivals and report every task's
+        # whole service as its lag.
+        m = Machine(SurplusFairScheduler(), cpus=1, record_events=False)
+        a = add_inf(m, 1, "A")
+        m.run_until(1.0)
+        with pytest.raises(ValueError, match="record_events=True"):
+            lag_report(m, 0.0, 1.0)
+        with pytest.raises(ValueError, match="record_events=True"):
+            lag_curve(m, a, 0.0, 1.0)
+
+
+class TestOneReplayPerReport:
+    def test_report_equals_each_tasks_max_absolute_lag(self):
+        # lag_report replays the run once for every task; it must equal
+        # the one-task views exactly, and each of those the extreme of
+        # its task's curve. Arrivals, wakeups, blocks, a weight change
+        # and an exit all reach the replay.
+        scenario = Scenario(
+            name="lag-mix",
+            scheduler="sfq",
+            cpus=2,
+            quantum=0.05,
+            duration=4.0,
+            tasks=(
+                task("a", 1),
+                task("b", 4),
+                task("c", 2, InteractiveLoop(think_time=0.2, burst=0.05, seed=1)),
+                task("d", 10, at=0.7),
+            ),
+            events=(SetWeight("a", 3.0, at=2.0), Kill("d", at=3.1)),
+        )
+        m = run_scenario(scenario).machine
+        report = lag_report(m, 0.0, 4.0, step=0.07)
+        assert report == {
+            t.name: max_absolute_lag(m, t, 0.0, 4.0, step=0.07) for t in m.tasks
+        }
+        for t in m.tasks:
+            curve = lag_curve(m, t, 0.0, 4.0, step=0.07)
+            assert report[t.name] == max(abs(v) for _, v in curve)
+        assert max(report.values()) > 0.1

@@ -71,6 +71,13 @@ class TestScenarioRoundTrip:
         )
         assert result.scheduler.name == "SFQ+readjust"
 
+    def test_int_duration_ends_on_a_float_clock(self):
+        # The compiled engine keeps its clock as a C double; the pure
+        # engine must convert an int time too, or results differ by build.
+        result = run_scenario(Scenario(name="x", duration=3, tasks=(task("a", 1),)))
+        assert type(result.machine.now) is float
+        assert result.machine.now == 3.0
+
     def test_deterministic_across_runs(self):
         scn = _basic(quantum_jitter=0.05, jitter_seed=3)
         a = run_scenario(scn)
@@ -199,6 +206,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown cost model"):
             run_scenario(_basic(cost_model="free"))
 
+    def test_max_lag_needs_the_event_timeline(self):
+        # Without recorded events the GMS replay sees no arrivals, so
+        # each task's whole service used to be reported as its lag.
+        with pytest.raises(ValueError, match="record_events=True"):
+            _basic(record_events=False, metrics=("max_lag",))
+
+    def test_max_lag_reads_the_timeline_an_audit_records(self):
+        recorded = run_scenario(_basic(metrics=("max_lag",)))
+        audited = run_scenario(
+            _basic(record_events=False, audit=True, metrics=("max_lag",))
+        )
+        assert audited.metrics["max_lag"] == recorded.metrics["max_lag"]
+        assert 0.0 < recorded.metrics["max_lag"] < 1.0
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             run_scenario(_basic(scheduler="cfs"))
@@ -254,6 +275,7 @@ class TestRegistryDecorator:
         from repro.schedulers.registry import register
 
         with pytest.raises(ValueError, match="already registered"):
+            # sfs-lint: disable=SFS004 (the duplicate under test)
             register("sfs")(lambda **kw: None)
 
     def test_variants_share_one_factory(self):

@@ -208,6 +208,31 @@ def test_sfs004_flags_dict_registry_mapping_to_undocumented_function():
     assert any("undocumented" in v.message for v in found)
 
 
+def test_sfs004_sees_registrations_made_by_call():
+    src = (
+        "SCHEDULERS.register('twice')(Policy)\n"
+        "SCHEDULERS.register('twice', readjust=True)(Policy)\n"
+        "COST_MODELS.register('bad name!')(ZERO_COST)\n"
+    )
+    messages = [v.message for v in _find(src, "SFS004", scope=None)]
+    assert any("'twice' already used at <test>.py:1" in m for m in messages)
+    assert any("'bad name!' is not a sane registry key" in m for m in messages)
+
+
+def test_sfs004_flags_a_call_registering_an_undocumented_local_class():
+    src = "class Policy:\n    pass\n\nSCHEDULERS.register('bare')(Policy)\n"
+    found = _find(src, "SFS004", scope=None)
+    assert any("'Policy' has no docstring" in v.message for v in found)
+
+
+@pytest.mark.parametrize("decorator", ["audit_check", "register_family"])
+def test_sfs004_sees_check_and_family_decorators(decorator):
+    src = f'@{decorator}("bad name")\ndef f():\n    return 1\n'
+    messages = [v.message for v in _find(src, "SFS004", scope=None)]
+    assert any("'f' has no docstring" in m for m in messages)
+    assert any("not a sane registry key" in m for m in messages)
+
+
 # ----------------------------------------------------------------------
 # SFS005: float equality on tag arithmetic
 # ----------------------------------------------------------------------
