@@ -199,26 +199,17 @@ class BoundedLagCheck(AuditCheck):
         return None
 
     def finalize(self, machine: "Machine", t_end: float) -> None:
-        import gc
-
         from repro.core.gms import replay_trace
 
-        # The replay allocates a burst of flat scalar dicts and heap
-        # tuples (no cycles); with collection enabled, that burst
-        # triggers sweeps over the whole simulation heap (thousands of
-        # live tasks) and can cost more than the replay itself.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            ideal = replay_trace(
-                machine.trace.event_tuples(),
-                machine.num_cpus,
-                t_end,
-                assume_sorted=True,  # recorded traces are in time order
-            )
-        finally:
-            if enabled:
-                gc.enable()
+        # The replay keeps floats in a few dicts, so it allocates no
+        # GC-tracked object per event and never starts a collection
+        # over the simulation heap.
+        ideal = replay_trace(
+            machine.trace.event_tuples(),
+            machine.num_cpus,
+            t_end,
+            assume_sorted=True,  # recorded traces are in time order
+        )
         # The constant-quanta bound holds for a population that stays
         # backlogged; every block/wake cycle restarts the
         # discretization error. A waking thread re-enters the queue

@@ -39,7 +39,12 @@ def gms_deviation(machine: Machine, t_end: float | None = None) -> dict[int, flo
     ideally every magnitude stays within a few quanta.
     """
     t = machine.now if t_end is None else t_end
-    ideal = replay_trace(machine.trace.events, machine.num_cpus, t)
+    ideal = replay_trace(
+        machine.trace.event_tuples(),
+        machine.num_cpus,
+        t,
+        assume_sorted=True,  # recorded traces are in time order
+    )
     out: dict[int, float] = {}
     for task in machine.tasks:
         out[task.tid] = task.service - ideal.get(task.tid, 0.0)

@@ -17,26 +17,31 @@ rate never exceeds a single processor's capacity ``C``; the ``min(C,.)``
 cap below therefore only binds in the degenerate ``t <= p`` regime where
 every thread simply holds a full processor.
 
-The fluid oracle serves two roles:
+The fluid allocation serves two roles:
 
 - the reference against which the *surplus* of Eq. 3 is defined
   (``alpha_i = A_i - A_i^GMS``), used by the fairness metrics in
-  :mod:`repro.analysis.fairness`;
-- an executable specification: tests replay a simulated run's
-  runnable-set timeline through the oracle and check that SFS service
-  tracks it to within one quantum per thread.
+  :mod:`repro.analysis.fairness` and the auditor's ``bounded_lag``
+  check, which replay a simulated run's runnable-set timeline through
+  :func:`replay_trace`;
+- an executable specification: :class:`FluidGMS` recomputes every
+  rate from the §2.1 readjustment at each change (the lag curves of
+  :mod:`repro.analysis.lag` and the ``gms-reference`` scheduler sample
+  it directly), and tests hold :func:`replay_trace`, which integrates
+  the same allocation by weight class, to it event by event.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import chain
 
-from repro.core.weights import _REL_TOL, readjust
+from repro.core.weights import _SLACK, readjust
 from repro.sim.tracing import ARRIVE, BLOCK, EXIT, WAKE, WEIGHT
 
 __all__ = ["FluidGMS", "replay_trace"]
+
+_INF = float("inf")
 
 
 class FluidGMS:
@@ -137,49 +142,60 @@ def replay_trace(
     time order (a recorded trace always is) to stream them without
     materializing and re-sorting.
 
-    Incremental form of driving :class:`FluidGMS` event by event
-    (which stays as the executable specification — the two agree to
-    float rounding). At every instant GMS partitions the runnable set
-    into *heavy* threads — the §2.1 readjustment caps them at exactly
-    one processor — and *light* threads sharing the remaining
-    ``p - k`` processors in proportion to their raw weights. Both
-    groups admit O(1)-per-event accounting: a heavy thread's service
-    over a span is ``C * (t2 - t1)`` (a timestamp per thread), and a
-    light thread's is ``w * (I(t2) - I(t1))`` for the single running
-    integral ``I = ∫ (p - k) * C / W_light dt``. Per-thread work
-    happens only when a thread crosses the heavy/light boundary, which
-    the event loop re-derives with the same peel rule (and the same
-    ``_REL_TOL`` tolerance) as :func:`repro.core.weights.readjust` —
-    at most ``p - 1`` threads are ever heavy when more than ``p`` are
-    runnable, and *all* are when ``p`` or fewer are. The peel
-    merge-walks the (tiny, sorted) current heavy set against the top
-    of a max-weight heap holding only the light threads, so the steady
-    state — membership unchanged — costs a few comparisons and no heap
-    mutation at all.
+    The replay works by weight class, as
+    :class:`~repro.core.weights.ReadjustmentFrontier` does. §2.1 caps
+    whole classes, heaviest first, and ties never split, so at every
+    instant the capped threads are exactly those at or above one
+    weight, the *cap*. A capped thread holds one processor; the others
+    share the remaining ``p - k`` in proportion to their raw weights.
+    With ``p`` or fewer runnable threads every thread holds a
+    processor, so the cap sits below every weight.
 
-    This runs inside the ``--audit`` overhead budget, hence the
-    hand-inlined event loop (no per-event helper calls on the common
-    path).
+    Each class carries one per-thread service integral: ``C * t + off``
+    while capped, ``w * I + off`` while not, where
+    ``I = ∫ (p - k) * C / W_light dt`` is the one running integral of
+    the uncapped set. A thread's service over a span is its class's
+    integral at exit minus its value at entry, so an arrival, block or
+    exit is O(1) dict work. When the cap moves, or a class appears or
+    empties while more than ``p`` threads are runnable, one pass over
+    the ``C`` classes rewrites each offset so that the integral stays
+    continuous, restarts ``I`` at 0 and re-sums the weights. The
+    restart keeps every integral the size of a service, which is what
+    holds the result to the spec when weights differ by many orders
+    of magnitude. The cap is re-derived with the peel rule and the
+    ``_SLACK`` tolerance of :func:`repro.core.weights.readjust`, one
+    Eq. 1 test per class.
+
+    The saving needs few distinct weights, ``C`` much smaller than the
+    runnable count: the benchmark workloads and the paper's experiments
+    use at most 7 (the ``server`` and ``flows`` families 3, Fig. 3's
+    mix 7). A population in which every thread has its own weight pays
+    the O(C) = O(n) pass on each class change while more than ``p``
+    threads are runnable, where moving threads one by one through a
+    heap would pay O(log n); no workload measures that case.
+
+    :class:`FluidGMS` stays the executable specification. Driven event
+    by event over the same timeline, it agrees with this replay to
+    ``1e-9 * max(1, service)`` for every thread, with weights up to
+    twelve orders of magnitude apart (``tests/test_gms_replay.py``).
     """
     p = cpus
-    limit = p - 1  # max heavy threads when more than p are runnable
-    tol = 1.0 + _REL_TOL  # the readjust feasibility tolerance, inlined
-    weights: dict[int, float] = {}
-    heavy: dict[int, float] = {}  # tid -> span start (holds one CPU)
-    hsorted: list[tuple[float, int]] = []  # heavy as sorted (-w, tid)
-    light_enter: dict[int, float] = {}  # tid -> I_L at span start
-    service: dict[int, float] = {}
-    #: light threads only, as (-weight, tid) with lazy deletion; heavy
-    #: threads live in hsorted instead, so steady-state membership
-    #: passes never mutate the heap
-    heap: list[tuple[float, int]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
+    slack = _SLACK
     k_arrive, k_wake, k_weight = ARRIVE, WAKE, WEIGHT
     k_block, k_exit = BLOCK, EXIT
-    total = 0.0
-    light_w = 0.0  # sum of non-heavy runnable weights
-    i_light = 0.0  # ∫ (p - |heavy|) * C / light_w dt
-    now = 0.0
+    weights: dict[int, float] = {}  # runnable tid -> weight
+    enter: dict[int, float] = {}  # runnable tid -> class integral at entry
+    service: dict[int, float] = {}
+    count: dict[float, int] = {}  # class weight -> runnable members
+    off: dict[float, float] = {}  # class weight -> offset of its integral
+    classes: list[float] = []  # the class weights, ascending
+    cap = 0.0  # classes at or above this weight are capped
+    capped = 0  # runnable threads in capped classes
+    total = 0.0  # runnable weight
+    light = 0.0  # runnable weight below the cap
+    level = 0.0  # I, since the last settle
+    now = base = 0.0
+    n = 0  # runnable threads
     sentinel = (t_end, None, 0, 0.0)  # final advance, applies nothing
     if assume_sorted:
         ordered = chain(events, (sentinel,))
@@ -187,144 +203,109 @@ def replay_trace(
         ordered = sorted(events, key=lambda ev: ev[0])
         ordered.append(sentinel)
     for time, kind, tid, weight in ordered:
-        over_end = time > t_end
-        if over_end:
+        if time > t_end:
             time = t_end
+            kind = None
         # -- integrate the interval since the previous event ----------
-        dt = time - now
-        if dt > 0.0 and light_enter and light_w > 0.0:
-            # light_enter (not light_w) is the emptiness test: the
-            # incremental weight sum can retain float dust after the
-            # last light thread leaves, and integrating against dust
-            # would wreck i_light's precision for later spans.
-            i_light += (p - len(heavy)) * capacity * dt / light_w
-        now = time
-        if over_end or kind is None:
+        if time > now:
+            if capped < n:
+                level += (p - capped) * capacity * (time - now) / light
+            now = time
+            base = capacity * now
+        if kind is None:
             break
-        # -- apply the event (closing the span of the thread it hits) --
+        # -- close the span of the thread the event hits --------------
         if kind == k_arrive or kind == k_wake or kind == k_weight:
             old = weights.get(tid)
-            if old is not None:
-                t0 = heavy.pop(tid, None)
-                if t0 is not None:
-                    service[tid] += capacity * (now - t0)
-                    hsorted.remove((-old, tid))
-                else:
-                    service[tid] += old * (i_light - light_enter.pop(tid))
-                    light_w -= old
-                total -= old
-            elif kind == k_weight:
-                continue  # weight change for a non-runnable thread
-            elif tid not in service:
-                service[tid] = 0.0
-            weights[tid] = weight
-            total += weight
-            if len(weights) <= p:
-                # Readjustment equalizes every weight in this regime:
-                # the thread holds a full processor from the start, and
-                # every peer already does (the loop invariant), so the
-                # membership pass below would be a no-op — skip it.
-                heavy[tid] = now
-                insort(hsorted, (-weight, tid))
-                continue
-            # (re)open as light; the membership pass below may promote
-            light_w += weight
-            light_enter[tid] = i_light
-            heappush(heap, (-weight, tid))
+            if old is None:
+                if kind == k_weight:
+                    continue  # weight change for a non-runnable thread
+                if tid not in service:
+                    service[tid] = 0.0
+                n += 1
+            elif old == weight:
+                continue  # nothing GMS sees changes
         elif kind == k_block or kind == k_exit:
             old = weights.pop(tid, None)
             if old is None:
                 continue
-            t0 = heavy.pop(tid, None)
-            if t0 is not None:
-                service[tid] += capacity * (now - t0)
-                hsorted.remove((-old, tid))
-            else:
-                service[tid] += old * (i_light - light_enter.pop(tid))
-                light_w -= old
-            total -= old
+            n -= 1
+            weight = None  # no span to open
         else:
             continue
-        # -- re-derive the heavy set (changes only at events) ---------
-        n = len(weights)
+        reclassed = False
+        if old is not None:
+            if old >= cap:
+                service[tid] += base + off[old] - enter.pop(tid)
+                capped -= 1
+            else:
+                service[tid] += old * level + off[old] - enter.pop(tid)
+                light -= old
+            total -= old
+            members = count[old] - 1
+            if members:
+                count[old] = members
+            else:
+                del count[old], off[old]
+                del classes[bisect_left(classes, old)]
+                reclassed = True
+        # -- open the span in the thread's (new) class ----------------
+        if weight is not None:
+            weights[tid] = weight
+            total += weight
+            if weight in count:
+                count[weight] += 1
+            else:
+                count[weight] = 1
+                insort(classes, weight)
+                # a fresh class starts its integral at 0
+                off[weight] = -base if weight >= cap else -weight * level
+                reclassed = True
+            if weight >= cap:
+                enter[tid] = base + off[weight]
+                capped += 1
+            else:
+                enter[tid] = weight * level + off[weight]
+                light += weight
+        # -- re-derive the cap ----------------------------------------
         if n <= p:
-            # Readjustment equalizes every weight: each thread holds a
-            # full processor. Promote any light thread.
-            if len(heavy) != n:
-                for t2, w2 in weights.items():
-                    if t2 not in heavy:
-                        service[t2] += w2 * (i_light - light_enter.pop(t2))
-                        light_w -= w2
-                        heavy[t2] = now
-                        insort(hsorted, (-w2, t2))
-            continue
-        # Drop heap entries that are stale (weight changed / departed)
-        # or shadowed (their thread was promoted to heavy).
-        while heap:
-            negw, t2 = heap[0]
-            if weights.get(t2) != -negw or t2 in heavy:
-                heappop(heap)
+            # every thread holds a processor: nothing to settle unless
+            # some class was uncapped
+            if cap == 0.0:
+                continue
+            new_cap = 0.0
+        else:
+            # peel whole classes, heaviest first; none can violate
+            # Eq. 1 with p - 1 threads capped, so k needs no bound
+            new_cap = _INF
+            k = 0
+            s = total
+            for w in reversed(classes):
+                if w * (p - k) <= s * slack:
+                    break
+                new_cap = w
+                members = count[w]
+                k += members
+                s -= w * members
+            if new_cap == cap and not reclassed:
+                continue
+        # -- settle: keep each integral continuous across the move ----
+        total = light = 0.0
+        capped = 0
+        for w in classes:
+            members = count[w]
+            total += w * members
+            here = base + off[w] if w >= cap else w * level + off[w]
+            if w >= new_cap:
+                off[w] = here - base
+                capped += members
             else:
-                break
-        if not hsorted and (not heap or -heap[0][0] * p <= total * tol):
-            continue  # no heavy and the top weight is feasible
-        # Merge-walk the current heavy set and the heap top in
-        # (-weight, tid) order, peeling infeasible weights exactly as
-        # weights.readjust does (ties never split: if the first of two
-        # equal weights peels, so does the second). Only an actual
-        # promotion or demotion touches the heap.
-        s = total
-        k = 0
-        keep = 0  # prefix of hsorted that is (still) heavy
-        nh = len(hsorted)
-        while k < limit:
-            while heap:
-                negw, t2 = heap[0]
-                if weights.get(t2) != -negw or t2 in heavy:
-                    heappop(heap)
-                else:
-                    break
-            hcand = hsorted[keep] if keep < nh else None
-            lcand = heap[0] if heap else None
-            if hcand is not None and (lcand is None or hcand <= lcand):
-                w2 = -hcand[0]
-                if w2 * (p - k) <= s * tol:
-                    break
-                keep += 1
-            elif lcand is not None:
-                w2 = -lcand[0]
-                if w2 * (p - k) <= s * tol:
-                    break
-                # promote: a light thread became infeasible. lcand
-                # sorts between the kept prefix and hsorted[keep], so
-                # insort lands it at index `keep` and the walk resumes
-                # unperturbed. Entering `heavy` here also makes the
-                # lazy cleanup above drop any duplicate heap entry for
-                # the same tid.
-                heappop(heap)
-                t2 = lcand[1]
-                service[t2] += w2 * (i_light - light_enter.pop(t2))
-                light_w -= w2
-                heavy[t2] = now
-                insort(hsorted, lcand)
-                keep += 1
-                nh += 1
-            else:
-                break
-            s -= w2
-            k += 1
-        if keep < nh:
-            # hsorted[keep:] became feasible — demote to light
-            for entry in hsorted[keep:]:
-                negw, t2 = entry
-                service[t2] += capacity * (now - heavy.pop(t2))
-                light_enter[t2] = i_light
-                light_w -= negw
-                heappush(heap, entry)
-            del hsorted[keep:]
+                off[w] = here  # I restarts at 0
+                light += w * members
+        level = 0.0
+        cap = new_cap
     # -- settle every still-open span at t_end ------------------------
-    for tid, t0 in heavy.items():
-        service[tid] += capacity * (now - t0)
-    for tid, enter in light_enter.items():
-        service[tid] += weights[tid] * (i_light - enter)
+    for tid, w in weights.items():
+        here = base + off[w] if w >= cap else w * level + off[w]
+        service[tid] += here - enter[tid]
     return service

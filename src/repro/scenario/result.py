@@ -13,7 +13,10 @@ metrics; it is what sweep workers ship back across the process pool.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.fairness import jains_index, longest_starvation
 from repro.analysis.timeseries import cumulative_series, regular_times
@@ -24,6 +27,7 @@ from repro.sim.task import Task
 from repro.sim.tracing import Trace
 
 __all__ = [
+    "ClassTable",
     "SimulationResult",
     "summarize",
     "percentile",
@@ -43,7 +47,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of an empty sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of a non-empty, ascending sample."""
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -51,6 +59,88 @@ def percentile(values: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _censored_sojourn_of(duration: float, t: Task) -> float | None:
+    """Sojourn if completed, in-system age if not, None if never arrived."""
+    if t.arrival_time is None:
+        return None
+    if t.exit_time is not None:
+        return t.exit_time - t.arrival_time
+    return duration - t.arrival_time
+
+
+class ClassTable:
+    """The declared tasks of one run, grouped by weight class, read once.
+
+    A task's class is its name up to the first ``-`` (``"pro-00042"``
+    -> ``"pro"``), the naming of the ``server`` family. Every per-class
+    canned metric of a run reads this one table
+    (:attr:`SimulationResult.class_table`), and each part is built on
+    first use: the grouping is one pass over the tasks, and each sample
+    kind is one extraction and one sort per class. A metric that asks
+    again reads the stored part, so the p50 and p95 of one run share a
+    sort.
+
+    Values are those of a walk over ``result.tasks``: a class keeps its
+    tasks in declaration order, so its service sums in the same order,
+    and every percentile reads the same sorted samples.
+    """
+
+    def __init__(self, tasks: Mapping[str, Task], duration: float) -> None:
+        self._tasks = tasks
+        #: sample kind -> the value it extracts from a task (None: none)
+        self._extract = {
+            "sojourn": attrgetter("sojourn_time"),
+            "censored": lambda t: _censored_sojourn_of(duration, t),
+            "dispatch_latency": attrgetter("first_dispatch_latency"),
+        }
+        self._samples: dict[str, dict[str, list[float]]] = {}
+
+    @cached_property
+    def groups(self) -> dict[str, dict[str, Task]]:
+        """Tasks by name per class, classes in name order."""
+        groups: dict[str, dict[str, Task]] = {}
+        for name, task in self._tasks.items():
+            cls = name.partition("-")[0]
+            group = groups.get(cls)
+            if group is None:
+                groups[cls] = group = {}
+            group[name] = task
+        return dict(sorted(groups.items()))
+
+    def samples(self, kind: str) -> dict[str, list[float]]:
+        """Ascending samples of one kind per class, then ``"all"``.
+
+        ``kind`` is ``"sojourn"`` (completed jobs), ``"censored"``
+        (completed jobs, and in-system jobs at their age; see
+        :meth:`SimulationResult.censored_sojourns`) or
+        ``"dispatch_latency"`` (dispatched jobs). Classes without a
+        sample are left out, and so is ``"all"`` when no task has one.
+        """
+        out = self._samples.get(kind)
+        if out is None:
+            extract = self._extract[kind]
+            out = {}
+            for cls, group in self.groups.items():
+                values = [v for v in map(extract, group.values()) if v is not None]
+                if values:
+                    values.sort()
+                    out[cls] = values
+            if out:
+                out["all"] = sorted(chain.from_iterable(out.values()))
+            self._samples[kind] = out
+        return out
+
+    def service(self, prefix: str) -> float:
+        """Summed service of the tasks whose names start with ``prefix``.
+
+        ``prefix`` is a class name and its ``-`` (``"pro-"``), so only
+        that class's tasks are read. The sum equals
+        :meth:`SimulationResult.group_service`.
+        """
+        group = self.groups.get(prefix.partition("-")[0], {})
+        return sum(t.service for n, t in group.items() if n.startswith(prefix))
 
 
 class SimulationResult:
@@ -100,6 +190,11 @@ class SimulationResult:
         if self.scenario.duration is not None:
             return self.scenario.duration
         return self.machine.now
+
+    @cached_property
+    def class_table(self) -> ClassTable:
+        """The declared tasks by weight class (see :class:`ClassTable`)."""
+        return ClassTable(self.tasks, self.duration)
 
     def task(self, name: str) -> Task:
         """The :class:`Task` declared under ``name``."""
@@ -220,7 +315,7 @@ class SimulationResult:
         for name, t in self.tasks.items():
             if prefix and not name.startswith(prefix):
                 continue
-            value = _censored_sojourn_of(self, t)
+            value = _censored_sojourn_of(self.duration, t)
             if value is not None:
                 out[name] = value
         return out
@@ -322,86 +417,45 @@ def _metric_max_lag(result: SimulationResult) -> float:
     return max(report.values(), default=0.0)
 
 
-def _class_of(name: str) -> str:
-    """Weight-class prefix of a task name (``"pro-00042"`` -> ``"pro"``)."""
-    return name.split("-", 1)[0]
-
-
-def _percentile_by_class(
-    result: SimulationResult,
-    extract: Callable[[Task], float | None],
-    q: float,
+def _class_percentiles(
+    result: SimulationResult, kind: str, q: float
 ) -> dict[str, float]:
-    """q-th percentile of ``extract(task)`` per weight-class prefix.
+    """q-th percentile of one sample kind per weight-class prefix.
 
-    Tasks for which ``extract`` returns None (e.g. jobs still in the
-    system have no sojourn) are skipped; classes with no samples are
-    omitted, an ``"all"`` key aggregates over every sampled task, and
-    the dict is empty when nothing was sampled (an all-``Inf``
-    population). Flat and picklable — sweep workers ship it back
-    as-is.
+    Reads :meth:`ClassTable.samples`: tasks without a sample (e.g. jobs
+    still in the system have no sojourn) are skipped, classes with no
+    samples are omitted, an ``"all"`` key aggregates over every sampled
+    task, and the dict is empty when nothing was sampled (an all-``Inf``
+    population). Flat and picklable — sweep workers ship it back as-is.
     """
-    by_class: dict[str, list[float]] = {}
-    everything: list[float] = []
-    for name, t in result.tasks.items():
-        value = extract(t)
-        if value is None:
-            continue
-        by_class.setdefault(_class_of(name), []).append(value)
-        everything.append(value)
-    out = {
-        cls: percentile(vals, q) for cls, vals in sorted(by_class.items())
+    return {
+        cls: _ranked(values, q)
+        for cls, values in result.class_table.samples(kind).items()
     }
-    if everything:
-        out["all"] = percentile(everything, q)
-    return out
-
-
-def _censored_sojourn_of(
-    result: SimulationResult, t: Task
-) -> float | None:
-    """Sojourn if completed, in-system age if not, None if never arrived."""
-    if t.arrival_time is None:
-        return None
-    if t.exit_time is not None:
-        return t.exit_time - t.arrival_time
-    return result.duration - t.arrival_time
-
-
-def _censored_percentile(result: SimulationResult, q: float) -> dict[str, float]:
-    """Censored sojourn percentile by class (see ``censored_sojourns``).
-
-    Completed jobs report true sojourns; in-system jobs report their
-    age as a lower bound, so under overload these percentiles can't be
-    flattered by truncation the way the completed-only ones are.
-    """
-    return _percentile_by_class(result, lambda t: _censored_sojourn_of(result, t), q)
 
 
 @METRICS.register("sojourn_p50")
 def _metric_sojourn_p50(result: SimulationResult) -> dict[str, float]:
     """Median sojourn time of completed jobs, by class."""
-    return _percentile_by_class(result, lambda t: t.sojourn_time, 50.0)
+    return _class_percentiles(result, "sojourn", 50.0)
 
 
 @METRICS.register("sojourn_p95")
 def _metric_sojourn_p95(result: SimulationResult) -> dict[str, float]:
     """95th-percentile sojourn time of completed jobs, by class."""
-    return _percentile_by_class(result, lambda t: t.sojourn_time, 95.0)
+    return _class_percentiles(result, "sojourn", 95.0)
 
 
 @METRICS.register("sojourn_p99")
 def _metric_sojourn_p99(result: SimulationResult) -> dict[str, float]:
     """99th-percentile sojourn time of completed jobs, by class."""
-    return _percentile_by_class(result, lambda t: t.sojourn_time, 99.0)
+    return _class_percentiles(result, "sojourn", 99.0)
 
 
 @METRICS.register("dispatch_latency_p95")
 def _metric_dispatch_latency_p95(result: SimulationResult) -> dict[str, float]:
     """p95 arrival-to-first-CPU delay per weight-class prefix + ``"all"``."""
-    return _percentile_by_class(
-        result, lambda t: t.first_dispatch_latency, 95.0
-    )
+    return _class_percentiles(result, "dispatch_latency", 95.0)
 
 
 @METRICS.register("completed")
@@ -413,19 +467,19 @@ def _metric_completed(result: SimulationResult) -> int:
 @METRICS.register("sojourn_p50_censored")
 def _metric_sojourn_p50_censored(result: SimulationResult) -> dict[str, float]:
     """Median sojourn by class, counting in-system jobs at their age."""
-    return _censored_percentile(result, 50.0)
+    return _class_percentiles(result, "censored", 50.0)
 
 
 @METRICS.register("sojourn_p95_censored")
 def _metric_sojourn_p95_censored(result: SimulationResult) -> dict[str, float]:
     """95th-percentile sojourn by class, counting in-system jobs at their age."""
-    return _censored_percentile(result, 95.0)
+    return _class_percentiles(result, "censored", 95.0)
 
 
 @METRICS.register("sojourn_p99_censored")
 def _metric_sojourn_p99_censored(result: SimulationResult) -> dict[str, float]:
     """99th-percentile sojourn by class, counting in-system jobs at their age."""
-    return _censored_percentile(result, 99.0)
+    return _class_percentiles(result, "censored", 99.0)
 
 
 @METRICS.register("in_system")

@@ -179,7 +179,10 @@ def class_shares(
     idle padding ``drain_factor`` appends after the backlog clears.
     The old behaviour — dividing by capacity over the *full* duration,
     which shrinks every share as ``drain_factor`` grows — is available
-    as ``window="full"``.
+    as ``window="full"``. A window that ends at 0 offered no capacity
+    and delivered no service, so every share is 0.0. Each class's
+    service is summed once, over that class's tasks in the run's
+    :attr:`~repro.scenario.result.SimulationResult.class_table`.
     """
     if window == "busy":
         end = busy_window_end(result)
@@ -190,7 +193,10 @@ def class_shares(
             f"window must be 'busy' or 'full', got {window!r}"
         )
     capacity = result.capacity(0.0, end)
+    if capacity <= 0.0:
+        return {name: 0.0 for name, _, _ in weight_classes}
+    table = result.class_table
     return {
-        name: result.group_service(f"{name}-") / capacity
+        name: table.service(f"{name}-") / capacity
         for name, _, _ in weight_classes
     }

@@ -26,10 +26,12 @@ WEIGHT = "weight"
 
 
 # Both history records are NamedTuples rather than frozen dataclasses
-# on purpose: a long recorded run holds hundreds of thousands of them,
-# and CPython's cycle collector untracks tuples of atomic values after
-# their first scan, where dataclass instances are re-scanned on every
-# collection for the lifetime of the trace.
+# because a long recorded run holds hundreds of thousands of them and a
+# tuple carries no per-instance dict. The cycle collector still tracks
+# every one: it untracks only exact tuples of atomic values, not
+# instances of a tuple subclass. That is why the timeline itself is
+# stored as flat columns, and consumers that only read it call
+# :meth:`Trace.event_tuples` instead of :attr:`Trace.events`.
 
 
 class TraceEvent(NamedTuple):

@@ -3,7 +3,7 @@
 
 import pytest
 
-from tests.conftest import add_inf
+from tests.conftest import add_finite, add_inf
 from repro.analysis.charts import bar_chart, line_chart, sparkline
 from repro.analysis.csvout import write_rows, write_series
 from repro.analysis.fairness import (
@@ -20,9 +20,11 @@ from repro.analysis.timeseries import (
     regular_times,
     window,
 )
+from repro.core.gms import replay_trace
 from repro.core.sfs import SurplusFairScheduler
 from repro.schedulers.sfq import StartTimeFairScheduler
 from repro.sim.machine import Machine
+from repro.sim.tracing import Trace
 
 
 class TestFairness:
@@ -42,6 +44,25 @@ class TestFairness:
         dev = gms_deviation(m)
         for task in tasks:
             assert abs(dev[task.tid]) < 0.5  # within a few quanta
+
+    def test_gms_deviation_streams_the_recorded_timeline(self, monkeypatch):
+        # The deviation replays the columnar timeline as it is stored:
+        # it must equal a replay of the materialized records without
+        # building one TraceEvent.
+        m = Machine(SurplusFairScheduler(), cpus=2, quantum=0.1)
+        for w in (1, 2, 3):
+            add_inf(m, w, f"w{w}")
+        add_finite(m, 0.5, 4, "job", at=1.0)
+        m.run_until(10.0)
+
+        def refuse(self):
+            raise AssertionError("the trace was materialized")
+
+        monkeypatch.setattr(Trace, "events", property(refuse))
+        got = gms_deviation(m)
+        monkeypatch.undo()
+        ideal = replay_trace(m.trace.events, m.num_cpus, m.now)
+        assert got == {t.tid: t.service - ideal.get(t.tid, 0.0) for t in m.tasks}
 
     def test_gms_deviation_large_for_starving_sfq(self):
         # Example 1: plain SFQ deviates from GMS by ~the starved time.

@@ -409,7 +409,7 @@ class TestWindow:
 # ----------------------------------------------------------------------
 
 
-class TestChunkedCheckpoint:
+class TestCheckpointResume:
     """A JSONL checkpoint at any worker count: resume, heal and reject."""
 
     def test_kill_mid_grid_then_resume_skips_completed(

@@ -130,10 +130,10 @@ class TestReplay:
             assert t.service == pytest.approx(ideal[t.tid], abs=0.8)
 
     def test_replay_matches_fluid_gms_spec(self):
-        # replay_trace is an incremental reformulation of driving
-        # FluidGMS event by event; the two must agree to float
-        # rounding on a timeline with churn, weight changes, and an
-        # infeasible stretch (weight 50 on 2 CPUs pins a processor).
+        # replay_trace integrates by weight class what FluidGMS
+        # recomputes event by event; the two must agree to 1e-9 on a
+        # timeline with churn, weight changes, and an infeasible
+        # stretch (weight 50 on 2 CPUs pins a processor).
         events = [
             TraceEvent(0.0, "arrive", 1, 1.0),
             TraceEvent(0.5, "arrive", 2, 3.0),

@@ -9,8 +9,10 @@ from repro.scenario import (
     Compute,
     Scenario,
     Sweep,
+    busy_window_end,
     percentile,
     run_scenario,
+    server_scenario,
     task,
 )
 
@@ -214,3 +216,86 @@ class TestCannedMetrics:
             assert cell.metrics["completed"] == 2
             assert cell.metrics["sojourn_p95"]["all"] > 0
             assert cell.wall_s > 0
+
+
+class TestClassTable:
+    """Every per-class metric reads one table, with a walk's values."""
+
+    CLASS_METRICS = (
+        "sojourn_p50",
+        "sojourn_p95",
+        "sojourn_p99",
+        "sojourn_p50_censored",
+        "sojourn_p95_censored",
+        "sojourn_p99_censored",
+        "dispatch_latency_p95",
+        "completed",
+        "in_system",
+        "class_shares",
+    )
+
+    def _overloaded_server(self):
+        # Load 1.5 and no drain: many jobs are still in the system, so
+        # completed and censored samples differ.
+        scn = server_scenario(300, cpus=2, seed=17, load=1.5, drain_factor=1.0)
+        return run_scenario(scn.with_(metrics=self.CLASS_METRICS))
+
+    def test_metrics_equal_a_walk_over_the_tasks(self):
+        result = self._overloaded_server()
+        got = result.metrics
+        assert 0 < got["completed"] < len(result.tasks)
+        assert got["in_system"] == result.in_system() > 0
+        walks = {
+            "sojourn": result.sojourns,
+            "censored": result.censored_sojourns,
+            "dispatch_latency": result.first_dispatch_latencies,
+        }
+        for q in (50, 95, 99):
+            for name, walk in (
+                (f"sojourn_p{q}", walks["sojourn"]),
+                (f"sojourn_p{q}_censored", walks["censored"]),
+            ):
+                assert got[name]["all"] == percentile(list(walk().values()), q)
+                for cls in ("std", "pro", "ent"):
+                    want = percentile(list(walk(f"{cls}-").values()), q)
+                    assert got[name][cls] == want
+        latency = walks["dispatch_latency"]
+        assert got["dispatch_latency_p95"]["all"] == percentile(
+            list(latency().values()), 95
+        )
+        capacity = result.capacity(0.0, busy_window_end(result))
+        assert got["class_shares"] == {
+            cls: result.group_service(f"{cls}-") / capacity
+            for cls in ("std", "pro", "ent")
+        }
+
+    def test_one_table_per_result(self):
+        result = self._overloaded_server()
+        table = result.class_table
+        assert result.class_table is table
+        assert table.samples("sojourn") is table.samples("sojourn")
+        assert table.samples("sojourn") is not table.samples("censored")
+
+    def test_a_class_named_like_a_task_or_all(self):
+        # "std" (no dash) joins class "std" for percentiles but does
+        # not start with "std-", so it stays out of the std share; a
+        # class named "all" is overwritten by the aggregate.
+        scn = Scenario(
+            name="odd-names",
+            cpus=1,
+            duration=4.0,
+            tasks=(
+                task("std", behavior=Compute(0.25)),
+                task("std-1", behavior=Compute(0.5)),
+                task("all-1", behavior=Compute(0.75)),
+            ),
+            metrics=("sojourn_p50", "class_shares"),
+        )
+        result = run_scenario(scn)
+        p50 = result.metrics["sojourn_p50"]
+        assert list(p50) == ["all", "std"]
+        assert p50["all"] == percentile(list(result.sojourns().values()), 50)
+        assert p50["std"] == percentile(list(result.sojourns("std").values()), 50)
+        capacity = result.capacity(0.0, busy_window_end(result))
+        share = result.metrics["class_shares"]["std"]
+        assert share == result.task("std-1").service / capacity

@@ -12,7 +12,10 @@ import pytest
 from repro.exec import run_sweep
 from repro.scenario import (
     SERVER_WEIGHT_CLASSES,
+    Compute,
+    Scenario,
     Sweep,
+    TaskSpec,
     class_shares,
     run_scenario,
     server_scenario,
@@ -212,6 +215,27 @@ class TestFairnessShape:
         # window is the whole run and both windows agree.
         assert busy_window_end(result) == result.duration
         assert class_shares(result) == class_shares(result, window="full")
+
+    def test_class_shares_of_an_empty_busy_window_are_zero(self):
+        # Every job needs no CPU and arrives at 0, so the last one
+        # completes at 0: the busy window offers no capacity and no
+        # service was delivered.
+        scn = Scenario(
+            name="instant",
+            duration=1.0,
+            tasks=tuple(
+                TaskSpec(f"{cls}-{i}", weight, Compute(0.0))
+                for cls, weight, _ in SERVER_WEIGHT_CLASSES
+                for i in range(2)
+            ),
+            metrics=("class_shares",),
+        )
+        result = run_scenario(scn)
+        assert result.metrics["class_shares"] == {
+            "std": 0.0,
+            "pro": 0.0,
+            "ent": 0.0,
+        }
 
     def test_unknown_window_rejected(self):
         result = run_scenario(server_scenario(10, seed=3))
