@@ -490,14 +490,16 @@ def _metric_in_system(result: SimulationResult) -> int:
 
 @METRICS.register("class_shares")
 def _metric_class_shares(result: SimulationResult) -> dict[str, float]:
-    """Busy-window machine share per server weight class (std/pro/ent).
+    """Busy-window machine share per weight class of the run's tasks.
 
-    Flat and picklable, so pool workers can ship it back for the
-    ``server`` CLI and the scale bench without returning the tasks.
+    The classes are those of :attr:`SimulationResult.class_table`, in
+    name order, as for the sojourn metrics. Flat and picklable, so pool
+    workers can ship it back for the ``server`` CLI and the scale bench
+    without returning the tasks.
     """
     from repro.scenario.server import class_shares
 
-    return class_shares(result)
+    return class_shares(result, weight_classes=None)
 
 
 @METRICS.register("driver_shares")

@@ -174,15 +174,22 @@ def class_shares(
 ) -> dict[str, float]:
     """Aggregate machine share per weight class of a finished run.
 
+    ``weight_classes`` names the classes as ``(name, weight, share)``
+    triples; ``None`` reports the classes of the run's
+    :attr:`~repro.scenario.result.SimulationResult.class_table`
+    instead, in name order, as the ``class_shares`` canned metric does.
+    A class's service is that of its tasks named ``"<name>-..."``,
+    summed once over that class's tasks in the table, so ``None``
+    leaves out a class whose only task is named ``"<name>"`` itself
+    (``editor`` beside ``batch-1``...).
+
     ``window="busy"`` (default) normalizes by capacity up to the last
     job completion, so the reported shares are invariant to how much
     idle padding ``drain_factor`` appends after the backlog clears.
     The old behaviour — dividing by capacity over the *full* duration,
     which shrinks every share as ``drain_factor`` grows — is available
     as ``window="full"``. A window that ends at 0 offered no capacity
-    and delivered no service, so every share is 0.0. Each class's
-    service is summed once, over that class's tasks in the run's
-    :attr:`~repro.scenario.result.SimulationResult.class_table`.
+    and delivered no service, so every share is 0.0.
     """
     if window == "busy":
         end = busy_window_end(result)
@@ -192,11 +199,15 @@ def class_shares(
         raise ValueError(
             f"window must be 'busy' or 'full', got {window!r}"
         )
+    table = result.class_table
+    if weight_classes is None:
+        names = [
+            cls for cls, group in table.groups.items()
+            if any(name != cls for name in group)
+        ]
+    else:
+        names = [name for name, _, _ in weight_classes]
     capacity = result.capacity(0.0, end)
     if capacity <= 0.0:
-        return {name: 0.0 for name, _, _ in weight_classes}
-    table = result.class_table
-    return {
-        name: table.service(f"{name}-") / capacity
-        for name, _, _ in weight_classes
-    }
+        return dict.fromkeys(names, 0.0)
+    return {name: table.service(f"{name}-") / capacity for name in names}

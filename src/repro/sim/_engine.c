@@ -3,9 +3,11 @@
  * This module is the optional C twin of repro/sim/engine.py: an
  * ``Engine`` type implementing the same calendar-queue event loop
  * (one bucket per exact timestamp, a C double min-heap over the
- * distinct times, whole-bucket batch dispatch) and the same loaded
- * run of build-time events beside it (a C double array of times and a
- * list of arguments, merged with the queue in engine_queue_bound).
+ * distinct times, whole-bucket batch dispatch), the same loaded run
+ * of build-time events beside it (a C double array of times and a list
+ * of arguments) and the same timer slots (a C array of (time, seq,
+ * callback) entries, one per processor), all merged with the queue in
+ * engine_queue_bound.
  *
  * Behavioural contract: bit-for-bit identical event order and
  * arithmetic versus the pure-Python implementations. Every float
@@ -55,6 +57,15 @@ typedef struct {
 
 static PyTypeObject Handle_Type; /* forward */
 
+/* A timer slot: fn(*args) fires at (time, seq); seq is -1 while the
+ * slot is disarmed. */
+typedef struct {
+    double time;
+    long long seq;
+    PyObject *fn;
+    PyObject *args;    /* always a tuple */
+} Slot;
+
 typedef struct {
     PyObject_HEAD
     double now;
@@ -75,6 +86,15 @@ typedef struct {
     PyObject *loaded_fn;
     Py_ssize_t loaded_pos;
     Py_ssize_t loaded_len;
+    Slot *slots;
+    Py_ssize_t nslots;
+    Py_ssize_t slots_cap;
+    Py_ssize_t armed;
+    /* the earliest armed slot by (time, seq); -1 and NaN (which compares
+     * false with everything) while none is armed */
+    Py_ssize_t first;
+    double first_time;
+    long long first_seq;
 } EngineObject;
 
 static PyTypeObject Engine_Type; /* forward */
@@ -283,6 +303,13 @@ Engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->loaded_fn = NULL;
     self->loaded_pos = 0;
     self->loaded_len = 0;
+    self->slots = NULL;
+    self->nslots = 0;
+    self->slots_cap = 0;
+    self->armed = 0;
+    self->first = -1;
+    self->first_time = NAN;
+    self->first_seq = -1;
     return (PyObject *)self;
 }
 
@@ -294,8 +321,13 @@ Engine_dealloc(EngineObject *self)
     Py_XDECREF(self->head);
     Py_XDECREF(self->loaded_args);
     Py_XDECREF(self->loaded_fn);
+    for (Py_ssize_t i = 0; i < self->nslots; i++) {
+        Py_XDECREF(self->slots[i].fn);
+        Py_XDECREF(self->slots[i].args);
+    }
     PyMem_Free(self->times);
     PyMem_Free(self->loaded_times);
+    PyMem_Free(self->slots);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -306,6 +338,10 @@ Engine_traverse(EngineObject *self, visitproc visit, void *arg)
     Py_VISIT(self->head);
     Py_VISIT(self->loaded_args);
     Py_VISIT(self->loaded_fn);
+    for (Py_ssize_t i = 0; i < self->nslots; i++) {
+        Py_VISIT(self->slots[i].fn);
+        Py_VISIT(self->slots[i].args);
+    }
     return 0;
 }
 
@@ -317,6 +353,14 @@ Engine_clear_gc(EngineObject *self)
     Py_CLEAR(self->loaded_args);
     Py_CLEAR(self->loaded_fn);
     self->loaded_pos = self->loaded_len = 0;
+    for (Py_ssize_t i = 0; i < self->nslots; i++) {
+        Py_CLEAR(self->slots[i].fn);
+        Py_CLEAR(self->slots[i].args);
+    }
+    self->nslots = 0;
+    self->armed = 0;
+    self->first = -1;
+    self->first_time = NAN;
     return 0;
 }
 
@@ -439,6 +483,191 @@ Engine_schedule_after(EngineObject *self, PyObject *args)
     return engine_schedule_common(self, self->now + delay, args, 2);
 }
 
+/* ------------------------------------------------------------------ */
+/* Engine: timer slots                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Point the merge at the earliest armed slot, by (time, seq). */
+static void
+engine_find_first_slot(EngineObject *self)
+{
+    Py_ssize_t first = -1;
+    double first_time = NAN;
+    long long first_seq = -1;
+    for (Py_ssize_t i = 0; i < self->nslots; i++) {
+        Slot *s = &self->slots[i];
+        if (s->seq < 0)
+            continue;
+        if (first < 0 || s->time < first_time ||
+            (s->time == first_time && s->seq < first_seq)) {
+            first = i;
+            first_time = s->time;
+            first_seq = s->seq;
+        }
+    }
+    self->first = first;
+    self->first_time = first_time;
+    self->first_seq = first_seq;
+}
+
+/* Disarm the armed slot `i` and find the earliest slot left. */
+static void
+engine_clear_slot(EngineObject *self, Py_ssize_t i)
+{
+    self->slots[i].seq = -1;
+    self->live--;
+    if (--self->armed == 0) {
+        self->first = -1;
+        self->first_time = NAN;
+    }
+    else if (i == self->first) {
+        engine_find_first_slot(self);
+    }
+}
+
+static int
+engine_check_slot(EngineObject *self, Py_ssize_t slot)
+{
+    if (slot < 0 || slot >= self->nslots) {
+        PyErr_Format(PyExc_ValueError, "no timer slot %zd", slot);
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(add_slot_doc,
+"add_slot(fn, *args) -> int\n\n"
+"Add a disarmed timer slot that calls fn(*args); return its index. A\n"
+"slot holds at most one pending firing. Firing disarms it, so the\n"
+"callback re-arms it if it wants another.");
+
+static PyObject *
+Engine_add_slot(EngineObject *self, PyObject *args)
+{
+    if (PyTuple_GET_SIZE(args) < 1) {
+        PyErr_SetString(PyExc_TypeError, "add_slot() requires (fn, *args)");
+        return NULL;
+    }
+    if (self->nslots == self->slots_cap) {
+        Py_ssize_t cap = self->slots_cap ? self->slots_cap * 2 : 4;
+        Slot *grown = PyMem_Realloc(self->slots, cap * sizeof(Slot));
+        if (grown == NULL)
+            return PyErr_NoMemory();
+        self->slots = grown;
+        self->slots_cap = cap;
+    }
+    PyObject *rest = PyTuple_GetSlice(args, 1, PyTuple_GET_SIZE(args));
+    if (rest == NULL)
+        return NULL;
+    Slot *s = &self->slots[self->nslots];
+    s->time = NAN;
+    s->seq = -1;
+    s->fn = Py_NewRef(PyTuple_GET_ITEM(args, 0));
+    s->args = rest; /* stolen */
+    return PyLong_FromSsize_t(self->nslots++);
+}
+
+PyDoc_STRVAR(reserve_doc,
+"reserve(count) -> int\n\n"
+"Reserve `count` consecutive seqs for arm(); return the first. A\n"
+"reserved seq orders a later arm among the events scheduled around the\n"
+"reservation, as if it had been scheduled then.");
+
+static PyObject *
+Engine_reserve(EngineObject *self, PyObject *arg)
+{
+    PyObject *index = PyNumber_Index(arg);
+    if (index == NULL)
+        return NULL;
+    long long count = PyLong_AsLongLong(index);
+    if (count == -1 && PyErr_Occurred()) {
+        Py_DECREF(index);
+        return NULL;
+    }
+    if (count < 1) {
+        PyErr_Format(PyExc_ValueError, "count must be >= 1, got %R", index);
+        Py_DECREF(index);
+        return NULL;
+    }
+    Py_DECREF(index);
+    long long seq = self->seq;
+    self->seq = seq + count;
+    return PyLong_FromLongLong(seq);
+}
+
+PyDoc_STRVAR(arm_doc,
+"arm(slot, when, seq)\n\n"
+"Set timer slot `slot` to fire at (when, seq), replacing its pending\n"
+"firing, if any. `seq` must have been reserved; against the queue the\n"
+"slot fires in (time, seq) order, and the loaded run wins every tie.\n"
+"Raises ValueError if `when` is in the past (or NaN), as schedule_at\n"
+"does, or if the slot or seq does not exist.");
+
+static PyObject *
+Engine_arm(EngineObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "arm() takes exactly 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    Py_ssize_t slot = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (slot == -1 && PyErr_Occurred())
+        return NULL;
+    double when = PyFloat_AsDouble(args[1]);
+    if (when == -1.0 && PyErr_Occurred())
+        return NULL;
+    long long seq = PyLong_AsLongLong(args[2]);
+    if (seq == -1 && PyErr_Occurred())
+        return NULL;
+    if (!(when >= self->now)) {
+        raise_with_two_doubles(PyExc_ValueError,
+                               "cannot schedule event in the past: "
+                               "%R < now %R", when, self->now);
+        return NULL;
+    }
+    if (engine_check_slot(self, slot) < 0)
+        return NULL;
+    if (seq < 0 || seq >= self->seq) {
+        PyErr_Format(PyExc_ValueError, "seq %lld was never reserved", seq);
+        return NULL;
+    }
+    Slot *s = &self->slots[slot];
+    if (s->seq < 0) {
+        self->armed++;
+        self->live++;
+    }
+    s->time = when;
+    s->seq = seq;
+    if (self->first < 0 || when < self->first_time ||
+        (when == self->first_time && seq < self->first_seq)) {
+        self->first = slot;
+        self->first_time = when;
+        self->first_seq = seq;
+    }
+    else if (self->first == slot) { /* the earliest slot moved later */
+        engine_find_first_slot(self);
+    }
+    Py_RETURN_NONE;
+}
+
+PyDoc_STRVAR(disarm_doc,
+"disarm(slot)\n\n"
+"Cancel timer slot `slot`'s pending firing (no-op if it has none).");
+
+static PyObject *
+Engine_disarm(EngineObject *self, PyObject *arg)
+{
+    Py_ssize_t slot = PyNumber_AsSsize_t(arg, PyExc_OverflowError);
+    if (slot == -1 && PyErr_Occurred())
+        return NULL;
+    if (engine_check_slot(self, slot) < 0)
+        return NULL;
+    if (self->slots[slot].seq >= 0)
+        engine_clear_slot(self, slot);
+    Py_RETURN_NONE;
+}
+
 PyDoc_STRVAR(load_sorted_doc,
 "load_sorted(times, fn, args)\n\n"
 "Schedule fn(args[i]) at times[i] for every i, at once. The run must be\n"
@@ -522,20 +751,48 @@ fail:
     return NULL;
 }
 
-/* How far the queue may fire before the loaded run's next entry:
- * `bound` itself when no loaded entry is due by then, else the double
- * just below that entry's time, so the queue gives up every tie to it
- * (its seq is lower than anything queued). Below `bound` exactly when
- * a loaded entry is due. The one place the two sources merge. */
+/* How far the queue may fire before the loaded run and the slots: the
+ * double just below the loaded run's next entry when that entry is due
+ * by `bound` and no later than the earliest slot, since it wins every
+ * tie. Else the earliest slot's time when that slot is due: the queue
+ * fires up to it, and a queued event at that very time goes before or
+ * after the slot by seq, as the fire loops check. Else `bound`. So the
+ * result equals first_time exactly when the earliest slot is due, and
+ * is otherwise below `bound` exactly when a loaded entry is due. The
+ * one place the three sources merge. */
 static double
 engine_queue_bound(EngineObject *self, double bound)
 {
+    double slot_time = self->first_time;
     if (self->loaded_pos < self->loaded_len) {
         double next = self->loaded_times[self->loaded_pos];
-        if (next <= bound)
+        if (next <= bound && !(next > slot_time))
             return nextafter(next, -INFINITY);
     }
+    if (slot_time <= bound)
+        return slot_time;
     return bound;
+}
+
+/* Fire the earliest armed slot, disarming it first. Returns 0, or -1
+ * on exception. */
+static int
+engine_fire_slot(EngineObject *self)
+{
+    Py_ssize_t i = self->first;
+    self->now = self->first_time;
+    self->fired++;
+    /* the callback may re-arm the slot or add slots, moving the array */
+    PyObject *fn = Py_NewRef(self->slots[i].fn);
+    PyObject *args = Py_NewRef(self->slots[i].args);
+    engine_clear_slot(self, i);
+    PyObject *res = PyObject_Call(fn, args, NULL);
+    Py_DECREF(args);
+    Py_DECREF(fn);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
 }
 
 /* Fire the loaded run's next entry. Returns 0, or -1 on exception. */
@@ -610,25 +867,32 @@ engine_next_batch(EngineObject *self, double bound)
 }
 
 /* Fire every event with time <= bound, batch by batch, and the loaded
- * run's entries in between. On a callback exception the unfired tail
- * of the current batch becomes the new head bucket, so the queue looks
- * as if those events were never popped. */
+ * run's entries and slot firings in between. On a callback exception
+ * the unfired tail of the current batch becomes the new head bucket,
+ * so the queue looks as if those events were never popped; a slot
+ * armed for the batch's own time with a lower seq than the next handle
+ * fires before it, with the rest of the batch left as the head. */
 static int
 engine_drain(EngineObject *self, double bound)
 {
-    double qbound = engine_queue_bound(self, bound);
     for (;;) {
+        double qbound = engine_queue_bound(self, bound);
         PyObject *batch = engine_next_batch(self, qbound);
         if (batch == NULL) {
             if (PyErr_Occurred())
                 return -1;
-            if (qbound == bound)
+            /* nothing queued up to the bound: the due slot, the due
+             * loaded entry, or the end */
+            if (qbound == self->first_time) {
+                if (engine_fire_slot(self) < 0)
+                    return -1;
+            }
+            else if (qbound == bound) {
                 return 0;
-            /* nothing queued before the loaded run's next entry, which
-             * is due: fire it, then look for the one after */
-            if (engine_fire_loaded(self) < 0)
+            }
+            else if (engine_fire_loaded(self) < 0) {
                 return -1;
-            qbound = engine_queue_bound(self, bound);
+            }
             continue;
         }
         Py_ssize_t n = PyList_GET_SIZE(batch);
@@ -644,11 +908,18 @@ engine_drain(EngineObject *self, double bound)
             Py_DECREF(batch);
             continue;
         }
-        self->now = ((HandleObject *)PyList_GET_ITEM(batch, 0))->time;
+        double now = ((HandleObject *)PyList_GET_ITEM(batch, 0))->time;
+        self->now = now;
         for (i = 0; i < n; i++) {
             HandleObject *h = (HandleObject *)PyList_GET_ITEM(batch, i);
             if (h->cancelled)
                 continue;
+            if (now == self->first_time && self->first_seq < h->seq) {
+                self->head = batch; /* steal our batch reference */
+                self->head_pos = i;
+                self->head_time = now;
+                break;
+            }
             /* Counters move before the callback runs, exactly as in
              * step(): a callback reading `pending` or `events_fired`
              * must see the same values on either code path. */
@@ -669,7 +940,13 @@ engine_drain(EngineObject *self, double bound)
             }
             Py_DECREF(res);
         }
-        Py_DECREF(batch);
+        if (i < n) { /* the slot goes before the rest of the batch */
+            if (engine_fire_slot(self) < 0)
+                return -1;
+        }
+        else {
+            Py_DECREF(batch);
+        }
     }
 }
 
@@ -682,6 +959,8 @@ engine_step_inner(EngineObject *self)
     for (;;) {
         if (self->head == NULL) {
             if (self->times_len == 0 || self->times[0] > bound) {
+                if (bound == self->first_time)
+                    return engine_fire_slot(self) < 0 ? -1 : 1;
                 if (bound == INFINITY)
                     return 0;
                 return engine_fire_loaded(self) < 0 ? -1 : 1;
@@ -715,9 +994,15 @@ engine_step_inner(EngineObject *self)
         Py_ssize_t pos = self->head_pos;
         while (pos < size) {
             HandleObject *h = (HandleObject *)PyList_GET_ITEM(head, pos);
-            pos++;
-            if (h->cancelled)
+            if (h->cancelled) {
+                pos++;
                 continue;
+            }
+            if (h->time == self->first_time && self->first_seq < h->seq) {
+                self->head_pos = pos; /* the slot goes first */
+                return engine_fire_slot(self) < 0 ? -1 : 1;
+            }
+            pos++;
             Py_INCREF(h); /* keep h alive if we drop the head list */
             if (pos == size)
                 Py_CLEAR(self->head);
@@ -779,7 +1064,7 @@ Engine_run_until(EngineObject *self, PyObject *arg)
 
 PyDoc_STRVAR(run_doc,
 "run(max_events=None) -> int\n\n"
-"Run until the event queue is empty. `max_events` bounds the number of\n"
+"Run until nothing is pending. `max_events` bounds the number of\n"
 "events fired (a safety valve for workloads that regenerate events\n"
 "forever). Returns the number of events fired by this call.");
 
@@ -833,9 +1118,10 @@ static PyGetSetDef Engine_getset[] = {
     {"now", (getter)Engine_get_now, NULL,
      "Current simulation time in seconds.", NULL},
     {"events_fired", (getter)Engine_get_events_fired, NULL,
-     "Number of events processed so far (instrumentation).", NULL},
+     "Number of events processed so far, slot firings included.", NULL},
     {"pending", (getter)Engine_get_pending, NULL,
-     "Number of not-yet-fired, not-cancelled events - O(1).", NULL},
+     "Number of not-yet-fired, not-cancelled events - O(1). An armed "
+     "timer slot counts once.", NULL},
     {NULL}
 };
 
@@ -846,6 +1132,10 @@ static PyMethodDef Engine_methods[] = {
      schedule_after_doc},
     {"load_sorted", (PyCFunction)Engine_load_sorted, METH_VARARGS,
      load_sorted_doc},
+    {"add_slot", (PyCFunction)Engine_add_slot, METH_VARARGS, add_slot_doc},
+    {"reserve", (PyCFunction)Engine_reserve, METH_O, reserve_doc},
+    {"arm", (PyCFunction)(void (*)(void))Engine_arm, METH_FASTCALL, arm_doc},
+    {"disarm", (PyCFunction)Engine_disarm, METH_O, disarm_doc},
     {"step", (PyCFunction)Engine_step, METH_NOARGS, step_doc},
     {"run_until", (PyCFunction)Engine_run_until, METH_O, run_until_doc},
     {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS, run_doc},

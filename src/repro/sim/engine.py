@@ -7,14 +7,19 @@ keeps every simulation in this repository bit-for-bit reproducible.
 The engine knows nothing about CPUs or schedulers; the machine layer
 (:mod:`repro.sim.machine`) builds on top of it.
 
-Events live in one of two ordered sources. Everything scheduled with
+Events live in one of three ordered sources. Everything scheduled with
 :meth:`PyEngine.schedule_at` (or ``schedule_after``) gets an
 :class:`EventHandle` in the calendar queue. A build-time population of
 arrivals, known and sorted before the run, is handed over once with
 :meth:`PyEngine.load_sorted`: a cursor over plain parallel lists, with
 no handle per entry. Its seqs are reserved at the load, before any
-other event exists, so at equal times the cursor fires ahead of the
-queue; ``_queue_bound`` is the one place the two sources merge.
+other event exists, so the cursor wins every tie. And each timer slot
+(:meth:`PyEngine.add_slot`) holds at most one pending firing, armed
+with :meth:`PyEngine.arm` at a seq reserved earlier with
+:meth:`PyEngine.reserve`: one processor's next timer, re-armed in place
+instead of pushed, cancelled and popped as a handle. ``_queue_bound``
+is the one place the sources merge; a slot and a queued event at the
+same time fire in seq order.
 
 Two engine implementations share this contract:
 
@@ -39,7 +44,8 @@ see which path is live.
 from __future__ import annotations
 
 import os
-from math import inf, nextafter
+from math import inf, nan, nextafter
+from operator import index
 from typing import Any, Callable, Sequence
 
 from repro.sim.eventq import CalendarEventQueue
@@ -97,6 +103,18 @@ class PyEngine:
         self._loaded_args: list = []
         self._loaded_fn: Callable[[Any], Any] | None = None
         self._loaded_pos = 0
+        # timer slot i calls fns[i](*args[i]) at times[i]; seqs[i] is -1
+        # while it is disarmed
+        self._slot_fns: list[Callable[..., Any]] = []
+        self._slot_args: list[tuple] = []
+        self._slot_times: list[float] = []
+        self._slot_seqs: list[int] = []
+        self._armed = 0
+        # the earliest armed slot, by (time, seq); index -1 and time NaN
+        # (which compares false with everything) while none is armed
+        self._slot = -1
+        self._slot_time = nan
+        self._slot_seq = -1
 
     @property
     def now(self) -> float:
@@ -105,12 +123,15 @@ class PyEngine:
 
     @property
     def events_fired(self) -> int:
-        """Number of events processed so far (instrumentation)."""
+        """Number of events processed so far, slot firings included."""
         return self._fired
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events — O(1)."""
+        """Number of not-yet-fired, not-cancelled events — O(1).
+
+        An armed timer slot counts once.
+        """
         return self._live
 
     def schedule_at(
@@ -142,6 +163,103 @@ class PyEngine:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
+
+    def add_slot(self, fn: Callable[..., Any], *args: Any) -> int:
+        """Add a disarmed timer slot that calls ``fn(*args)``; return its index.
+
+        A slot holds at most one pending firing. Firing disarms it, so
+        the callback re-arms it if it wants another.
+        """
+        self._slot_fns.append(fn)
+        self._slot_args.append(args)
+        self._slot_times.append(nan)
+        self._slot_seqs.append(-1)
+        return len(self._slot_seqs) - 1
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive seqs for :meth:`arm`; return the first.
+
+        A reserved seq orders a later arm among the events scheduled
+        around the reservation, as if it had been scheduled then.
+        """
+        count = index(count)
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        seq = self._seq
+        self._seq = seq + count
+        return seq
+
+    def arm(self, slot: int, when: float, seq: int) -> None:
+        """Set timer slot ``slot`` to fire at ``(when, seq)``.
+
+        Replaces the slot's pending firing, if any. ``seq`` must have
+        been reserved; against the queue the slot fires in ``(time,
+        seq)`` order, and the loaded run wins every tie. Raises
+        ``ValueError`` if ``when`` is in the past (or NaN), as
+        :meth:`schedule_at` does, or if the slot or seq does not exist.
+        """
+        when = float(when)
+        if not when >= self._now:  # rejects the past and NaN in one test
+            raise ValueError(
+                f"cannot schedule event in the past: {when} < now {self._now}"
+            )
+        seqs = self._slot_seqs
+        if not 0 <= slot < len(seqs):
+            raise ValueError(f"no timer slot {slot}")
+        if not 0 <= seq < self._seq:
+            raise ValueError(f"seq {seq} was never reserved")
+        if seqs[slot] < 0:
+            self._armed += 1
+            self._live += 1
+        self._slot_times[slot] = when
+        seqs[slot] = seq
+        first = self._slot
+        if (
+            first < 0
+            or when < self._slot_time
+            or (when == self._slot_time and seq < self._slot_seq)
+        ):
+            self._slot = slot
+            self._slot_time = when
+            self._slot_seq = seq
+        elif first == slot:  # the earliest slot moved later
+            self._find_first_slot()
+
+    def disarm(self, slot: int) -> None:
+        """Cancel timer slot ``slot``'s pending firing (no-op if it has none)."""
+        seqs = self._slot_seqs
+        if not 0 <= slot < len(seqs):
+            raise ValueError(f"no timer slot {slot}")
+        if seqs[slot] >= 0:
+            self._clear_slot(slot)
+
+    def _clear_slot(self, slot: int) -> None:
+        """Disarm the armed ``slot`` and find the earliest slot left."""
+        self._slot_seqs[slot] = -1
+        self._live -= 1
+        self._armed -= 1
+        if not self._armed:
+            self._slot = -1
+            self._slot_time = nan
+        elif slot == self._slot:
+            self._find_first_slot()
+
+    def _find_first_slot(self) -> None:
+        """Point the merge at the earliest armed slot, by ``(time, seq)``."""
+        first, first_time, first_seq = -1, nan, -1
+        times = self._slot_times
+        for slot, seq in enumerate(self._slot_seqs):
+            if seq >= 0:
+                when = times[slot]
+                if (
+                    first < 0
+                    or when < first_time
+                    or (when == first_time and seq < first_seq)
+                ):
+                    first, first_time, first_seq = slot, when, seq
+        self._slot = first
+        self._slot_time = first_time
+        self._slot_seq = first_seq
 
     def load_sorted(
         self, times: Sequence[float], fn: Callable[[Any], Any], args: Sequence
@@ -185,17 +303,26 @@ class PyEngine:
         self._live += len(times)
 
     def _queue_bound(self, bound: float) -> float:
-        """How far the queue may fire before the loaded run's next entry.
+        """How far the queue may fire before the loaded run and the slots.
 
-        ``bound`` itself when no loaded entry is due by then; else the
-        float just below that entry's time, so the queue gives up every
-        tie to it (its seq is lower than anything queued). The result
-        is below ``bound`` exactly when a loaded entry is due.
+        The float just below the loaded run's next entry when that entry
+        is due by ``bound`` and no later than the earliest slot: it wins
+        every tie. Else the earliest slot's time when that slot is due:
+        the queue fires up to it, and a queued event at that very time
+        goes before or after the slot by seq, as the fire loops check.
+        Else ``bound``. So the result equals the earliest slot's time
+        exactly when that slot is due, and is otherwise below ``bound``
+        exactly when a loaded entry is due.
         """
+        slot_time = self._slot_time
         pos = self._loaded_pos
         times = self._loaded_times
-        if pos < len(times) and times[pos] <= bound:
-            return nextafter(times[pos], -inf)
+        if pos < len(times):
+            when = times[pos]
+            if when <= bound and not when > slot_time:
+                return nextafter(when, -inf)
+        if slot_time <= bound:
+            return slot_time
         return bound
 
     def _fire_loaded(self) -> None:
@@ -207,14 +334,27 @@ class PyEngine:
         self._live -= 1
         self._loaded_fn(self._loaded_args[pos])
 
+    def _fire_slot(self) -> None:
+        """Fire the earliest armed slot, disarming it first."""
+        slot = self._slot
+        self._now = self._slot_time
+        self._fired += 1
+        self._clear_slot(slot)
+        self._slot_fns[slot](*self._slot_args[slot])
+
     def step(self) -> bool:
         """Fire the next pending event. Returns False if none is pending."""
         bound = self._queue_bound(inf)
-        handle = self._queue.pop_due(bound)
+        slot_due = bound == self._slot_time
+        # a handle at the slot's own time goes first only by seq
+        handle = self._queue.pop_due(bound, self._slot_seq if slot_due else inf)
         if handle is None:
-            if bound == inf:
+            if slot_due:
+                self._fire_slot()
+            elif bound == inf:
                 return False
-            self._fire_loaded()
+            else:
+                self._fire_loaded()
             return True
         self._now = handle.time
         self._fired += 1
@@ -232,29 +372,38 @@ class PyEngine:
         *at the current time* land in a fresh bucket and fire in the
         next batch, which is exactly their ``(time, seq)`` slot since
         their seq is higher than everything already queued at that
-        time. Entries of the loaded run fire one by one in between, as
-        :meth:`_queue_bound` bounds each queue pop; once the run is
-        used up the loop is the queue's alone.
+        time. Entries of the loaded run and slot firings go one by one
+        in between, as :meth:`_queue_bound` bounds each queue pop; a
+        slot armed for the batch's own time with a lower seq than the
+        next handle fires before it, and the rest of the batch after.
         """
         queue = self._queue
         pop_batch_due = queue.pop_batch_due
-        bound = self._queue_bound(t_end)
+        queue_bound = self._queue_bound
         while True:
+            bound = queue_bound(t_end)
             batch = pop_batch_due(bound)
             if batch is None:
-                if bound == t_end:
+                # Nothing queued up to the bound: the due slot, the due
+                # loaded entry, or the end.
+                if bound == self._slot_time:
+                    self._fire_slot()
+                elif bound == t_end:
                     return
-                # Nothing queued before the loaded run's next entry,
-                # which is due: fire it, then look for the one after.
-                self._fire_loaded()
-                bound = self._queue_bound(t_end)
+                else:
+                    self._fire_loaded()
                 continue
-            self._now = batch[0].time
+            now = batch[0].time
+            self._now = now
             i = 0
+            tied = False
             try:
                 for i, handle in enumerate(batch):
                     if handle.cancelled:
                         continue
+                    if now == self._slot_time and self._slot_seq < handle.seq:
+                        tied = True
+                        break
                     # Counters move before the callback runs, exactly as
                     # in step(): a callback reading ``pending`` or
                     # ``events_fired`` must see the same values on either
@@ -267,8 +416,11 @@ class PyEngine:
                 # Leave the queue as if the unfired tail had never been
                 # popped, so a caller that catches the exception can
                 # keep stepping the simulation.
-                queue.requeue(batch[i + 1 :], self._now)
+                queue.requeue(batch[i + 1 :], now)
                 raise
+            if tied:
+                queue.requeue(batch[i:], now)
+                self._fire_slot()
 
     def run_until(self, t_end: float) -> None:
         """Process all events with time <= ``t_end``; leave now == t_end.
@@ -283,7 +435,7 @@ class PyEngine:
         self._now = t_end
 
     def run(self, max_events: int | None = None) -> int:
-        """Run until the event queue is empty.
+        """Run until nothing is pending.
 
         ``max_events`` bounds the number of events fired (a safety valve
         for workloads that regenerate events forever). Returns the number

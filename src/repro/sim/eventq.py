@@ -26,10 +26,14 @@ Cancellation is cooperative: cancelled handles stay queued and are
 skipped when popped (the engine checks the ``cancelled`` flag), so
 ``cancel()`` itself stays O(1).
 
-Build-time arrivals never enter this queue. The engine keeps them as
-a sorted run beside it (``PyEngine.load_sorted``) and bounds each pop
-just below the run's next time, so the queue only ever answers
-"what is due by this bound".
+Build-time arrivals and processor timers never enter this queue. The
+engine keeps the arrivals as a sorted run and the timers in one slot
+per processor beside it (``PyEngine.load_sorted``, ``PyEngine.arm``)
+and bounds each pop by their next time, so the queue only ever answers
+"what is due by this bound". A slot due at the bound itself fires
+between the handles of that time by seq: ``pop_due`` stops at the
+first handle whose seq follows the slot's, and the engine's batch loop
+puts the rest of a batch back with ``requeue``.
 
 The compiled engine (:mod:`repro.sim._engine`, built from
 ``src/repro/sim/_engine.c`` when the optional extension is available)
@@ -91,8 +95,14 @@ class CalendarEventQueue:
         else:
             bucket.append(handle)
 
-    def pop_due(self, bound: float) -> "EventHandle | None":
-        """Next live handle with ``time <= bound``, or None."""
+    def pop_due(
+        self, bound: float, seq_limit: float = math.inf
+    ) -> "EventHandle | None":
+        """Next live handle with ``time <= bound``, or None.
+
+        A handle at exactly ``bound`` is due only if its seq is below
+        ``seq_limit``; else it stays queued, first in line.
+        """
         while True:
             head = self._head
             if head is None:
@@ -107,13 +117,18 @@ class CalendarEventQueue:
             size = len(head)
             while pos < size:
                 handle = head[pos]
+                if handle.cancelled:
+                    pos += 1
+                    continue
+                if handle.seq > seq_limit and self._head_time == bound:
+                    self._head_pos = pos
+                    return None
                 pos += 1
-                if not handle.cancelled:
-                    if pos == size:
-                        self._head = None
-                    else:
-                        self._head_pos = pos
-                    return handle
+                if pos == size:
+                    self._head = None
+                else:
+                    self._head_pos = pos
+                return handle
             self._head = None
 
     def pop_batch_due(self, bound: float) -> "list[EventHandle] | None":
@@ -146,12 +161,14 @@ class CalendarEventQueue:
                     return batch
 
     def requeue(self, handles: "list[EventHandle]", time: float) -> None:
-        """Put back the unfired tail of a popped batch (exception path).
+        """Put back the unfired tail of a popped batch.
 
-        Only the engine's fire loop calls this, and only for the batch
-        it just popped — at which point ``_head`` is empty and ``time``
-        is necessarily the earliest pending timestamp, so the tail can
-        simply become the new head bucket.
+        Only the engine's fire loop calls this — when a callback raises,
+        or when a timer slot goes before the tail — and only for the
+        batch it just popped, at which point ``_head`` is empty and
+        ``time`` is necessarily the earliest pending timestamp, so the
+        tail can simply become the new head bucket, ahead of any bucket
+        pushed at the same time since.
         """
         if not handles:
             return

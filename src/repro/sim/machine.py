@@ -39,9 +39,6 @@ from repro.sim.tracing import Trace
 
 __all__ = ["Machine"]
 
-#: tolerance for "segment completes exactly at quantum end" comparisons
-_EPS = 1e-12
-
 
 def _not_a_segment(task: Task, segment: object) -> TypeError:
     """The error for a behaviour that produced something else."""
@@ -150,6 +147,8 @@ class Machine:
         self.preempt_on_wake = preempt_on_wake
         self.check_work_conserving = check_work_conserving
         self.processors = [Processor(i) for i in range(cpus)]
+        for proc in self.processors:
+            proc.slot = self.engine.add_slot(self._timer, proc)
         self.tasks: list[Task] = []
         self.trace = Trace(record_events=record_events)
         self._known: set[int] = set()  # tids the scheduler has seen
@@ -406,18 +405,14 @@ class Machine:
             self.scheduler.on_arrival(task, now)
         self._try_place(task, now)
 
-    def _quantum_expiry(self, proc: Processor, seq: int) -> None:
-        if proc.seq != seq or proc.task is None:
-            return  # stale timer
+    def _timer(self, proc: Processor) -> None:
+        """The CPU's timer fired: its task's segment or quantum ended."""
         now = self.engine.now
-        self._preempt(proc, now)
-        self._schedule_cpu(proc, now)
-
-    def _segment_end(self, proc: Processor, seq: int) -> None:
+        if not proc.segment_timer:
+            self._preempt(proc, now)
+            self._schedule_cpu(proc, now)
+            return
         task = proc.task
-        if proc.seq != seq or task is None:
-            return  # stale timer
-        now = self.engine.now
         self._charge(proc, now)
         segment = task.behavior.next_segment(now)
         if isinstance(segment, Run):
@@ -425,13 +420,15 @@ class Machine:
             # quantum, with no scheduler involvement.
             remaining = segment.duration
             task.remaining_run = remaining
-            proc.segment_handle = None
-            if math.isfinite(remaining):
-                seg_end = now + remaining
-                if seg_end <= proc.quantum_end + _EPS:
-                    proc.segment_handle = self.engine.schedule_at(
-                        seg_end, self._segment_end, proc, seq
-                    )
+            engine = self.engine
+            seg_end = now + remaining
+            if math.isfinite(remaining) and seg_end < proc.quantum_end:
+                engine.arm(proc.slot, seg_end, engine.reserve(1))
+            else:
+                # The quantum ends first, or ties and keeps the seq it
+                # got at dispatch, which precedes any fresh one.
+                proc.segment_timer = False
+                engine.arm(proc.slot, proc.quantum_end, proc.quantum_seq)
             return
         if not isinstance(segment, (Block, Exit)):
             raise _not_a_segment(task, segment)
@@ -526,8 +523,6 @@ class Machine:
         trace.dispatches += 1
         if task.first_dispatch_time is None:
             task.first_dispatch_time = now
-        seq = proc.seq + 1
-        proc.seq = seq
         proc.task = task
         self._proc_by_tid[task.tid] = proc
         task.state = TaskState.RUNNING
@@ -547,16 +542,20 @@ class Machine:
             )
         quantum_end = start + slice_len
         proc.quantum_end = quantum_end
-        schedule_at = self.engine.schedule_at
-        proc.segment_handle = None
+        # The segment's seq is reserved before the quantum's, so that an
+        # exact tie resolves as "segment completed"; the CPU's timer is
+        # armed for whichever of the two ends comes first.
+        engine = self.engine
+        seq = engine.reserve(2)
+        proc.quantum_seq = seq + 1
         remaining = task.remaining_run
-        if math.isfinite(remaining):
-            seg_end = start + remaining
-            if seg_end <= quantum_end + _EPS:
-                # Scheduled before the quantum timer so that exact ties
-                # resolve as "segment completed".
-                proc.segment_handle = schedule_at(seg_end, self._segment_end, proc, seq)
-        proc.quantum_handle = schedule_at(quantum_end, self._quantum_expiry, proc, seq)
+        seg_end = start + remaining
+        if math.isfinite(remaining) and seg_end <= quantum_end:
+            proc.segment_timer = True
+            engine.arm(proc.slot, seg_end, seq)
+        else:
+            proc.segment_timer = False
+            engine.arm(proc.slot, quantum_end, seq + 1)
         if self.on_dispatch:
             for observer in self.on_dispatch:
                 observer(self, proc, task)
@@ -594,15 +593,7 @@ class Machine:
         start = proc.dispatch_time
         end = proc.charged_until
         self.trace.record_run(proc.cpu_id, task.tid, start, end)
-        # Cancel the pending timers; the epoch bump below also makes any
-        # that still fire (see the handlers' seq checks) stale.
-        if proc.quantum_handle is not None:
-            proc.quantum_handle.cancel()
-            proc.quantum_handle = None
-        if proc.segment_handle is not None:
-            proc.segment_handle.cancel()
-            proc.segment_handle = None
-        proc.seq += 1
+        self.engine.disarm(proc.slot)  # a no-op once the timer has fired
         self._prev_task[proc.cpu_id] = task
         self._proc_by_tid.pop(task.tid, None)
         proc.task = None

@@ -2,19 +2,15 @@
 
 Each :class:`Processor` tracks the task it is currently running, the
 bookkeeping needed to charge CPU service correctly across partial
-quanta, and an epoch counter (``seq``) that invalidates in-flight
-quantum-expiry / segment-end events when the CPU is re-dispatched —
-the simulator's equivalent of deleting a kernel timer.
+quanta, and its one timer: an engine timer slot (``slot``) armed for
+whichever of the running task's segment end and quantum end comes
+first — the simulator's equivalent of a kernel timer, re-armed in
+place at every dispatch and disarmed when the task leaves the CPU.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.sim.task import Task
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle
 
 __all__ = ["Processor"]
 
@@ -25,22 +21,26 @@ class Processor:
     __slots__ = (
         "cpu_id",
         "task",
-        "seq",
+        "slot",
+        "segment_timer",
+        "quantum_seq",
         "dispatch_time",
         "charged_until",
         "quantum_end",
         "busy_time",
         "overhead_time",
-        "quantum_handle",
-        "segment_handle",
     )
 
     def __init__(self, cpu_id: int) -> None:
         self.cpu_id = cpu_id
         #: task currently running, or None when idle
         self.task: Task | None = None
-        #: dispatch epoch; bumping it invalidates pending timer events
-        self.seq: int = 0
+        #: the engine timer slot of this CPU (set by the machine)
+        self.slot = -1
+        #: whether the armed timer ends the task's segment, not its quantum
+        self.segment_timer = False
+        #: the seq reserved for the quantum's end at dispatch
+        self.quantum_seq: int = -1
         #: time at which the current task began receiving service
         self.dispatch_time: float = 0.0
         #: service has been charged to the current task up to this time
@@ -51,8 +51,6 @@ class Processor:
         self.busy_time: float = 0.0
         #: cumulative dead time (context switch + scheduling overhead)
         self.overhead_time: float = 0.0
-        self.quantum_handle: "EventHandle | None" = None
-        self.segment_handle: "EventHandle | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self.task.name if self.task else "idle"

@@ -152,7 +152,7 @@ class TestSweepSubcommand:
         assert "Traceback" not in err
 
 
-class TestExecutionBackendFlags:
+class TestWorkersCheckpointAuditFlags:
     """``--workers``, ``--checkpoint`` and ``--audit`` on the grid runner."""
 
     def test_sweep_checkpoint_resumes_in_process(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ cancellations, reentrant scheduling from callbacks) and require
 bit-identical fire logs, clocks and counters. A divergence here means
 simulations would stop being reproducible across builds, which is the
 repository's ground rule. A sorted run loaded with ``load_sorted``
-must fire exactly as one ``schedule_at`` per entry would.
+must fire exactly as one ``schedule_at`` per entry would, and a timer
+slot exactly as a handle cancelled whenever the slot is re-armed.
 
 ``PyEngine`` and ``EventHandle`` also declare the compiled surface:
 the extension's public names and error messages must equal theirs.
@@ -70,18 +71,20 @@ class HeapEventQueue:
         """Queue ``handle`` (reads its ``time`` and ``seq``)."""
         heappush(self._heap, (handle.time, handle.seq, handle))
 
-    def pop_due(self, bound: float):
+    def pop_due(self, bound: float, seq_limit: float = math.inf):
         """Next live handle with ``time <= bound``, or None.
 
-        Cancelled handles encountered on the way are dropped.
+        A handle at exactly ``bound`` is due only if its seq is below
+        ``seq_limit``. Cancelled handles encountered on the way are
+        dropped.
         """
         heap = self._heap
         while heap:
-            when, _, head = heap[0]
+            when, seq, head = heap[0]
             if head.cancelled:
                 heappop(heap)
                 continue
-            if when > bound:
+            if when > bound or (when == bound and seq > seq_limit):
                 return None
             heappop(heap)
             return head
@@ -110,13 +113,50 @@ class HeapEventQueue:
             heappush(self._heap, (handle.time, handle.seq, handle))
 
 
+class HandleSlotEngine(PyEngine):
+    """The timer slots' oracle: a slot is a handle, cancelled on re-arm.
+
+    Arming pushes a handle carrying the slot's reserved seq into the
+    queue, which then orders it against every queued event by
+    ``(time, seq)``; firing consumes it, as firing disarms a slot.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._callbacks: list[tuple] = []
+        self._handles: list = []  # slot -> its armed handle, or None
+
+    def add_slot(self, fn, *args) -> int:
+        self._callbacks.append((fn, args))
+        self._handles.append(None)
+        return len(self._handles) - 1
+
+    def arm(self, slot: int, when: float, seq: int) -> None:
+        self.disarm(slot)
+        fn, args = self._callbacks[slot]
+        handle = EventHandle(float(when), seq, fn, args)
+        handle._engine = self
+        self._live += 1
+        self._queue.push(handle)
+        self._handles[slot] = handle
+
+    def disarm(self, slot: int) -> None:
+        handle = self._handles[slot]
+        if handle is not None:
+            handle.cancel()  # a no-op once it has fired
+            self._handles[slot] = None
+
+
 #: the pure engine's queue and its oracle, by name
 QUEUES = {"calendar": CalendarEventQueue, "heap": HeapEventQueue}
 
 
 def py_engine(kind: str) -> PyEngine:
-    """A fresh pure engine running on the ``kind`` queue."""
-    engine = PyEngine()
+    """A fresh pure engine running on the ``kind`` queue.
+
+    The heap oracle models timer slots as handles.
+    """
+    engine = PyEngine() if kind == "calendar" else HandleSlotEngine()
     engine._queue = QUEUES[kind]()
     return engine
 
@@ -142,6 +182,15 @@ def all_engines() -> list:
 #: ("run", max_or_None)            drain (optionally bounded)
 #: ("at_time", t)                  schedule at max(t, now): absolute
 #:                                 times that tie with a loaded run
+#: ("reserve", n)                  reserve n seqs into a pool
+#: ("arm", slot, dt, source)       arm one of SLOTS timer slots at
+#:                                 now+dt with the slot's last seq
+#:                                 (source 0, as a quantum keeps its
+#:                                 seq), the pool's oldest (1) or a
+#:                                 fresh one (2); each seq serves one
+#:                                 slot
+#: ("disarm", slot)                disarm a timer slot
+SLOTS = 3
 _op = st.one_of(
     st.tuples(
         st.just("at"),
@@ -154,6 +203,14 @@ _op = st.one_of(
     ),
     st.tuples(st.just("step")),
     st.tuples(st.just("run"), st.none() | st.integers(0, 8)),
+    st.tuples(st.just("reserve"), st.integers(1, 3)),
+    st.tuples(
+        st.just("arm"),
+        st.integers(0, SLOTS - 1),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False, width=16),
+        st.integers(0, 2),
+    ),
+    st.tuples(st.just("disarm"), st.integers(0, SLOTS - 1)),
 )
 
 programs = st.lists(_op, min_size=1, max_size=40)
@@ -169,6 +226,8 @@ loaded_programs = st.lists(
 #: tag of the first loaded entry; tags stay below 900 to schedule
 #: follow-ups like any other event
 LOADED_TAG = 500
+#: tag of timer slot 0
+SLOT_TAG = 700
 
 
 def load_each(engine, times, fn, args):
@@ -186,13 +245,21 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
 
     Fired events record ``(sim-time, event-tag)``; after every op the
     clock and both counters are appended too, so any divergence in
-    *when* state changes — not just in the final state — fails.
+    *when* state changes — not just in the final state — fails. Slot
+    ``k`` fires with tag ``SLOT_TAG + k``; callbacks re-arm and disarm
+    slots with fresh seqs only, as a running task's next segment does.
     ``run`` is a sorted list of times handed to ``load`` before the
     program starts; the entry at index ``raising`` raises when fired,
     and the log records where.
     """
     log: list = []
     handles: dict[int, object] = {}
+    pool: list[int] = []  # reserved seqs no slot has used yet
+    last_seq: dict[int, int] = {}  # slot -> the seq it was last armed with
+
+    def arm_fresh(slot, when):
+        last_seq[slot] = engine.reserve(1)
+        engine.arm(slot, when, last_seq[slot])
 
     def fire(tag):
         log.append(("fire", engine.now, tag))
@@ -202,9 +269,21 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
             handles[1000 + tag] = engine.schedule_at(
                 engine.now, fire, 1000 + tag
             )
+        # and some move the slots under the batch in progress
+        if tag % 5 == 1:
+            engine.disarm(tag % SLOTS)
+        if tag % 7 == 2 and tag < 900:
+            arm_fresh(tag % SLOTS, engine.now + 0.25 * (tag % 3))
         if raising is not None and tag == LOADED_TAG + raising:
             raise RuntimeError(tag)
 
+    def fire_slot(slot):
+        log.append(("fire", engine.now, SLOT_TAG + slot))
+        if len(log) % 4 == 0:  # a zero-length segment: re-arm at once
+            arm_fresh(slot, engine.now)
+
+    for slot in range(SLOTS):
+        assert engine.add_slot(fire_slot, slot) == slot
     if run:
         tags = [LOADED_TAG + i for i in range(len(run))]
         load(engine, list(run), fire, tags)
@@ -222,6 +301,20 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
                 engine.run_until(engine.now + op[1])
             elif op[0] == "step":
                 log.append(("stepped", engine.step()))
+            elif op[0] == "reserve":
+                first = engine.reserve(op[1])
+                pool.extend(range(first, first + op[1]))
+            elif op[0] == "arm":
+                _, slot, dt, source = op
+                if source == 0 and slot in last_seq:
+                    engine.arm(slot, engine.now + dt, last_seq[slot])
+                elif source == 1 and pool:
+                    last_seq[slot] = pool.pop(0)
+                    engine.arm(slot, engine.now + dt, last_seq[slot])
+                else:
+                    arm_fresh(slot, engine.now + dt)
+            elif op[0] == "disarm":
+                engine.disarm(op[1])
             else:
                 log.append(("ran", engine.run(op[1])))
         except RuntimeError as exc:
@@ -303,6 +396,18 @@ class TestQueueContract:
         first = queue.pop_due(1.5)
         assert first is not None and first.time == 1.0
         assert queue.pop_due(1.5) is None
+
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
+    def test_pop_due_holds_back_a_handle_past_the_seq_limit(self, kind):
+        # At the bound itself only seqs below the limit are due: a timer
+        # slot with that seq fires between them.
+        engine = py_engine(kind)
+        queue = engine._queue
+        first = engine.schedule_at(1.0, lambda: None)
+        second = engine.schedule_at(1.0, lambda: None)
+        assert queue.pop_due(1.0, first.seq + 0.5) is first
+        assert queue.pop_due(1.0, first.seq + 0.5) is None
+        assert queue.pop_due(math.nextafter(1.0, math.inf), first.seq) is second
 
     @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_batch_skips_fully_cancelled_buckets(self, kind):
@@ -451,8 +556,9 @@ def _public_names(cls) -> set[str]:
     return {name for name in dir(cls) if not name.startswith("_")}
 
 
-#: every error both engines raise, as (method, args) at now == 2.5;
-#: 0.1 + 0.2 prints 17 digits, so float formatting must match too
+#: every error both engines raise, as (method, args) at now == 2.5 on
+#: an engine with one timer slot and no seq reserved; 0.1 + 0.2 prints
+#: 17 digits, so float formatting must match too
 MIRRORED_ERRORS = {
     "schedule_at-past": ("schedule_at", (0.1 + 0.2, print)),
     "schedule_at-past-int": ("schedule_at", (1, print)),
@@ -466,6 +572,13 @@ MIRRORED_ERRORS = {
     "load_sorted-nan": ("load_sorted", ([3.0, math.nan], print, [1, 2])),
     "load_sorted-unsorted": ("load_sorted", ([3.0, 3.0 - 1e-15], print, [1, 2])),
     "load_sorted-length": ("load_sorted", ([3.0], print, [])),
+    "arm-past": ("arm", (0, 0.1 + 0.2, 0)),
+    "arm-past-int": ("arm", (0, 1, 0)),
+    "arm-nan": ("arm", (0, math.nan, 0)),
+    "arm-no-slot": ("arm", (1, 3.0, 0)),
+    "arm-unreserved-seq": ("arm", (0, 3.0, 0)),
+    "disarm-no-slot": ("disarm", (-1,)),
+    "reserve-zero": ("reserve", (0,)),
 }
 
 
@@ -492,6 +605,7 @@ class TestCompiledSurface:
     def test_error_messages_match_python(self, method, args):
         messages = []
         for engine in (PyEngine(), compiled_engine.Engine()):
+            engine.add_slot(print)
             engine.run_until(2.5)
             with pytest.raises(ValueError) as raised:
                 getattr(engine, method)(*args)

@@ -1,6 +1,7 @@
 """Per-job sojourn / first-dispatch latency tracking and metrics."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,15 @@ from repro.scenario import (
     Scenario,
     Sweep,
     busy_window_end,
+    load_scenario,
     percentile,
     run_scenario,
     server_scenario,
     task,
 )
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 
 
 def _two_jobs(cpus=1, quantum=0.2):
@@ -275,6 +280,34 @@ class TestClassTable:
         assert result.class_table is table
         assert table.samples("sojourn") is table.samples("sojourn")
         assert table.samples("sojourn") is not table.samples("censored")
+
+    def test_class_shares_name_the_classes_of_the_run(self):
+        # The flash crowd declares one class, "req": its share is
+        # reported as its sojourns are, and no server class appears.
+        scn = load_scenario(SCENARIO_DIR / "flash_crowd.yaml")
+        result = run_scenario(
+            scn.with_(metrics=("class_shares", "sojourn_p95", "completed"))
+        )
+        shares = result.metrics["class_shares"]
+        assert list(shares) == list(result.class_table.groups) == ["req"]
+        assert set(result.metrics["sojourn_p95"]) == {"req", "all"}
+        capacity = result.capacity(0.0, busy_window_end(result))
+        assert shares["req"] == result.group_service("req-") / capacity > 0.0
+
+    def test_class_shares_leave_out_classes_of_dashless_names(self):
+        # editor, player and build each make a class of one task named
+        # without a dash: they run, but no task is "<class>-...", so the
+        # batch pool alone is reported, rather than three shares of 0.0.
+        scn = load_scenario(SCENARIO_DIR / "batch_vs_interactive.yaml")
+        result = run_scenario(scn.with_(duration=2.0, metrics=("class_shares",)))
+        groups = result.class_table.groups
+        assert list(groups) == ["batch", "build", "editor", "player"]
+        for name in ("editor", "player", "build"):
+            assert result.task(name).service > 0.0
+        capacity = result.capacity(0.0, busy_window_end(result))
+        shares = result.metrics["class_shares"]
+        assert shares == {"batch": result.group_service("batch-") / capacity}
+        assert shares["batch"] > 0.0
 
     def test_a_class_named_like_a_task_or_all(self):
         # "std" (no dash) joins class "std" for percentiles but does

@@ -8,11 +8,23 @@ import pytest
 
 from tests.conftest import add_inf
 from repro.core.sfs import SurplusFairScheduler
+from repro.schedulers.round_robin import RoundRobinScheduler
+from repro.sim.engine import PyEngine
 from repro.sim.events import Block, Exit, Run
 from repro.sim.machine import Machine
 from repro.sim.task import Task, TaskState
 from repro.workloads.base import Behavior, GeneratorBehavior
 from repro.workloads.cpu_bound import Infinite
+
+try:
+    from repro.sim._engine import Engine as CompiledEngine
+except ImportError:  # pragma: no cover - pure-python environments
+    CompiledEngine = None
+
+#: every engine build importable here, by name
+ENGINES = {"pure": PyEngine}
+if CompiledEngine is not None:
+    ENGINES["compiled"] = CompiledEngine
 
 
 def machine(cpus=1, quantum=0.2, **kw):
@@ -87,6 +99,38 @@ class TestSegmentQuantumBoundary:
         assert t.state is TaskState.EXITED
         assert t.preempt_count == 1
         assert t.service == pytest.approx(0.21)
+
+    @pytest.mark.parametrize("build", sorted(ENGINES))
+    def test_quantum_keeps_the_seq_of_its_dispatch(self, build):
+        # A's first segment ends inside its quantum and A keeps
+        # computing, so the CPU's timer falls back to the quantum armed
+        # when A was dispatched. B blocks on arrival, after that
+        # dispatch, until exactly the quantum's end: its wake comes
+        # later in (time, seq) order, so the quantum expires first and
+        # A, still the only runnable task, is dispatched again before B
+        # wakes. Had the quantum been re-armed with a fresh seq, B
+        # would wake first and take the CPU at 0.2.
+        m = Machine(
+            RoundRobinScheduler(), cpus=1, quantum=0.2, engine=ENGINES[build]()
+        )
+
+        def a():
+            yield Run(0.08)
+            yield Run(math.inf)
+
+        def b():
+            yield Block(0.2)
+            yield Run(0.1)
+            yield Exit()
+
+        m.add_task(Task(GeneratorBehavior(a()), weight=1, name="A"))
+        m.add_task(Task(GeneratorBehavior(b()), weight=1, name="B"))
+        order = []
+        m.on_dispatch.append(
+            lambda machine, proc, task: order.append((machine.now, task.name))
+        )
+        m.run_until(0.6)
+        assert order == [(0.0, "A"), (0.2, "A"), (0.4, "B"), (0.5, "A")]
 
 
 class TestApiMisuse:

@@ -159,8 +159,30 @@ def _cycle(run, block):
     return GeneratorBehavior(gen())
 
 
+class _LogCostSFS(SurplusFairScheduler):
+    """SFS priced with a re-sort term, which no built-in policy has."""
+
+    decision_cost_params = DecisionCostParams(
+        base=1e-6, per_thread=0.1e-6, log_coeff=0.05e-6
+    )
+
+
+class _OwnCostSFS(SurplusFairScheduler):
+    """SFS with a decision_cost of its own, which the machine must call."""
+
+    def decision_cost(self, runnable_count: int) -> float:
+        return 1e-6 * (1 + runnable_count % 3)
+
+
 class TestDispatchDeadTime:
     """Every dispatch's dead time is the cost model's formula, bit for bit."""
+
+    POLICIES = {
+        "sfs": SurplusFairScheduler,
+        "linux-ts": LinuxTimeSharingScheduler,
+        "sfs-log-cost": _LogCostSFS,
+        "sfs-own-cost": _OwnCostSFS,
+    }
 
     MODELS = {
         "zero": ZERO_COST,
@@ -189,14 +211,11 @@ class TestDispatchDeadTime:
         (0.5, 0.05, 0.01),
     ]
 
-    @pytest.mark.parametrize("policy", ["sfs", "linux-ts"])
+    @pytest.mark.parametrize("policy", list(POLICIES))
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_dead_time_is_the_formula(self, model, policy):
         cost_model = self.MODELS[model]
-        if policy == "sfs":
-            scheduler = SurplusFairScheduler()
-        else:
-            scheduler = LinuxTimeSharingScheduler()
+        scheduler = self.POLICIES[policy]()
         m = Machine(scheduler, cpus=2, quantum=0.05, cost_model=cost_model)
         for i, (kb, run, block) in enumerate(self.BLOCKING):
             task = Task(_cycle(run, block), weight=1 + i % 3, footprint_kb=kb)
