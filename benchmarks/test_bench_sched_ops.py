@@ -11,6 +11,7 @@ at most p per-weight-class tests where the batch scan pays O(n) (compare
 ``test_weight_readjustment_batch_cost`` across the N ladder).
 """
 
+import math
 import random
 
 import pytest
@@ -165,6 +166,6 @@ def test_engine_event_throughput(benchmark):
                 engine.schedule_after(0.001, chain, count - 1)
 
         chain(10_000)
-        engine.run()
+        engine.run_until(math.inf)
 
     benchmark.pedantic(run_10k_events, rounds=3, iterations=1)

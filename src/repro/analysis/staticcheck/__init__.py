@@ -18,9 +18,7 @@ SFS009  no unordered iteration order escaping into sim code
 
 SFS001-SFS007 run per file; SFS008/SFS009 need the whole project call
 graph (``lint --project``, :mod:`.project`). Waive a single finding
-inline with ``# sfs-lint: disable=SFSnnn``, or freeze a legacy set
-with ``lint --write-baseline`` / ``--baseline``. See
-docs/CORRECTNESS.md.
+inline with ``# sfs-lint: disable=SFSnnn``. See docs/CORRECTNESS.md.
 """
 
 from repro.analysis.staticcheck.rules import (

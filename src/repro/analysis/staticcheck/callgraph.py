@@ -5,7 +5,7 @@ Parses every module of the ``repro`` package once and builds:
 - a module table (import aliases, module-level functions, classes
   with single-inheritance method resolution),
 - a function table keyed by qualified name
-  (``repro.sim.engine.PyEngine.step``), each node carrying its
+  (``repro.sim.engine.PyEngine.run_until``), each node carrying its
   resolved call sites and *direct effect* summaries:
 
   ========== ======================================================

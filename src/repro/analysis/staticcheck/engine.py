@@ -12,11 +12,8 @@ comments too). Exposed as ``sfs-experiment lint`` and
 Beyond the per-file rules, ``--project`` runs the interprocedural
 determinism rules SFS008/SFS009 (:mod:`.project`) against the repo
 root inferred from the linted paths. Paths in every
-finding are rendered repo-root-relative so CI annotations and
-baselines are stable across machines; ``--baseline``/
-``--write-baseline`` let a new rule land by freezing today's findings
-and failing only on new ones, and ``--output`` tees the JSON report
-to a file.
+finding are rendered repo-root-relative so CI annotations are stable
+across machines, and ``--output`` tees the JSON report to a file.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import argparse
 import ast
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,16 +37,13 @@ from repro.analysis.staticcheck.rules import (
 
 __all__ = [
     "DEFAULT_ROOTS",
-    "apply_baseline",
     "discover_files",
     "find_repo_root",
     "lint_source",
     "lint_paths",
-    "load_baseline",
     "render_text",
     "render_json",
     "main",
-    "write_baseline",
 ]
 
 #: what a bare ``sfs-experiment lint`` scans, relative to the repo root
@@ -274,90 +267,20 @@ def _suppress(
     return sorted(kept, key=lambda v: (v.path, v.line, v.col, v.rule))
 
 
-# ----------------------------------------------------------------------
-# baseline: freeze current findings, fail only on new ones
-# ----------------------------------------------------------------------
-
-
-def _fingerprint(v: Violation) -> tuple[str, str, str]:
-    """Line-number-free identity of a finding (stable across edits)."""
-    return (v.rule, v.path, v.message)
-
-
-def write_baseline(violations: Sequence[Violation], file: str | Path) -> None:
-    """Record the current findings as the accepted baseline."""
-    counts = Counter(_fingerprint(v) for v in violations)
-    entries = [
-        [rule, path, message, count]
-        for (rule, path, message), count in sorted(counts.items())
-    ]
-    Path(file).write_text(
-        json.dumps({"version": 1, "entries": entries}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_baseline(file: str | Path) -> Counter:
-    """Load a baseline file; raises ValueError when malformed."""
-    try:
-        data = json.loads(Path(file).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read baseline {file}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("version") != 1:
-        raise ValueError(f"baseline {file} is not a version-1 baseline file")
-    counts: Counter = Counter()
-    for entry in data.get("entries", []):
-        rule, path, message, count = entry
-        counts[(rule, path, message)] = int(count)
-    return counts
-
-
-def apply_baseline(
-    violations: Sequence[Violation], baseline: Counter
-) -> tuple[list[Violation], int]:
-    """Split findings into (new, baselined_count) against a baseline.
-
-    Fingerprints are (rule, path, message) — deliberately free of line
-    numbers, so unrelated edits shifting a waived finding around do
-    not resurface it. Counts are respected: if the baseline recorded
-    two identical findings and a third appears, one is reported.
-    """
-    used: Counter = Counter()
-    kept: list[Violation] = []
-    suppressed = 0
-    for v in violations:
-        key = _fingerprint(v)
-        if used[key] < baseline.get(key, 0):
-            used[key] += 1
-            suppressed += 1
-            continue
-        kept.append(v)
-    return kept, suppressed
-
-
-def render_text(
-    violations: Sequence[Violation], files_checked: int, baselined: int = 0
-) -> str:
+def render_text(violations: Sequence[Violation], files_checked: int) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [v.render() for v in violations]
     noun = "violation" if len(violations) == 1 else "violations"
-    summary = f"{len(violations)} {noun} in {files_checked} files checked"
-    if baselined:
-        summary += f" ({baselined} baselined)"
-    lines.append(summary)
+    lines.append(f"{len(violations)} {noun} in {files_checked} files checked")
     return "\n".join(lines)
 
 
-def render_json(
-    violations: Sequence[Violation], files_checked: int, baselined: int = 0
-) -> str:
+def render_json(violations: Sequence[Violation], files_checked: int) -> str:
     """Machine-readable report (``--format json`` / ``--output``)."""
-    report: dict[str, object] = {
+    report = {
         "files_checked": files_checked,
         "violations": [v.to_json() for v in violations],
     }
-    if baselined:
-        report["baselined"] = baselined
     return json.dumps(report, indent=2, sort_keys=True)
 
 
@@ -401,18 +324,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="also write the JSON report to FILE",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE; fail only on new ones",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings to FILE and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -438,30 +349,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(violations, args.write_baseline)
-        noun = "finding" if len(violations) == 1 else "findings"
-        print(
-            f"baseline written: {len(violations)} {noun} recorded "
-            f"to {args.write_baseline}"
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline:
-        try:
-            violations, baselined = apply_baseline(
-                violations, load_baseline(args.baseline)
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
     if args.output:
         Path(args.output).write_text(
-            render_json(violations, files_checked, baselined) + "\n",
-            encoding="utf-8",
+            render_json(violations, files_checked) + "\n", encoding="utf-8"
         )
     render = render_json if args.format == "json" else render_text
-    print(render(violations, files_checked, baselined))
+    print(render(violations, files_checked))
     return 1 if violations else 0

@@ -94,7 +94,6 @@ from repro.scenario.io.schema import (
     CLASS_FIELDS,
     FLOW_FIELDS,
     LINK_FIELDS,
-    SCENARIO_FIELDS,
     STREAM_FIELDS,
     WEIGHT_CHURN_FIELDS,
     WEIGHT_RANGE,
@@ -539,7 +538,7 @@ def scenario_from_dict(
             _join(path, "kind"), f"expected 'scenario', got {kind!r}"
         )
     fields = validate_block(
-        block, SCENARIO_FIELDS, path, extra_keys=_SCENARIO_BLOCKS
+        block, Scenario.fields, path, extra_keys=_SCENARIO_BLOCKS
     )
 
     _check_registered(SCHEDULERS, fields["scheduler"], _join(path, "scheduler"))
@@ -785,13 +784,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         raise ConfigError(
             "probes", "probes hold callables and cannot be emitted as config"
         )
-    out: dict[str, Any] = {"name": scenario.name}
-    for f in SCENARIO_FIELDS:
-        if f.name == "name":
-            continue
-        value = getattr(scenario, f.name)
-        if value != f.default:
-            out[f.name] = value
+    out = _spec_to_dict(scenario, {})
     if scenario.scheduler_params:
         out["scheduler_params"] = _plain_params(
             scenario.scheduler_params, "scheduler_params"

@@ -11,14 +11,13 @@ message, not a stack-trace dig.
 Two sources of truth:
 
 - :class:`FieldSpec` tables declare each block's fields with type,
-  default, nullability and range — :data:`SCENARIO_FIELDS` covers the
-  scalar :class:`Scenario` fields, :data:`STREAM_FIELDS` the generated
-  ``streams`` blocks, and so on.
+  default, nullability and range — :data:`STREAM_FIELDS` covers the
+  generated ``streams`` blocks, and so on.
 - :func:`fields_of_dataclass` derives a table directly from a frozen
   spec dataclass, so the schema can never drift from the dataclasses
-  the runner actually consumes. Each registered spec kind (see
-  :mod:`repro.scenario.spec`) carries its table as ``cls.fields``,
-  ranges included.
+  the runner actually consumes. :class:`Scenario`, ``TaskSpec`` and
+  each registered spec kind (see :mod:`repro.scenario.spec`) carry
+  their table as ``cls.fields``, ranges included.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "check_mapping",
     "check_sequence",
     "validate_block",
-    "SCENARIO_FIELDS",
     "STREAM_FIELDS",
     "CLASS_FIELDS",
     "WEIGHT_CHURN_FIELDS",
@@ -260,27 +258,6 @@ def validate_block(
 
 #: the bounds of every field that becomes a task weight (``Task``'s own)
 WEIGHT_RANGE: Mapping[str, float] = {"ge": MIN_WEIGHT, "le": MAX_WEIGHT}
-
-#: the scalar Scenario fields a config file may set directly. tasks/
-#: groups/streams/drivers/events and the mapping-valued fields
-#: (scheduler_params, audit_params) are structured blocks handled by
-#: the loader; probes are callables and deliberately not configurable.
-SCENARIO_FIELDS: tuple[FieldSpec, ...] = (
-    FieldSpec("name", "str", required=True),
-    FieldSpec("scheduler", "str", default="sfs"),
-    FieldSpec("cpus", "int", default=2, ge=1),
-    FieldSpec("quantum", "float", default=0.2, gt=0.0),
-    FieldSpec("cost_model", "str", default="zero"),
-    FieldSpec("duration", "float", default=None, nullable=True, gt=0.0),
-    FieldSpec("quantum_jitter", "float", default=0.0, ge=0.0),
-    FieldSpec("jitter_seed", "int", default=0),
-    FieldSpec("sample_service", "bool", default=True),
-    FieldSpec("service_sample_interval", "float", default=0.0, ge=0.0),
-    FieldSpec("record_events", "bool", default=True),
-    FieldSpec("preempt_on_wake", "bool", default=True),
-    FieldSpec("max_time", "float", default=3600.0, gt=0.0),
-    FieldSpec("audit", "bool", default=False),
-)
 
 #: one generated-population block under ``streams:``
 STREAM_FIELDS: tuple[FieldSpec, ...] = (

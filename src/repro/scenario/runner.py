@@ -9,6 +9,8 @@ settle accounting, and wrap everything in a
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.scenario.result import SimulationResult, summarize
 from repro.scenario.spec import Scenario
 from repro.schedulers.registry import make_scheduler
@@ -92,20 +94,26 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     if scenario.duration is not None:
         machine.run_until(scenario.duration)
     else:
-        # Step event-by-event so the run stops exactly when the last
-        # driver completes — result.duration/capacity/shares then cover
-        # the true measured window, with no idle padding.
+        # Advance one timestamp at a time so the run stops exactly when
+        # the last driver completes — result.duration/capacity/shares
+        # then cover the true measured window, with no idle padding.
+        # The engine advances, not the machine, whose run_until charges
+        # the running tasks on every call: they are settled once, below.
+        engine = machine.engine
         rings = [d for d in drivers.values() if isinstance(d, TokenRing)]
         while not all(r.done for r in rings):
             if machine.now >= scenario.max_time:
-                raise RuntimeError(
-                    "drivers did not finish within "
-                    f"max_time={scenario.max_time}"
+                raise ValueError(
+                    f"scenario {scenario.name!r}: drivers did not finish "
+                    f"within max_time={scenario.max_time}"
                 )
-            if not machine.engine.step():
-                raise RuntimeError(
-                    "drivers cannot finish: event queue drained"
+            next_time = engine.next_time
+            if next_time == inf:
+                raise ValueError(
+                    f"scenario {scenario.name!r}: drivers cannot finish: "
+                    f"event queue drained before max_time={scenario.max_time}"
                 )
+            engine.run_until(next_time)
         machine.run_until(machine.now)  # settle service accounting
     result = SimulationResult(
         scenario,

@@ -417,6 +417,26 @@ class Probe:
 # the scenario itself
 # ----------------------------------------------------------------------
 
+# The config schema covers the scalar fields. The loader reads tasks,
+# drivers, events, metrics and the two parameter mappings as blocks of
+# their own, and probes hold callables, which no config can express.
+@field_table(
+    skip=(
+        "scheduler_params",
+        "tasks",
+        "drivers",
+        "events",
+        "probes",
+        "metrics",
+        "audit_params",
+    ),
+    cpus={"ge": 1},
+    quantum={"gt": 0.0},
+    duration={"gt": 0.0},
+    quantum_jitter={"ge": 0.0},
+    service_sample_interval={"ge": 0.0},
+    max_time={"gt": 0.0},
+)
 @dataclass(frozen=True)
 class Scenario:
     """A complete, declarative experiment specification.

@@ -76,7 +76,7 @@ typedef struct {
     double *times;       /* C binary min-heap of the distinct bucket times */
     Py_ssize_t times_len;
     Py_ssize_t times_cap;
-    PyObject *head;      /* bucket being drained one event at a time, or NULL */
+    PyObject *head;      /* the unfired tail of a popped batch, or NULL */
     Py_ssize_t head_pos;
     double head_time;
     /* the loaded run: loaded_fn(loaded_args[i]) fires at loaded_times[i],
@@ -141,20 +141,6 @@ Handle_cancel(HandleObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-Handle_richcompare(PyObject *a, PyObject *b, int op)
-{
-    if (op != Py_LT ||
-        !PyObject_TypeCheck(a, &Handle_Type) ||
-        !PyObject_TypeCheck(b, &Handle_Type)) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    HandleObject *ha = (HandleObject *)a, *hb = (HandleObject *)b;
-    int lt = (ha->time < hb->time) ||
-             (ha->time == hb->time && ha->seq < hb->seq);
-    return PyBool_FromLong(lt);
-}
-
-static PyObject *
 Handle_repr(HandleObject *self)
 {
     PyObject *t = PyFloat_FromDouble(self->time);
@@ -207,7 +193,6 @@ static PyTypeObject Handle_Type = {
     .tp_doc = "Handle to a scheduled event; allows O(1) cancellation.",
     .tp_traverse = (traverseproc)Handle_traverse,
     .tp_clear = (inquiry)Handle_clear,
-    .tp_richcompare = Handle_richcompare,
     .tp_methods = Handle_methods,
     .tp_members = Handle_members,
     .tp_getset = Handle_getset,
@@ -920,9 +905,10 @@ engine_drain(EngineObject *self, double bound)
                 self->head_time = now;
                 break;
             }
-            /* Counters move before the callback runs, exactly as in
-             * step(): a callback reading `pending` or `events_fired`
-             * must see the same values on either code path. */
+            /* Counters move before the callback runs, exactly as for
+             * a loaded entry or a slot: a callback reading `pending` or
+             * `events_fired` sees its own event counted, whatever its
+             * source. */
             self->fired++;
             self->live--;
             Py_CLEAR(h->engine);
@@ -948,92 +934,6 @@ engine_drain(EngineObject *self, double bound)
             Py_DECREF(batch);
         }
     }
-}
-
-/* Fire the single next pending event. Returns 1 if one fired, 0 if the
- * queue is empty, -1 on exception. */
-static int
-engine_step_inner(EngineObject *self)
-{
-    double bound = engine_queue_bound(self, INFINITY);
-    for (;;) {
-        if (self->head == NULL) {
-            if (self->times_len == 0 || self->times[0] > bound) {
-                if (bound == self->first_time)
-                    return engine_fire_slot(self) < 0 ? -1 : 1;
-                if (bound == INFINITY)
-                    return 0;
-                return engine_fire_loaded(self) < 0 ? -1 : 1;
-            }
-            double when = times_pop(self);
-            PyObject *key = PyFloat_FromDouble(when);
-            if (key == NULL)
-                return -1;
-            PyObject *bucket = PyDict_GetItemWithError(self->buckets, key);
-            if (bucket == NULL) {
-                Py_DECREF(key);
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "calendar-queue invariant violated: "
-                                    "heap time with no bucket");
-                return -1;
-            }
-            Py_INCREF(bucket);
-            if (PyDict_DelItem(self->buckets, key) < 0) {
-                Py_DECREF(bucket);
-                Py_DECREF(key);
-                return -1;
-            }
-            Py_DECREF(key);
-            self->head = bucket;
-            self->head_pos = 0;
-            self->head_time = when;
-        }
-        PyObject *head = self->head;
-        Py_ssize_t size = PyList_GET_SIZE(head);
-        Py_ssize_t pos = self->head_pos;
-        while (pos < size) {
-            HandleObject *h = (HandleObject *)PyList_GET_ITEM(head, pos);
-            if (h->cancelled) {
-                pos++;
-                continue;
-            }
-            if (h->time == self->first_time && self->first_seq < h->seq) {
-                self->head_pos = pos; /* the slot goes first */
-                return engine_fire_slot(self) < 0 ? -1 : 1;
-            }
-            pos++;
-            Py_INCREF(h); /* keep h alive if we drop the head list */
-            if (pos == size)
-                Py_CLEAR(self->head);
-            else
-                self->head_pos = pos;
-            self->now = h->time;
-            self->fired++;
-            self->live--;
-            Py_CLEAR(h->engine);
-            PyObject *res = PyObject_CallObject(h->fn, h->args);
-            Py_DECREF(h);
-            if (res == NULL)
-                return -1;
-            Py_DECREF(res);
-            return 1;
-        }
-        Py_CLEAR(self->head);
-    }
-}
-
-PyDoc_STRVAR(step_doc,
-"step() -> bool\n\n"
-"Fire the next pending event. Returns False if none is pending.");
-
-static PyObject *
-Engine_step(EngineObject *self, PyObject *Py_UNUSED(ignored))
-{
-    int rc = engine_step_inner(self);
-    if (rc < 0)
-        return NULL;
-    return PyBool_FromLong(rc);
 }
 
 PyDoc_STRVAR(run_until_doc,
@@ -1062,40 +962,6 @@ Engine_run_until(EngineObject *self, PyObject *arg)
     Py_RETURN_NONE;
 }
 
-PyDoc_STRVAR(run_doc,
-"run(max_events=None) -> int\n\n"
-"Run until nothing is pending. `max_events` bounds the number of\n"
-"events fired (a safety valve for workloads that regenerate events\n"
-"forever). Returns the number of events fired by this call.");
-
-static PyObject *
-Engine_run(EngineObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"max_events", NULL};
-    PyObject *max_events = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O", kwlist, &max_events))
-        return NULL;
-    if (max_events == Py_None) {
-        long long before = self->fired;
-        if (engine_drain(self, INFINITY) < 0)
-            return NULL;
-        return PyLong_FromLongLong(self->fired - before);
-    }
-    long long cap = PyLong_AsLongLong(max_events);
-    if (cap == -1 && PyErr_Occurred())
-        return NULL;
-    long long fired = 0;
-    while (fired < cap) {
-        int rc = engine_step_inner(self);
-        if (rc < 0)
-            return NULL;
-        if (rc == 0)
-            break;
-        fired++;
-    }
-    return PyLong_FromLongLong(fired);
-}
-
 static PyObject *
 Engine_get_now(EngineObject *self, void *closure)
 {
@@ -1114,6 +980,25 @@ Engine_get_pending(EngineObject *self, void *closure)
     return PyLong_FromLongLong(self->live);
 }
 
+/* The earliest of the head or first queued bucket, cancelled handles
+ * included, the loaded run's next entry and the earliest armed slot, as
+ * PyEngine.next_time; inf when the engine holds nothing. */
+static PyObject *
+Engine_get_next_time(EngineObject *self, void *closure)
+{
+    double when = INFINITY;
+    if (self->head != NULL)
+        when = self->head_time; /* always the earliest bucket */
+    else if (self->times_len > 0)
+        when = self->times[0];
+    if (self->loaded_pos < self->loaded_len &&
+        self->loaded_times[self->loaded_pos] < when)
+        when = self->loaded_times[self->loaded_pos];
+    if (self->first_time < when) /* NaN, so false, while none is armed */
+        when = self->first_time;
+    return PyFloat_FromDouble(when);
+}
+
 static PyGetSetDef Engine_getset[] = {
     {"now", (getter)Engine_get_now, NULL,
      "Current simulation time in seconds.", NULL},
@@ -1122,6 +1007,11 @@ static PyGetSetDef Engine_getset[] = {
     {"pending", (getter)Engine_get_pending, NULL,
      "Number of not-yet-fired, not-cancelled events - O(1). An armed "
      "timer slot counts once.", NULL},
+    {"next_time", (getter)Engine_get_next_time, NULL,
+     "The earliest time at which anything is due; inf when idle. A "
+     "bucket whose handles were all cancelled still counts, so "
+     "run_until(next_time) fires at most one timestamp's events, "
+     "possibly none.", NULL},
     {NULL}
 };
 
@@ -1136,9 +1026,7 @@ static PyMethodDef Engine_methods[] = {
     {"reserve", (PyCFunction)Engine_reserve, METH_O, reserve_doc},
     {"arm", (PyCFunction)(void (*)(void))Engine_arm, METH_FASTCALL, arm_doc},
     {"disarm", (PyCFunction)Engine_disarm, METH_O, disarm_doc},
-    {"step", (PyCFunction)Engine_step, METH_NOARGS, step_doc},
     {"run_until", (PyCFunction)Engine_run_until, METH_O, run_until_doc},
-    {"run", (PyCFunction)Engine_run, METH_VARARGS | METH_KEYWORDS, run_doc},
     {NULL}
 };
 

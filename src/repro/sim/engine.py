@@ -21,6 +21,11 @@ instead of pushed, cancelled and popped as a handle. ``_queue_bound``
 is the one place the sources merge; a slot and a queued event at the
 same time fire in seq order.
 
+Events fire in one place, ``_drain``, behind :meth:`PyEngine.run_until`.
+A caller that must stop the moment a condition holds, as a ``lat_ctx``
+ring run does, advances one timestamp at a time with
+``run_until(next_time)``.
+
 Two engine implementations share this contract:
 
 - :class:`PyEngine` (this module): pure Python, on the calendar queue
@@ -81,9 +86,6 @@ class EventHandle:
             self._engine._live -= 1
             self._engine = None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} {self.fn.__name__} ({state})>"
@@ -133,6 +135,24 @@ class PyEngine:
         An armed timer slot counts once.
         """
         return self._live
+
+    @property
+    def next_time(self) -> float:
+        """The earliest time at which anything is due; ``inf`` when idle.
+
+        The earliest of the queue's first bucket, the loaded run's next
+        entry and the earliest armed slot. A bucket whose handles were
+        all cancelled still counts, so ``run_until(next_time)`` fires at
+        most one timestamp's events, possibly none, and reading this
+        changes nothing.
+        """
+        when = self._queue.next_time()
+        pos = self._loaded_pos
+        if pos < len(self._loaded_times) and self._loaded_times[pos] < when:
+            when = self._loaded_times[pos]
+        if self._slot_time < when:  # NaN, so false, while none is armed
+            when = self._slot_time
+        return when
 
     def schedule_at(
         self, when: float, fn: Callable[..., Any], *args: Any
@@ -342,27 +362,6 @@ class PyEngine:
         self._clear_slot(slot)
         self._slot_fns[slot](*self._slot_args[slot])
 
-    def step(self) -> bool:
-        """Fire the next pending event. Returns False if none is pending."""
-        bound = self._queue_bound(inf)
-        slot_due = bound == self._slot_time
-        # a handle at the slot's own time goes first only by seq
-        handle = self._queue.pop_due(bound, self._slot_seq if slot_due else inf)
-        if handle is None:
-            if slot_due:
-                self._fire_slot()
-            elif bound == inf:
-                return False
-            else:
-                self._fire_loaded()
-            return True
-        self._now = handle.time
-        self._fired += 1
-        self._live -= 1
-        handle._engine = None  # a later cancel() must not re-decrement
-        handle.fn(*handle.args)
-        return True
-
     def _drain(self, t_end: float) -> None:
         """Fire every event with ``time <= t_end``, batch by batch.
 
@@ -405,9 +404,9 @@ class PyEngine:
                         tied = True
                         break
                     # Counters move before the callback runs, exactly as
-                    # in step(): a callback reading ``pending`` or
-                    # ``events_fired`` must see the same values on either
-                    # code path.
+                    # for a loaded entry or a slot: a callback reading
+                    # ``pending`` or ``events_fired`` sees its own event
+                    # counted, whatever its source.
                     self._fired += 1
                     self._live -= 1
                     handle._engine = None
@@ -433,22 +432,6 @@ class PyEngine:
             raise ValueError(f"t_end {t_end} is in the past (now={self._now})")
         self._drain(t_end)
         self._now = t_end
-
-    def run(self, max_events: int | None = None) -> int:
-        """Run until nothing is pending.
-
-        ``max_events`` bounds the number of events fired (a safety valve
-        for workloads that regenerate events forever). Returns the number
-        of events fired by this call.
-        """
-        if max_events is None:
-            before = self._fired
-            self._drain(inf)
-            return self._fired - before
-        fired = 0
-        while fired < max_events and self.step():
-            fired += 1
-        return fired
 
 
 def _select_engine():

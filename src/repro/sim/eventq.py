@@ -30,10 +30,10 @@ Build-time arrivals and processor timers never enter this queue. The
 engine keeps the arrivals as a sorted run and the timers in one slot
 per processor beside it (``PyEngine.load_sorted``, ``PyEngine.arm``)
 and bounds each pop by their next time, so the queue only ever answers
-"what is due by this bound". A slot due at the bound itself fires
-between the handles of that time by seq: ``pop_due`` stops at the
-first handle whose seq follows the slot's, and the engine's batch loop
-puts the rest of a batch back with ``requeue``.
+"what is due by this bound" and, for ``PyEngine.next_time``, "when is
+the earliest bucket". A slot due at the bound itself fires between the
+handles of that time by seq: the engine's batch loop puts the rest of
+a batch back with ``requeue``.
 
 The compiled engine (:mod:`repro.sim._engine`, built from
 ``src/repro/sim/_engine.c`` when the optional extension is available)
@@ -65,25 +65,17 @@ class CalendarEventQueue:
     rejects scheduling into the past.
     """
 
-    __slots__ = ("_buckets", "_times", "_head", "_head_pos", "_head_time")
+    __slots__ = ("_buckets", "_times", "_head", "_head_time")
 
     def __init__(self) -> None:
         #: raw float time -> list of handles in seq (i.e. FIFO) order
         self._buckets: dict[float, list["EventHandle"]] = {}
         #: binary heap of the distinct times present in ``_buckets``
         self._times: list[float] = []
-        #: bucket currently being drained one handle at a time (only
-        #: ``pop_due`` leaves one behind; batch pops consume it whole)
+        #: the unfired tail of a popped batch, put back by ``requeue``;
+        #: the next batch pop hands it back whole
         self._head: list["EventHandle"] | None = None
-        self._head_pos = 0
         self._head_time = math.inf
-
-    def __len__(self) -> int:
-        """Number of queued handles, including cancelled ones."""
-        n = sum(len(b) for b in self._buckets.values())
-        if self._head is not None:
-            n += len(self._head) - self._head_pos
-        return n
 
     def push(self, handle: "EventHandle") -> None:
         """Queue ``handle`` (reads its ``time`` and ``seq``)."""
@@ -94,42 +86,6 @@ class CalendarEventQueue:
             heappush(self._times, when)
         else:
             bucket.append(handle)
-
-    def pop_due(
-        self, bound: float, seq_limit: float = math.inf
-    ) -> "EventHandle | None":
-        """Next live handle with ``time <= bound``, or None.
-
-        A handle at exactly ``bound`` is due only if its seq is below
-        ``seq_limit``; else it stays queued, first in line.
-        """
-        while True:
-            head = self._head
-            if head is None:
-                if not self._times or self._times[0] > bound:
-                    return None
-                when = heappop(self._times)
-                head = self._buckets.pop(when)
-                self._head = head
-                self._head_pos = 0
-                self._head_time = when
-            pos = self._head_pos
-            size = len(head)
-            while pos < size:
-                handle = head[pos]
-                if handle.cancelled:
-                    pos += 1
-                    continue
-                if handle.seq > seq_limit and self._head_time == bound:
-                    self._head_pos = pos
-                    return None
-                pos += 1
-                if pos == size:
-                    self._head = None
-                else:
-                    self._head_pos = pos
-                return handle
-            self._head = None
 
     def pop_batch_due(self, bound: float) -> "list[EventHandle] | None":
         """All handles sharing the earliest due timestamp, or None.
@@ -142,11 +98,11 @@ class CalendarEventQueue:
         while True:
             head = self._head
             if head is not None:
-                # The partially drained bucket is always earliest (see
-                # class docstring), but may still be beyond the bound.
+                # The requeued tail is always earliest (see class
+                # docstring), but may still be beyond the bound.
                 if self._head_time > bound:
                     return None
-                batch = head[self._head_pos:]
+                batch = head
                 self._head = None
             elif not times or times[0] > bound:
                 return None
@@ -174,6 +130,15 @@ class CalendarEventQueue:
             return
         assert self._head is None, "requeue with a partially drained bucket"
         self._head = handles
-        self._head_pos = 0
         self._head_time = time
+
+    def next_time(self) -> float:
+        """Time of the earliest bucket, or ``inf`` when none is queued.
+
+        A bucket whose handles were all cancelled still counts: only a
+        pop drops it.
+        """
+        if self._head is not None:
+            return self._head_time
+        return self._times[0] if self._times else math.inf
 

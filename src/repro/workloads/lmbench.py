@@ -133,14 +133,3 @@ class TokenRing:
         elapsed = self.finished_at - self.started_at
         per_pass = elapsed / self.pass_count
         return max(0.0, per_pass - self.work_cost)
-
-    def run(self, max_time: float = 3600.0) -> float:
-        """Drive the machine until the ring completes; return switch time."""
-        step = 1.0
-        t = self.machine.now
-        while not self.done and t < max_time:
-            t = min(max_time, t + step)
-            self.machine.run_until(t)
-        if not self.done:
-            raise RuntimeError(f"ring did not finish within {max_time} s")
-        return self.switch_time()

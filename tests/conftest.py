@@ -10,9 +10,20 @@ import pytest
 
 import repro
 from repro.core.sfs import SurplusFairScheduler
+from repro.sim.engine import PyEngine
 from repro.sim.machine import Machine
 from repro.sim.task import Task
 from repro.workloads.cpu_bound import FiniteCompute, Infinite
+
+try:
+    from repro.sim._engine import Engine as CompiledEngine
+except ImportError:  # pragma: no cover - pure-python environments
+    CompiledEngine = None
+
+#: every engine build importable here, by name
+ENGINES = {"pure": PyEngine}
+if CompiledEngine is not None:
+    ENGINES["compiled"] = CompiledEngine
 
 
 @pytest.fixture

@@ -277,6 +277,17 @@ cpus: [1, 2]
 metrics: [jains]
 """
 
+#: a ring far too long for its max_time
+RING_BLOCK = """\
+name: ring
+scheduler: sfs
+cpus: 2
+cost_model: lmbench
+max_time: 0.001
+drivers:
+  - {kind: lat-ctx, name: r, nprocs: 4, passes: 100000}
+"""
+
 
 class TestConfigMode:
     @pytest.fixture
@@ -387,6 +398,22 @@ class TestConfigMode:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_ring_past_max_time_exits_2(self, tmp_path, capsys, command):
+        # It used to exit 1 on a RuntimeError traceback from the runner.
+        path = tmp_path / "ring.yaml"
+        if command == "run":
+            path.write_text(RING_BLOCK)
+            argv = ["run", str(path), "--metrics", "completed"]
+        else:
+            base = "".join(f"  {line}\n" for line in RING_BLOCK.splitlines())
+            path.write_text(f"kind: sweep\nbase:\n{base}metrics: [completed]\n")
+            argv = ["sweep", str(path), "--workers", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "scenario 'ring" in err and "max_time=0.001" in err
 
     def test_list_names_arrivals_and_demands(self, capsys):
         assert main(["list"]) == 0

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Engine
@@ -12,7 +14,7 @@ class TestScheduling:
         engine.schedule_at(2.0, fired.append, "b")
         engine.schedule_at(1.0, fired.append, "a")
         engine.schedule_at(3.0, fired.append, "c")
-        engine.run()
+        engine.run_until(math.inf)
         assert fired == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_fifo(self):
@@ -20,27 +22,27 @@ class TestScheduling:
         fired = []
         for tag in ("first", "second", "third"):
             engine.schedule_at(1.0, fired.append, tag)
-        engine.run()
+        engine.run_until(math.inf)
         assert fired == ["first", "second", "third"]
 
     def test_now_advances_to_event_time(self):
         engine = Engine()
         seen = []
         engine.schedule_at(5.0, lambda: seen.append(engine.now))
-        engine.run()
+        engine.run_until(math.inf)
         assert seen == [5.0]
 
     def test_schedule_after_relative_delay(self):
         engine = Engine()
         seen = []
         engine.schedule_at(1.0, lambda: engine.schedule_after(2.0, lambda: seen.append(engine.now)))
-        engine.run()
+        engine.run_until(math.inf)
         assert seen == [3.0]
 
     def test_cannot_schedule_in_past(self):
         engine = Engine()
         engine.schedule_at(1.0, lambda: None)
-        engine.run()
+        engine.run_until(engine.next_time)
         with pytest.raises(ValueError):
             engine.schedule_at(0.5, lambda: None)
 
@@ -56,14 +58,14 @@ class TestCancellation:
         fired = []
         handle = engine.schedule_at(1.0, fired.append, "x")
         handle.cancel()
-        engine.run()
+        engine.run_until(math.inf)
         assert fired == []
 
     def test_cancel_after_fire_is_noop(self):
         engine = Engine()
         fired = []
         handle = engine.schedule_at(1.0, fired.append, "x")
-        engine.run()
+        engine.run_until(math.inf)
         handle.cancel()
         assert fired == ["x"]
 
@@ -80,14 +82,14 @@ class TestCancellation:
         h2 = engine.schedule_at(2.0, lambda: None)
         engine.schedule_at(3.0, lambda: None)
         assert engine.pending == 3
-        engine.step()  # fires h1
+        engine.run_until(engine.next_time)  # fires h1
         assert engine.pending == 2
         h2.cancel()
         h2.cancel()  # double-cancel must not double-decrement
         assert engine.pending == 1
         h1.cancel()  # cancel after fire must not decrement
         assert engine.pending == 1
-        engine.run()
+        engine.run_until(math.inf)
         assert engine.pending == 0
 
 
@@ -123,23 +125,19 @@ class TestRunUntil:
 
 class TestRun:
     def test_run_returns_fired_count(self):
+        # ``run_until`` returns nothing; a run's fired count is the rise in
+        # ``events_fired`` across it.
         engine = Engine()
         for i in range(5):
             engine.schedule_at(float(i), lambda: None)
-        assert engine.run() == 5
-
-    def test_max_events_bounds_execution(self):
-        engine = Engine()
-
-        def reschedule():
-            engine.schedule_after(1.0, reschedule)
-
-        engine.schedule_at(0.0, reschedule)
-        fired = engine.run(max_events=10)
-        assert fired == 10
+        engine.run_until(2.0)
+        assert engine.events_fired == 3
+        engine.run_until(math.inf)
+        assert engine.events_fired == 5
+        assert engine.pending == 0
 
     def test_events_fired_counter(self):
         engine = Engine()
         engine.schedule_at(1.0, lambda: None)
-        engine.run()
+        engine.run_until(math.inf)
         assert engine.events_fired == 1

@@ -6,11 +6,12 @@ engine build: the reference binary heap defined here, the pure-Python
 calendar queue, and the compiled C engine. These tests drive all of
 them with the same randomized schedules (same-timestamp bursts,
 cancellations, reentrant scheduling from callbacks) and require
-bit-identical fire logs, clocks and counters. A divergence here means
-simulations would stop being reproducible across builds, which is the
-repository's ground rule. A sorted run loaded with ``load_sorted``
-must fire exactly as one ``schedule_at`` per entry would, and a timer
-slot exactly as a handle cancelled whenever the slot is re-armed.
+bit-identical fire logs, clocks, counters and ``next_time``. A
+divergence here means simulations would stop being reproducible
+across builds, which is the repository's ground rule. A sorted run
+loaded with ``load_sorted`` must fire exactly as one ``schedule_at``
+per entry would, and a timer slot exactly as a handle taken out of the
+queue whenever the slot is re-armed or disarmed.
 
 ``PyEngine`` and ``EventHandle`` also declare the compiled surface:
 the extension's public names and error messages must equal theirs.
@@ -27,7 +28,7 @@ import os
 import re
 import subprocess
 import sys
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -71,54 +72,53 @@ class HeapEventQueue:
         """Queue ``handle`` (reads its ``time`` and ``seq``)."""
         heappush(self._heap, (handle.time, handle.seq, handle))
 
-    def pop_due(self, bound: float, seq_limit: float = math.inf):
-        """Next live handle with ``time <= bound``, or None.
-
-        A handle at exactly ``bound`` is due only if its seq is below
-        ``seq_limit``. Cancelled handles encountered on the way are
-        dropped.
-        """
-        heap = self._heap
-        while heap:
-            when, seq, head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                continue
-            if when > bound or (when == bound and seq > seq_limit):
-                return None
-            heappop(heap)
-            return head
-        return None
-
     def pop_batch_due(self, bound: float):
         """All handles sharing the earliest due timestamp, or None.
 
         Pops the same-time run off the heap one tuple at a time; the
         batch may contain cancelled handles but always at least one
-        live one.
+        live one. Cancelled handles are dropped only at or below
+        ``bound``, as the calendar queue drops a cancelled bucket only
+        when it pops it, so both report the same ``next_time``.
         """
-        first = self.pop_due(bound)
-        if first is None:
-            return None
-        batch = [first]
         heap = self._heap
-        when = first.time
-        while heap and heap[0][0] == when:
-            batch.append(heappop(heap)[2])
-        return batch
+        while heap and heap[0][0] <= bound:
+            first = heappop(heap)[2]
+            if first.cancelled:
+                continue
+            batch = [first]
+            while heap and heap[0][0] == first.time:
+                batch.append(heappop(heap)[2])
+            return batch
+        return None
 
     def requeue(self, handles, time: float) -> None:
         """Put back the unfired tail of a popped batch (exception path)."""
         for handle in handles:
             heappush(self._heap, (handle.time, handle.seq, handle))
 
+    def next_time(self) -> float:
+        """Time of the earliest queued handle, cancelled or not."""
+        return self._heap[0][0] if self._heap else math.inf
+
+    def discard(self, handle) -> None:
+        """Drop ``handle`` if it is queued."""
+        entry = (handle.time, handle.seq, handle)
+        if entry in self._heap:
+            self._heap.remove(entry)
+            heapify(self._heap)
+
 
 class HandleSlotEngine(PyEngine):
-    """The timer slots' oracle: a slot is a handle, cancelled on re-arm.
+    """The timer slots' oracle: a slot is a handle, dropped on re-arm.
 
     Arming pushes a handle carrying the slot's reserved seq into the
     queue, which then orders it against every queued event by
     ``(time, seq)``; firing consumes it, as firing disarms a slot.
+    Disarming takes the handle out of the queue, since the engines
+    keep no trace of a disarmed slot (nor in ``next_time``). So no two
+    queued handles share a ``(time, seq)``, although a slot re-armed
+    in place keeps its seq.
     """
 
     def __init__(self) -> None:
@@ -144,6 +144,7 @@ class HandleSlotEngine(PyEngine):
         handle = self._handles[slot]
         if handle is not None:
             handle.cancel()  # a no-op once it has fired
+            self._queue.discard(handle)
             self._handles[slot] = None
 
 
@@ -175,11 +176,14 @@ def all_engines() -> list:
 
 #: a program is a list of ops executed in order against a fresh engine;
 #: times are offsets *from the current clock* so every op stays legal.
-#: ("at", dt, cancel_idx_or_None)  schedule at now+dt, maybe cancelling
-#:                                 the handle scheduled by op cancel_idx
+#: ("at", dt, back_or_None)       schedule at now+dt, maybe cancelling
+#:                                 the handle scheduled back places
+#:                                 earlier (0: this one)
 #: ("run_until", dt)               advance the clock by dt
-#: ("step",)                       fire a single event
-#: ("run", max_or_None)            drain (optionally bounded)
+#: ("step",)                       fire the next timestamp's events, by
+#:                                 run_until(next_time) as a ring run
+#:                                 does, unless nothing is due before inf
+#: ("run", n_or_None)              n steps, or run_until(inf)
 #: ("at_time", t)                  schedule at max(t, now): absolute
 #:                                 times that tie with a loaded run
 #: ("reserve", n)                  reserve n seqs into a pool
@@ -195,7 +199,7 @@ _op = st.one_of(
     st.tuples(
         st.just("at"),
         st.floats(min_value=0.0, max_value=4.0, allow_nan=False, width=16),
-        st.none() | st.integers(min_value=0, max_value=30),
+        st.none() | st.integers(min_value=0, max_value=7),
     ),
     st.tuples(
         st.just("run_until"),
@@ -240,20 +244,27 @@ def load_sorted(engine, times, fn, args):
     engine.load_sorted(times, fn, args)
 
 
+def step(engine) -> None:
+    """Fire the next timestamp's events, if one comes before ``inf``."""
+    if engine.next_time < math.inf:
+        engine.run_until(engine.next_time)
+
+
 def execute(engine, program, run=(), load=load_sorted, raising=None):
     """Run ``program`` against ``engine``; return the observable log.
 
     Fired events record ``(sim-time, event-tag)``; after every op the
-    clock and both counters are appended too, so any divergence in
-    *when* state changes — not just in the final state — fails. Slot
-    ``k`` fires with tag ``SLOT_TAG + k``; callbacks re-arm and disarm
-    slots with fresh seqs only, as a running task's next segment does.
+    clock, both counters and ``next_time`` are appended too, so any
+    divergence in *when* state changes — not just in the final state —
+    fails. Slot ``k`` fires with tag ``SLOT_TAG + k``; callbacks re-arm
+    and disarm slots with fresh seqs only, as a running task's next
+    segment does.
     ``run`` is a sorted list of times handed to ``load`` before the
     program starts; the entry at index ``raising`` raises when fired,
     and the log records where.
     """
     log: list = []
-    handles: dict[int, object] = {}
+    handles: list = []  # in scheduling order, follow-ups included
     pool: list[int] = []  # reserved seqs no slot has used yet
     last_seq: dict[int, int] = {}  # slot -> the seq it was last armed with
 
@@ -266,9 +277,7 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
         # reentrancy: every third event schedules a same-time follow-up,
         # landing in a fresh bucket that must fire in the same pass
         if tag % 3 == 0 and tag < 900:
-            handles[1000 + tag] = engine.schedule_at(
-                engine.now, fire, 1000 + tag
-            )
+            handles.append(engine.schedule_at(engine.now, fire, 1000 + tag))
         # and some move the slots under the batch in progress
         if tag % 5 == 1:
             engine.disarm(tag % SLOTS)
@@ -290,17 +299,17 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
     for idx, op in enumerate(program):
         try:
             if op[0] == "at":
-                _, dt, cancel_idx = op
-                handles[idx] = engine.schedule_at(engine.now + dt, fire, idx)
-                if cancel_idx is not None and cancel_idx in handles:
-                    handles[cancel_idx].cancel()
+                _, dt, back = op
+                handles.append(engine.schedule_at(engine.now + dt, fire, idx))
+                if back is not None:
+                    handles[max(0, len(handles) - 1 - back)].cancel()
             elif op[0] == "at_time":
                 when = max(op[1], engine.now)
-                handles[idx] = engine.schedule_at(when, fire, idx)
+                handles.append(engine.schedule_at(when, fire, idx))
             elif op[0] == "run_until":
                 engine.run_until(engine.now + op[1])
             elif op[0] == "step":
-                log.append(("stepped", engine.step()))
+                step(engine)
             elif op[0] == "reserve":
                 first = engine.reserve(op[1])
                 pool.extend(range(first, first + op[1]))
@@ -315,14 +324,20 @@ def execute(engine, program, run=(), load=load_sorted, raising=None):
                     arm_fresh(slot, engine.now + dt)
             elif op[0] == "disarm":
                 engine.disarm(op[1])
+            elif op[1] is None:
+                engine.run_until(math.inf)
             else:
-                log.append(("ran", engine.run(op[1])))
+                for _ in range(op[1]):
+                    step(engine)
         except RuntimeError as exc:
             log.append(("raised", str(exc)))
-        log.append(("state", engine.now, engine.pending, engine.events_fired))
+        log.append(
+            ("state", engine.now, engine.pending, engine.events_fired, engine.next_time)
+        )
     while True:
         try:
-            log.append(("final", engine.run(), engine.now, engine.events_fired))
+            engine.run_until(math.inf)
+            log.append(("final", engine.pending, engine.events_fired, engine.next_time))
             return log
         except RuntimeError as exc:
             log.append(("raised", str(exc)))
@@ -376,7 +391,7 @@ class TestQueueEquivalence:
             for h in handles[::2]:
                 h.cancel()
             assert engine.pending == 50
-            engine.run()
+            engine.run_until(math.inf)
             assert fired == list(range(1, 100, 2))
             # cancelling an already-fired handle must not corrupt counters
             handles[1].cancel()
@@ -387,27 +402,15 @@ class TestQueueContract:
     """Direct pop-level checks on the queue implementations."""
 
     @pytest.mark.parametrize("kind", sorted(QUEUES))
-    def test_pop_due_respects_bound(self, kind):
-        engine = py_engine(kind)
-        queue = engine._queue
-        engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        assert queue.pop_due(0.5) is None
-        first = queue.pop_due(1.5)
-        assert first is not None and first.time == 1.0
-        assert queue.pop_due(1.5) is None
-
-    @pytest.mark.parametrize("kind", sorted(QUEUES))
-    def test_pop_due_holds_back_a_handle_past_the_seq_limit(self, kind):
-        # At the bound itself only seqs below the limit are due: a timer
-        # slot with that seq fires between them.
+    def test_pop_batch_due_respects_bound(self, kind):
         engine = py_engine(kind)
         queue = engine._queue
         first = engine.schedule_at(1.0, lambda: None)
-        second = engine.schedule_at(1.0, lambda: None)
-        assert queue.pop_due(1.0, first.seq + 0.5) is first
-        assert queue.pop_due(1.0, first.seq + 0.5) is None
-        assert queue.pop_due(math.nextafter(1.0, math.inf), first.seq) is second
+        engine.schedule_at(2.0, lambda: None)
+        assert queue.pop_batch_due(0.5) is None
+        assert queue.pop_batch_due(1.5) == [first]
+        assert queue.pop_batch_due(1.5) is None
+        assert queue.next_time() == 2.0
 
     @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_batch_skips_fully_cancelled_buckets(self, kind):
@@ -417,6 +420,9 @@ class TestQueueContract:
         keeper = engine.schedule_at(2.0, lambda: None)
         for h in doomed:
             h.cancel()
+        # a cancelled bucket counts until a pop at or past it drops it
+        assert queue.pop_batch_due(0.5) is None
+        assert queue.next_time() == 1.0
         batch = queue.pop_batch_due(math.inf)
         assert batch is not None
         assert keeper in batch
@@ -430,6 +436,7 @@ class TestQueueContract:
         batch = queue.pop_batch_due(math.inf)
         assert len(batch) == 2
         queue.requeue(batch[1:], 1.0)
+        assert queue.next_time() == 1.0
         again = queue.pop_batch_due(math.inf)
         assert again == batch[1:]
 
@@ -452,10 +459,34 @@ class TestExceptionSemantics:
                 engine.run_until(3.0)
             # the raising event was consumed; the tail was not
             assert fired == ["before"]
-            assert engine.pending == 2
+            assert (engine.pending, engine.next_time) == (2, 1.0)
             engine.run_until(3.0)
             assert fired == ["before", "after", "later"]
             assert engine.pending == 0
+
+
+class TestTimerSlots:
+    """A timer slot against the queue, on every engine and build."""
+
+    @pytest.mark.parametrize("stop", ["next_time", "past"])
+    def test_slot_fires_between_the_handles_of_its_time(self, stop):
+        # A slot armed at a queued time fires among that time's handles
+        # by seq, whether the run stops at that time or goes past it. A
+        # disarmed slot leaves no trace, not even in next_time.
+        for engine in all_engines():
+            fired = []
+            slot = engine.add_slot(fired.append, "slot")
+            gone = engine.add_slot(fired.append, "gone")
+            engine.schedule_at(1.0, fired.append, "first")
+            seq = engine.reserve(2)
+            engine.schedule_at(1.0, fired.append, "second")
+            engine.arm(slot, 1.0, seq)
+            engine.arm(gone, 0.5, seq + 1)
+            engine.disarm(gone)
+            assert (engine.pending, engine.next_time) == (3, 1.0)
+            engine.run_until(engine.next_time if stop == "next_time" else 2.0)
+            assert fired == ["first", "slot", "second"]
+            assert (engine.pending, engine.next_time) == (0, math.inf)
 
 
 class TestLoadSorted:
@@ -468,7 +499,8 @@ class TestLoadSorted:
             assert engine.pending == 3
             engine.run_until(1.0)
             assert (fired, engine.pending, engine.events_fired) == (["a", "b"], 1, 2)
-            engine.run()
+            assert engine.next_time == math.inf
+            engine.run_until(math.inf)
             assert fired == ["a", "b", "c"] and engine.now == math.inf
             assert (engine.pending, engine.events_fired) == (0, 3)
 
@@ -483,7 +515,7 @@ class TestLoadSorted:
             engine.load_sorted([1.0, 1.0], fired.append, ["run-0", "run-1"])
             engine.schedule_at(1.0, fired.append, "queued")
             engine.schedule_at(0.5, fired.append, "early")
-            engine.run()
+            engine.run_until(math.inf)
             assert fired == ["early", "run-0", "run-1", "queued"]
 
     def test_step_merges_the_run_with_the_queue(self):
@@ -491,9 +523,13 @@ class TestLoadSorted:
             fired = []
             engine.load_sorted([1.0, 2.0], fired.append, ["run-0", "run-1"])
             engine.schedule_at(1.0, fired.append, "queued")
-            assert engine.run(2) == 2
+            assert engine.next_time == 1.0
+            engine.run_until(engine.next_time)
             assert fired == ["run-0", "queued"] and engine.pending == 1
-            assert engine.step() and not engine.step()
+            assert engine.next_time == 2.0
+            engine.run_until(engine.next_time)
+            assert fired == ["run-0", "queued", "run-1"]
+            assert (engine.pending, engine.next_time) == (0, math.inf)
 
     @pytest.mark.parametrize(
         "times, message",
@@ -510,8 +546,7 @@ class TestLoadSorted:
             with pytest.raises(ValueError) as raised:
                 engine.load_sorted(times, print, times)
             assert str(raised.value) == message
-            assert engine.pending == 0
-            assert not engine.step()
+            assert (engine.pending, engine.next_time) == (0, math.inf)
 
     def test_rejects_a_load_while_anything_is_pending(self):
         for engine in all_engines():
@@ -520,7 +555,7 @@ class TestLoadSorted:
             message = "cannot load a sorted run: 2 events are pending"
             with pytest.raises(ValueError, match=message):
                 engine.load_sorted([2.0], print, [2])
-            engine.run()
+            engine.run_until(1.0)
             engine.load_sorted([2.0], print, [2])  # idle again: fine
             assert engine.pending == 1
 
@@ -624,12 +659,11 @@ class TestCompiledSurface:
         assert h.seq == 0
         assert h.args == (7,)
         assert not h.cancelled
-        h2 = engine.schedule_at(1.5, seen.append, 8)
-        assert h < h2 and not (h2 < h)
         h.cancel()
         assert h.cancelled
         h.cancel()  # idempotent
-        assert engine.pending == 1
+        assert engine.pending == 0
+        assert engine.next_time == 1.5  # until a pop drops the bucket
 
 
 # ----------------------------------------------------------------------

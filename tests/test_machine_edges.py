@@ -6,25 +6,14 @@ import re
 
 import pytest
 
-from tests.conftest import add_inf
+from tests.conftest import ENGINES, add_inf
 from repro.core.sfs import SurplusFairScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
-from repro.sim.engine import PyEngine
 from repro.sim.events import Block, Exit, Run
 from repro.sim.machine import Machine
 from repro.sim.task import Task, TaskState
 from repro.workloads.base import Behavior, GeneratorBehavior
 from repro.workloads.cpu_bound import Infinite
-
-try:
-    from repro.sim._engine import Engine as CompiledEngine
-except ImportError:  # pragma: no cover - pure-python environments
-    CompiledEngine = None
-
-#: every engine build importable here, by name
-ENGINES = {"pure": PyEngine}
-if CompiledEngine is not None:
-    ENGINES["compiled"] = CompiledEngine
 
 
 def machine(cpus=1, quantum=0.2, **kw):

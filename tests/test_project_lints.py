@@ -6,8 +6,8 @@ layer to a wall-clock read (SFS008, full chain in the message), a
 sim-scope loop over a set returned across the boundary (SFS009), and
 the inline pragma waiving each at the call site. The real repository
 is then dogfooded — the blocking CI invocation must be clean. The
-engine satellites ride along: repo-root-relative path rendering,
-``--output`` JSON emission, and ``--baseline``/``--write-baseline``.
+engine satellites ride along: repo-root-relative path rendering and
+``--output`` JSON emission.
 """
 
 import json
@@ -168,7 +168,7 @@ def test_cli_project_flag_reports_and_fails(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# satellites: path rendering, --output, --baseline
+# satellites: path rendering, --output
 # ----------------------------------------------------------------------
 
 
@@ -211,59 +211,6 @@ def test_output_writes_json_report(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     assert report["violations"][0]["rule"] == "SFS001"
     assert report["violations"][0]["path"] == "src/repro/sim/driver.py"
-
-
-def test_baseline_roundtrip_suppresses_known_findings(tmp_path, capsys):
-    _write_pkg(
-        tmp_path,
-        """
-        import random
-
-
-        def draw():
-            return random.random()
-        """,
-    )
-    base = tmp_path / "lint-baseline.json"
-    assert main([str(tmp_path / "src"), "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    assert main([str(tmp_path / "src"), "--baseline", str(base)]) == 0
-    out = capsys.readouterr().out
-    assert "0 violations" in out
-    assert "1 baselined" in out
-
-
-def test_baseline_still_fails_on_new_findings(tmp_path, capsys):
-    repo = _write_pkg(
-        tmp_path,
-        """
-        import random
-
-
-        def draw():
-            return random.random()
-        """,
-    )
-    base = tmp_path / "lint-baseline.json"
-    assert main([str(tmp_path / "src"), "--write-baseline", str(base)]) == 0
-    driver = repo / "src" / "repro" / "sim" / "driver.py"
-    driver.write_text(
-        driver.read_text()
-        + "\n\ndef draw2():\n    return random.randint(0, 9)\n"
-    )
-    capsys.readouterr()
-    assert main([str(tmp_path / "src"), "--baseline", str(base)]) == 1
-    out = capsys.readouterr().out
-    assert "randint" in out
-    assert "1 baselined" in out
-
-
-def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
-    _write_pkg(tmp_path, "\n")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main([str(tmp_path / "src"), "--baseline", str(bad)]) == 2
-    assert "baseline" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

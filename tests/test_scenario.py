@@ -21,6 +21,8 @@ from repro.scenario import (
     task,
 )
 from repro.schedulers.registry import SCHEDULERS, make_scheduler, scheduler_names
+from repro.sim import machine as machine_module
+from tests.conftest import ENGINES
 
 
 def _probe_early(machine, tasks):
@@ -185,6 +187,24 @@ class TestEventsProbesDrivers:
         result = run_scenario(scn)
         assert result.now == result.driver("r").finished_at
         assert result.duration == result.now
+
+    @pytest.mark.parametrize("build", sorted(ENGINES))
+    def test_ring_beside_endless_tasks_stops_at_completion(self, build, monkeypatch):
+        # The background never finishes and keeps timers pending, so
+        # only the ring's last pass may end the run.
+        monkeypatch.setattr(machine_module, "Engine", ENGINES[build])
+        scn = Scenario(
+            name="ring-loaded",
+            cost_model="lmbench",
+            duration=None,
+            tasks=group(3, 1, "bg"),
+            drivers=(LatCtxRing(name="r", nprocs=4, passes=200),),
+        )
+        result = run_scenario(scn)
+        engine = result.machine.engine
+        assert type(engine) is ENGINES[build]
+        assert result.now == result.driver("r").finished_at
+        assert engine.next_time > result.now
 
 
 class TestValidation:

@@ -14,6 +14,13 @@ def machine(**kw):
     return Machine(SurplusFairScheduler(), cpus=2, quantum=0.2, **kw)
 
 
+def finish(m, ring, horizon=100.0):
+    """Run ``m`` to ``horizon``; the ring must be done by then."""
+    m.run_until(horizon)
+    assert ring.done
+    return ring.switch_time()
+
+
 class TestShortJobFeeder:
     def test_jobs_run_sequentially(self):
         m = machine()
@@ -69,14 +76,13 @@ class TestTokenRing:
     def test_ring_completes_requested_passes(self):
         m = machine(cost_model=ZERO_COST, sample_service=False)
         ring = TokenRing(m, nprocs=4, passes=100)
-        ring.run(max_time=100.0)
+        finish(m, ring)
         assert ring.pass_count == 100
-        assert ring.done
 
     def test_zero_cost_machine_measures_zero_switch_time(self):
         m = machine(cost_model=ZERO_COST, sample_service=False)
         ring = TokenRing(m, nprocs=2, passes=200)
-        assert ring.run() == pytest.approx(0.0, abs=1e-9)
+        assert finish(m, ring) == pytest.approx(0.0, abs=1e-9)
 
     def test_switch_time_includes_decision_and_cache_costs(self):
         m = Machine(
@@ -88,7 +94,7 @@ class TestTokenRing:
             record_events=False,
         )
         ring = TokenRing(m, nprocs=2, passes=500, footprint_kb=16.0)
-        t = ring.run()
+        t = finish(m, ring)
         # Cache restoration for 16 KB alone is ~14 us.
         assert t > 10e-6
 
@@ -103,14 +109,14 @@ class TestTokenRing:
                 record_events=False,
             )
             ring = TokenRing(m, nprocs=n, passes=400)
-            return ring.run()
+            return finish(m, ring)
 
         assert run(16) > run(2)
 
     def test_work_cost_subtracted_from_measurement(self):
         m = machine(cost_model=ZERO_COST, sample_service=False)
         ring = TokenRing(m, nprocs=2, passes=100, work_cost=0.001)
-        t = ring.run()
+        t = finish(m, ring)
         assert t == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_bad_parameters(self):
